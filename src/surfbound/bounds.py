@@ -18,7 +18,7 @@ Three layers:
 """
 
 from dataclasses import dataclass
-from math import factorial
+from math import factorial, lcm
 
 from .covers import (
     GENUS2_COVER_CASES,
@@ -29,7 +29,7 @@ from .covers import (
     quotient_ske_from_cover,
 )
 from .groups import construct
-from .linalg import is_prime, lcm
+from .linalg import is_prime
 from .signatures import Signature, abelianization, signature_table
 from .ske import SkeCertificate, dihedral_witness_ske, search_ske, verify_certificate, verify_ske
 

@@ -200,8 +200,7 @@ def cmd_ske_search(args):
     payload = {"command": "ske-search", "signature": str(sig),
                "group": group.descriptor, "mode": args.mode, "dedup": args.dedup}
     try:
-        result = search_ske(sig, group, mode=args.mode, dedup=args.dedup,
-                            workers=args.workers)
+        result = search_ske(sig, group, mode=args.mode, dedup=args.dedup)
     except NotAdmissible as exc:
         raise UsageError(f"not admissible: {exc}")
     except NonIntegralGenus as exc:
@@ -502,7 +501,6 @@ def build_parser():
     p.add_argument("--mode", choices=("first", "all", "count"), default="first")
     p.add_argument("--dedup", action="store_true",
                    help="deduplicate by simultaneous conjugation")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_ske_search)
 

@@ -1,16 +1,21 @@
 """Mod-p homology of surface kernels and invariant-hyperplane covers.
 
-Given a verified surface-kernel epimorphism onto a finite group Q, the kernel
-K is a surface group; this module presents K explicitly (coset table on the
-regular action, spanning tree, Schreier generators, rewritten relators),
-computes H_1(K) by integer Smith normal form, and realizes the conjugation
-action of Q on H_1(K; F_p) as explicit matrices.
+A verified surface-kernel epimorphism from the signature group Gamma onto a
+finite group Q, with generator images a_s, has a surface group K as kernel:
+the fundamental group of the |Q|-sheeted cover X of Gamma's presentation
+2-complex.  X has the vertices c in Q, the edges (c, s) from c to c*a_s, and
+the faces (c, r), each defining relator r read from c.  Following Fox's free
+differential calculus (Ann. of Math. 57, 1953), H^1(K; F_p) is the space of
+1-cocycles of X that vanish on a spanning tree: the nullspace of the face
+rows plus one unit row per tree edge.  Its basis is dual to 2*genus(K)
+non-tree ("free") edges, which also fixes the coordinates of H_1(K; F_p),
+and Q acts on both by the deck transformations c -> q*c of X.
 
-A Q-invariant hyperplane W < H_1(K; F_p) yields an index-p subgroup M < K
-that is normal in the ambient group, i.e. a degree-p unramified cover of the
+A Q-invariant hyperplane W = ker(f) < H_1(K; F_p) yields an index-p subgroup
+M < K that is normal in Gamma, i.e. a degree-p unramified cover of the
 quotient surface on which Q lifts: the cover has genus 1 + p*(genus(K) - 1)
-and carries p*|Q| automorphisms.  quotient_ske_from_cover makes that fully
-concrete by building the order p*|Q| extension group and re-verifying the
+and carries p*|Q| automorphisms.  quotient_ske_from_cover builds that group
+as the monodromy of the p-fold cover of X on Q x F_p and re-verifies the
 induced epimorphism from scratch, so every cover claim is replayable.
 """
 
@@ -19,12 +24,10 @@ from itertools import product as iproduct
 
 from .groups import PermutationGroup, construct
 from .linalg import (
-    invert_mod,
+    identity_matrix,
     is_prime,
     mat_mul_mod,
     nullspace_mod,
-    rref_mod,
-    smith_normal_form,
     vec_mat_mod,
 )
 from .signatures import Signature, kernel_genus
@@ -32,39 +35,22 @@ from .ske import SkeCertificate, verify_certificate, verify_ske
 
 
 class NotSurfaceKernel(ValueError):
-    """The kernel's first homology is not free of the expected rank."""
+    """The kernel's first homology does not have the expected dimension."""
 
 
 class NotInvariant(ValueError):
     """The requested hyperplane is not preserved by the group action."""
 
 
-def _inverse_word(word):
-    return tuple((s, -sign) for s, sign in reversed(word))
-
-
-def _homology_invariants(rows, ncols, expected_dim):
-    diag, colmat = smith_normal_form(rows, ncols)
-    torsion = [d for d in diag if d > 1]
-    if torsion:
-        raise NotSurfaceKernel(f"first homology has torsion {torsion}")
-    rank = len(diag)
-    dim = ncols - rank
-    if dim != expected_dim:
-        raise NotSurfaceKernel(
-            f"first homology has rank {dim}, expected {expected_dim}"
-        )
-    return rank, colmat
-
-
 @dataclass
 class KernelPresentation:
-    """Explicit presentation of the surface kernel of a verified epimorphism.
+    """Cells of the cover X whose fundamental group is the kernel.
 
-    Generators are the |Q|*(2g+k) pairs (coset, slot); relations are every
-    defining relator of the signature group rewritten from every coset, plus
-    one unit relation per spanning-tree pair.  colmat/snf_rank turn any
-    integer combination of pairs into homology coordinates.
+    Vertex c is group.elements[c]; edge column c*nslots + s runs from c to
+    act[s][c].  relation_rows are the faces, then one unit row per tree edge.
+    tree lists a BFS spanning tree of forward edges as (vertex, parent,
+    column), the edge running from parent to vertex.  homology_dim is
+    2*kernel_genus, the dimension H_1(K; F_p) must have at every prime p.
     """
 
     certificate: SkeCertificate
@@ -72,19 +58,13 @@ class KernelPresentation:
     nslots: int
     act: list
     act_inv: list
-    transversal: list
-    tree_pairs: frozenset
+    tree: tuple
     relation_rows: list
     ncols: int
-    snf_rank: int
-    colmat: list
     homology_dim: int
 
-    def pair_column(self, coset, slot):
-        return coset * self.nslots + slot
-
     def rewrite(self, word, start=0):
-        """Exponent vector over the pair generators, plus the end coset."""
+        """Edge chain of the path reading word from vertex start, plus its end."""
         vec = [0] * self.ncols
         c = start
         for s, sign in word:
@@ -96,23 +76,9 @@ class KernelPresentation:
                 vec[c * self.nslots + s] -= 1
         return vec, c
 
-    def schreier_word(self, coset, slot):
-        target = self.act[slot][coset]
-        return (self.transversal[coset] + ((slot, 1),)
-                + _inverse_word(self.transversal[target]))
-
-    def coords_mod(self, vec, p):
-        """Homology coordinates of a pair-exponent vector, reduced mod p."""
-        rank, colmat = self.snf_rank, self.colmat
-        support = [i for i, v in enumerate(vec) if v]
-        return tuple(
-            sum(vec[i] * colmat[i][j] for i in support) % p
-            for j in range(rank, self.ncols)
-        )
-
 
 def kernel_presentation(cert):
-    """Present the kernel of a certificate, re-verifying the certificate first."""
+    """Cell complex of the kernel of a certificate, re-verifying it first."""
     verify_certificate(cert)
     group = construct(cert.group_descriptor)
     elements = group.elements
@@ -121,34 +87,21 @@ def kernel_presentation(cert):
     gens = cert.images
     nslots = len(gens)
 
-    act = [[index[group.mul(e, gens[s])] for e in elements] for s in range(nslots)]
-    act_inv = []
-    for s in range(nslots):
-        inv = [0] * n
-        for c in range(n):
-            inv[act[s][c]] = c
-        act_inv.append(inv)
+    act = [[index[group.mul(e, x)] for e in elements] for x in gens]
+    act_inv = [[index[group.mul(e, group.inv(x))] for e in elements] for x in gens]
 
-    # spanning tree by BFS; tree pairs are recorded as their forward edges
-    transversal = [None] * n
-    transversal[0] = ()
-    tree_pairs = set()
+    # the images generate the finite group Q, so forward edges reach every vertex
+    seen = [False] * n
+    seen[0] = True
+    tree = []
     queue = [0]
-    head = 0
-    while head < len(queue):
-        c = queue[head]
-        head += 1
+    for c in queue:
         for s in range(nslots):
-            fwd = act[s][c]
-            if transversal[fwd] is None:
-                transversal[fwd] = transversal[c] + ((s, 1),)
-                tree_pairs.add((c, s))
-                queue.append(fwd)
-            back = act_inv[s][c]
-            if transversal[back] is None:
-                transversal[back] = transversal[c] + ((s, -1),)
-                tree_pairs.add((back, s))
-                queue.append(back)
+            nxt = act[s][c]
+            if not seen[nxt]:
+                seen[nxt] = True
+                tree.append((nxt, c, c * nslots + s))
+                queue.append(nxt)
     if len(queue) != n:
         raise RuntimeError("coset graph is not connected despite surjectivity")
 
@@ -164,45 +117,37 @@ def kernel_presentation(cert):
 
     pres = KernelPresentation(
         certificate=cert, group=group, nslots=nslots, act=act, act_inv=act_inv,
-        transversal=transversal, tree_pairs=frozenset(tree_pairs),
-        relation_rows=[], ncols=ncols, snf_rank=0, colmat=[], homology_dim=0,
+        tree=tuple(tree), relation_rows=[], ncols=ncols,
+        homology_dim=2 * cert.kernel_genus,
     )
-    rows = []
     for rel in relators:
         for start in range(n):
             vec, end = pres.rewrite(rel, start)
             if end != start:
                 raise RuntimeError(f"relator does not act trivially from coset {start}")
-            rows.append(vec)
-    for c, s in sorted(tree_pairs):
+            pres.relation_rows.append(vec)
+    for _, _, col in tree:
         unit = [0] * ncols
-        unit[c * nslots + s] = 1
-        rows.append(unit)
-
-    # Nielsen-Schreier: the non-tree pairs number 1 + n*(nslots - 1)
-    if ncols - len(tree_pairs) != 1 + n * (nslots - 1):
-        raise RuntimeError("spanning tree has the wrong number of edges")
-
-    rank, colmat = _homology_invariants(rows, ncols, 2 * cert.kernel_genus)
-    pres.relation_rows = rows
-    pres.snf_rank = rank
-    pres.colmat = colmat
-    pres.homology_dim = ncols - rank
+        unit[col] = 1
+        pres.relation_rows.append(unit)
     return pres
 
 
 @dataclass
 class HomologyAction:
-    """Matrices of the conjugation action of Q on H_1(kernel; F_p).
+    """Matrices of the deck-transformation action of Q on H_1(kernel; F_p).
 
-    Column convention: coords(conjugate by q) = matrix[q] * coords, so the
-    map q -> matrix[q] is a homomorphism; this is checked on every pair.
+    cocycles is the basis of H^1(K; F_p), each 0 on the tree, 1 on its own
+    free edge and 0 on the others' (the free edges depend on p).  Homology
+    coordinates are the cocycle values, and coords(q_* z) = matrix[q] *
+    coords(z), so q -> matrix[q] is a homomorphism; this is checked.
     """
 
     presentation: KernelPresentation
     prime: int
     dim: int
     matrices: dict
+    cocycles: list
 
     @property
     def group(self):
@@ -213,42 +158,45 @@ def homology_action(pres, p):
     if not is_prime(p):
         raise ValueError(f"modulus must be prime, got {p}")
     group = pres.group
-    dim = pres.homology_dim
-    rank = pres.snf_rank
+    elements, index = group.elements, group.index
+    nslots, act = pres.nslots, pres.act
 
-    # B: coordinates of each pair generator; column j is pair j
-    b = [[pres.colmat[j][rank + r] % p for j in range(pres.ncols)] for r in range(dim)]
-    _, pivots = rref_mod(b, p)
-    if len(pivots) != dim:
-        raise RuntimeError("pair coordinates do not span the homology")
-    b_sq = [[b[r][j] for j in pivots] for r in range(dim)]
-    b_sq_inv = invert_mod(b_sq, p)
+    cocycles = nullspace_mod(pres.relation_rows, pres.ncols, p)
+    dim = len(cocycles)
+    if dim != pres.homology_dim:
+        raise NotSurfaceKernel(
+            f"first homology mod {p} has dimension {dim}, expected {pres.homology_dim}"
+        )
+    # nullspace_mod puts the 1 of each vector's own free column last
+    free = [max(j for j, v in enumerate(phi) if v) for phi in cocycles]
+    if [[phi[j] for j in free] for phi in cocycles] != identity_matrix(dim):
+        raise RuntimeError("cocycle basis is not dual to its free edges")
+
+    def row(phi, left):
+        # values of the translate (c, s) -> phi(q*c, s) on the free edges,
+        # after subtracting the coboundary that makes it vanish on the tree
+        def value(col):
+            return phi[left[col // nslots] * nslots + col % nslots]
+
+        pot = [0] * group.order
+        for v, u, col in pres.tree:
+            pot[v] = pot[u] + value(col)
+        return [(value(col) + pot[col // nslots] - pot[act[col % nslots][col // nslots]]) % p
+                for col in free]
 
     matrices = {}
-    for q in group.elements:
-        t_q = pres.transversal[group.index[q]]
-        t_q_inv = _inverse_word(t_q)
-        cols = []
-        for c in range(group.order):
-            for s in range(pres.nslots):
-                word = t_q + pres.schreier_word(c, s) + t_q_inv
-                vec, end = pres.rewrite(word)
-                if end != 0:
-                    raise RuntimeError("conjugated Schreier word is not a loop")
-                cols.append(pres.coords_mod(vec, p))
-        c_mat = [[cols[j][r] for j in range(pres.ncols)] for r in range(dim)]
-        c_sq = [[c_mat[r][j] for j in pivots] for r in range(dim)]
-        m = mat_mul_mod(c_sq, b_sq_inv, p)
-        if mat_mul_mod(m, b, p) != c_mat:
-            raise RuntimeError("action matrix does not reproduce all pair images")
-        matrices[q] = m
+    for q in elements:
+        left = [index[group.mul(q, e)] for e in elements]
+        matrices[q] = [row(phi, left) for phi in cocycles]
 
-    for q in group.elements:
-        for r in group.elements:
-            lhs = mat_mul_mod(matrices[q], matrices[r], p)
-            if lhs != matrices[group.mul(q, r)]:
+    if matrices[group.identity] != identity_matrix(dim):
+        raise RuntimeError("identity does not act trivially on homology")
+    for q in elements:
+        for g in group.generators:
+            if mat_mul_mod(matrices[q], matrices[g], p) != matrices[group.mul(q, g)]:
                 raise RuntimeError("homology action is not a homomorphism")
-    return HomologyAction(presentation=pres, prime=p, dim=dim, matrices=matrices)
+    return HomologyAction(presentation=pres, prime=p, dim=dim, matrices=matrices,
+                          cocycles=cocycles)
 
 
 @dataclass(frozen=True, eq=False)
@@ -292,10 +240,6 @@ def _lambdas_for(covector, action):
     return lambdas
 
 
-def _transpose(m):
-    return [[m[i][j] for i in range(len(m))] for j in range(len(m[0]))]
-
-
 def _projective_points(basis, dim, p):
     # one representative per line of the span, first nonzero coefficient 1
     d = len(basis)
@@ -319,14 +263,11 @@ def invariant_hyperplanes(action):
     normalized covector, so the order is deterministic.
     """
     p, dim = action.prime, action.dim
-    gens = list(action.group.generators)
-    if not gens:
-        return invariant_hyperplanes_brute(action)
-    mats_t = [_transpose(action.matrices[g]) for g in gens]
+    mats = [action.matrices[g] for g in action.group.generators]
     found = {}
 
     def descend(idx, constraints):
-        if idx == len(mats_t):
+        if idx == len(mats):
             basis = nullspace_mod(constraints, dim, p)
             for f in _projective_points(basis, dim, p):
                 if f not in found:
@@ -336,38 +277,17 @@ def invariant_hyperplanes(action):
                         kernel_basis=tuple(nullspace_mod([f], dim, p)),
                     )
             return
-        m = mats_t[idx]
+        m = mats[idx]
         for lam in range(1, p):
+            # f*M = lam*f, i.e. (M^T - lam) f = 0
             rows = list(constraints)
             for i in range(dim):
-                rows.append([(m[i][j] - (lam if i == j else 0)) % p for j in range(dim)])
+                rows.append([(m[j][i] - (lam if i == j else 0)) % p for j in range(dim)])
             if nullspace_mod(rows, dim, p):
                 descend(idx + 1, rows)
 
     descend(0, [])
     return [found[f] for f in sorted(found)]
-
-
-def invariant_hyperplanes_brute(action):
-    """Independent cross-check: test every covector line directly."""
-    p, dim = action.prime, action.dim
-    out = []
-    for f in _projective_points(identity_basis(dim), dim, p):
-        try:
-            lambdas = _lambdas_for(f, action)
-        except NotInvariant:
-            continue
-        out.append(InvariantHyperplane(
-            covector=f,
-            lambdas=lambdas,
-            kernel_basis=tuple(nullspace_mod([f], dim, p)),
-        ))
-    out.sort(key=lambda h: h.covector)
-    return out
-
-
-def identity_basis(dim):
-    return [tuple(1 if i == j else 0 for i in range(dim)) for j in range(dim)]
 
 
 @dataclass(frozen=True)
@@ -454,67 +374,42 @@ def verify_cover_certificate(cover):
 def quotient_ske_from_cover(cover, presentation=None):
     """Build the order p*|Q| quotient of the cover explicitly and re-verify.
 
-    The extension of Q by F_p is assembled from the transversal factor set
-    and the hyperplane's scalars, realized as a permutation group by left
-    regular action, and the induced generator images are pushed through
-    verify_ske.  The returned certificate is independent evidence that the
-    cover carries the claimed automorphism count.
+    In the p-fold cover cut out by the covector f, edge s moves the point
+    (c, x) of Q x F_p to (c*a_s, x + phi_f(c, s)), phi_f = sum f_i*cocycle_i.
+    These monodromy permutations generate the extension of Q by F_p; their
+    inverses go through verify_ske, so the returned certificate is independent
+    evidence that the cover carries the claimed automorphism count.
     """
     cert = cover.base
     p = cover.prime
     pres = presentation if presentation is not None else kernel_presentation(cert)
     action = homology_action(pres, p)
     f = _normalize_covector(cover.covector, p)
-    lambdas = _lambdas_for(f, action)
+    _lambdas_for(f, action)
 
-    group = pres.group
-    elements = group.elements
-    index = group.index
-    n = group.order
-
-    def val(word):
-        vec, end = pres.rewrite(word)
-        if end != 0:
-            raise RuntimeError("value of a non-loop word requested")
-        coords = pres.coords_mod(vec, p)
-        return sum(fi * ci for fi, ci in zip(f, coords)) % p
-
-    lam = [lambdas[e] for e in elements]
-    coc = [[0] * n for _ in range(n)]
-    for i, qi in enumerate(elements):
-        t_i = pres.transversal[i]
-        for j, qj in enumerate(elements):
-            meet = index[group.mul(qi, qj)]
-            word = t_i + pres.transversal[j] + _inverse_word(pres.transversal[meet])
-            coc[i][j] = val(word)
-
-    keys = [(c, x) for c in range(n) for x in range(p)]
-    key_index = {k: i for i, k in enumerate(keys)}
-
-    def key_mul(a, b):
-        (c1, x1), (c2, x2) = a, b
-        return (index[group.mul(elements[c1], elements[c2])],
-                (x1 + lam[c1] * x2 + coc[c1][c2]) % p)
-
-    def key_perm(k):
-        return tuple(key_index[key_mul(k, other)] for other in keys)
-
-    helper_keys = [(index[g], 0) for g in group.generators] + [(0, 1)]
-    helper_perms = [key_perm(k) for k in helper_keys]
+    n, nslots = pres.group.order, pres.nslots
+    phi = [sum(fi * v[col] for fi, v in zip(f, action.cocycles)) % p
+           for col in range(pres.ncols)]
+    # point (c, x) is c*p + x.  Reading a word moves points by a right
+    # action, so under (x*y)[i] = x[y[i]] the inverse permutations compose
+    # as a homomorphism; images[s] sends the end of edge s back to its start.
     degree = n * p
+    images = []
+    for s in range(nslots):
+        perm = [0] * degree
+        for c in range(n):
+            end, shift = pres.act[s][c] * p, phi[c * nslots + s]
+            for x in range(p):
+                perm[end + (x + shift) % p] = c * p + x
+        images.append(tuple(perm))
     descriptor = f"perm:{degree}:" + ":".join(
-        ",".join(str(v) for v in perm) for perm in helper_perms
+        ",".join(str(v) for v in perm) for perm in images
     )
-    extension = PermutationGroup(degree, helper_perms, descriptor)
+    extension = PermutationGroup(degree, images, descriptor)
     if extension.order != degree:
         raise RuntimeError(
             f"extension closed at order {extension.order}, expected {degree}"
         )
-
-    images = []
-    for slot, q in enumerate(cert.images):
-        word = ((slot, 1),) + _inverse_word(pres.transversal[index[q]])
-        images.append(key_perm((index[q], val(word))))
     quotient = verify_ske(cert.signature, extension, tuple(images))
     if quotient.kernel_genus != cover.cover_genus:
         raise RuntimeError("quotient kernel genus disagrees with the cover")
@@ -565,13 +460,6 @@ GENUS2_COVER_CASES = (
 )
 
 
-def _element_power(group, x, e):
-    out = group.identity
-    for _ in range(e):
-        out = group.mul(out, x)
-    return out
-
-
 def case_certificate(case):
     """Verified genus-2 epimorphism for one of the frozen cover cases."""
     group = construct(case.group_descriptor)
@@ -579,7 +467,8 @@ def case_certificate(case):
     for exps in case.image_exponents:
         img = group.identity
         for gen, e in zip(group.generators, exps):
-            img = group.mul(img, _element_power(group, gen, e))
+            for _ in range(e):
+                img = group.mul(img, gen)
         images.append(img)
     cert = verify_ske(case.signature, group, tuple(images))
     if cert.kernel_genus != 2:

@@ -6,8 +6,6 @@ homology computations, where a single rounding error would silently corrupt
 a certificate.
 """
 
-from math import gcd
-
 
 def smith_normal_form(rows, ncols):
     """Diagonalize an integer matrix by unimodular row and column operations.
@@ -231,10 +229,6 @@ def det_mod(matrix, p):
                 f = (a[i][c] * inv) % p
                 a[i] = [(e - f * g) % p for e, g in zip(a[i], a[c])]
     return det % p
-
-
-def lcm(a, b):
-    return a // gcd(a, b) * b
 
 
 # smallest composite not caught by these witnesses is > 3.3 * 10^24

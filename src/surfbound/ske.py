@@ -18,7 +18,6 @@ a_g, b_g), then elliptic generators in signature order.
 """
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .groups import DihedralGroup, construct
@@ -178,7 +177,7 @@ def _conjugation_canon(group, elements, images):
     return best
 
 
-def search_ske(sig, group, mode="first", dedup=False, node_budget=None, workers=1):
+def search_ske(sig, group, mode="first", dedup=False, node_budget=None):
     """Backtracking search for surface-kernel epimorphisms onto a finite group.
 
     mode 'first' returns the first image tuple under the canonical iteration
@@ -212,12 +211,6 @@ def search_ske(sig, group, mode="first", dedup=False, node_budget=None, workers=
         by_order[periods[j]] if kind == "e" else elements for kind, j in slots
     ]
 
-    if workers > 1 and slots:
-        return _search_parallel(
-            sig, group, elements, periods, slots, slot_candidates,
-            mode, dedup, budget, workers,
-        )
-
     state = _SearchState(sig, group, elements, periods, slots, slot_candidates,
                          mode, dedup, budget)
     state.run()
@@ -226,15 +219,13 @@ def search_ske(sig, group, mode="first", dedup=False, node_budget=None, workers=
 
 class _SearchState:
     def __init__(self, sig, group, elements, periods, slots, slot_candidates,
-                 mode, dedup, budget, first_slot_candidates=None):
+                 mode, dedup, budget):
         self.sig = sig
         self.group = group
         self.elements = elements
         self.periods = periods
         self.slots = slots
-        self.slot_candidates = list(slot_candidates)
-        if first_slot_candidates is not None:
-            self.slot_candidates[0] = first_slot_candidates
+        self.slot_candidates = slot_candidates
         self.mode = mode
         self.dedup = dedup
         self.budget = budget
@@ -303,43 +294,6 @@ class _SearchState:
         if self.mode == "first":
             return self.solutions[0] if self.solutions else None
         return self.solutions
-
-
-def _search_parallel(sig, group, elements, periods, slots, slot_candidates,
-                     mode, dedup, budget, workers):
-    # one branch per first-slot candidate, merged in candidate order; each
-    # branch gets the full budget and totals are checked after the merge
-    branch_mode = "first" if mode == "first" else "all"
-
-    def branch(cand):
-        state = _SearchState(sig, group, elements, periods, slots, slot_candidates,
-                             branch_mode, False, budget,
-                             first_slot_candidates=(cand,))
-        state.run()
-        return state.solutions, state.nodes
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        outcomes = list(pool.map(branch, slot_candidates[0]))
-    total_nodes = sum(nodes for _, nodes in outcomes)
-    if total_nodes > budget:
-        raise SearchSpaceTooLarge(
-            f"node budget {budget} exhausted searching {sig} -> {group.descriptor}"
-        )
-    merged = [s for sols, _ in outcomes for s in sols]
-    if dedup:
-        seen = set()
-        unique = []
-        for images in merged:
-            canon = _conjugation_canon(group, elements, images)
-            if canon not in seen:
-                seen.add(canon)
-                unique.append(images)
-        merged = unique
-    if mode == "first":
-        return merged[0] if merged else None
-    if mode == "count":
-        return len(merged)
-    return merged
 
 
 def dihedral_witness_ske(g):

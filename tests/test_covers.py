@@ -1,4 +1,6 @@
 import json
+from dataclasses import replace
+from itertools import product
 
 import pytest
 
@@ -7,18 +9,16 @@ from surfbound.covers import (
     CoverCertificate,
     NotInvariant,
     NotSurfaceKernel,
-    _homology_invariants,
     build_cover,
     case_certificate,
     check_cover_cases,
     homology_action,
     invariant_hyperplanes,
-    invariant_hyperplanes_brute,
     kernel_presentation,
     quotient_ske_from_cover,
     verify_cover_certificate,
 )
-from surfbound.linalg import identity_matrix
+from surfbound.linalg import cokernel_invariants, identity_matrix, vec_mat_mod
 from surfbound.ske import dihedral_witness_ske, verify_certificate
 
 CASES = {case.label: case for case in GENUS2_COVER_CASES}
@@ -28,24 +28,59 @@ def v4_presentation():
     return kernel_presentation(dihedral_witness_ske(2))
 
 
+def case_g_quotient_at_3():
+    # order 36, kernel genus 4: the first rung past the genus-2 cases
+    return quotient_ske_from_cover(build_cover(case_certificate(CASES["g"]), 3))
+
+
+def brute_invariant_covectors(action):
+    # independent oracle: test every normalized covector against every matrix
+    p, dim = action.prime, action.dim
+    out = []
+    for lead in range(dim):
+        for rest in product(range(p), repeat=dim - lead - 1):
+            f = (0,) * lead + (1,) + rest
+            images = [vec_mat_mod(f, m, p) for m in action.matrices.values()]
+            if all(img == tuple(img[lead] * v % p for v in f) for img in images):
+                out.append(f)
+    return sorted(out)
+
+
+def assert_integer_homology_is_free(pres):
+    # integer oracle: the face rows plus tree rows present H_1(K; Z) itself
+    assert cokernel_invariants(pres.relation_rows, pres.ncols) == (pres.homology_dim, ())
+
+
 class TestKernelPresentation:
     def test_v4_quintuple_shape(self):
         pres = v4_presentation()
         assert pres.ncols == 4 * 5
-        assert len(pres.tree_pairs) == 3
         assert pres.homology_dim == 4
+        assert_integer_homology_is_free(pres)
 
     def test_schreier_count_invariant(self):
+        # Euler count: the free edges number 1 + |Q|*(nslots - 1)
         for label in ("a", "b", "d", "g"):
             cert = case_certificate(CASES[label])
             pres = kernel_presentation(cert)
             n = pres.group.order
-            assert pres.ncols - len(pres.tree_pairs) == 1 + n * (pres.nslots - 1)
+            assert pres.ncols - len(pres.tree) == 1 + n * (pres.nslots - 1)
+
+    def test_tree_spans_every_vertex(self):
+        for label in ("a", "b", "d", "g"):
+            pres = kernel_presentation(case_certificate(CASES[label]))
+            n = pres.group.order
+            assert len(pres.tree) == n - 1
+            assert {v for v, _, _ in pres.tree} == set(range(1, n))
+            for v, u, col in pres.tree:
+                c, s = divmod(col, pres.nslots)
+                assert (c, pres.act[s][c]) == (u, v)
 
     def test_all_cases_have_genus_two_homology(self):
         for case in GENUS2_COVER_CASES:
             pres = kernel_presentation(case_certificate(case))
             assert pres.homology_dim == 4
+            assert_integer_homology_is_free(pres)
 
     def test_rewrite_round_trip(self):
         pres = v4_presentation()
@@ -53,21 +88,20 @@ class TestKernelPresentation:
         vec, end = pres.rewrite(((0, 1), (0, 1)), start=2)
         assert end == 2
 
-    def test_transversal_words_reach_their_cosets(self):
-        pres = v4_presentation()
-        for c, word in enumerate(pres.transversal):
-            zero = [0] * pres.ncols
-            _, end = pres.rewrite(word, start=0)
-            assert end == c
-            del zero
-
     def test_torsion_rejected(self):
-        with pytest.raises(NotSurfaceKernel, match="torsion"):
-            _homology_invariants([[2, 0], [0, 1]], 2, 0)
+        # 3-torsion in the integer homology shows up as extra dimension mod 3
+        pres = v4_presentation()
+        faces = len(pres.relation_rows) - len(pres.tree)
+        rows = [[3 * v for v in row] for row in pres.relation_rows[:faces]]
+        torsion = replace(pres, relation_rows=rows + pres.relation_rows[faces:])
+        assert homology_action(torsion, 5).dim == 4
+        with pytest.raises(NotSurfaceKernel, match="dimension"):
+            homology_action(torsion, 3)
 
     def test_wrong_rank_rejected(self):
-        with pytest.raises(NotSurfaceKernel, match="rank"):
-            _homology_invariants([[1, 0]], 2, 0)
+        altered = replace(v4_presentation(), homology_dim=6)
+        with pytest.raises(NotSurfaceKernel, match="expected 6"):
+            homology_action(altered, 7)
 
 
 class TestHomologyAction:
@@ -93,6 +127,39 @@ class TestHomologyAction:
             m = mat_mul_mod(m, action.matrices[gen], 11)
         assert m == identity_matrix(4)
 
+    @pytest.mark.parametrize("name", sorted(CASES) + ["V4", "D8", "g-mod-3"])
+    def test_lefschetz_trace_formula(self, name):
+        # basis-free check of every matrix: tr M_q = 2 - |Fix(q)| for q != 1,
+        # with the fixed points of q counted over the cone points (Eichler)
+        cert = {
+            "V4": lambda: dihedral_witness_ske(2),
+            "D8": lambda: dihedral_witness_ske(5),
+            "g-mod-3": case_g_quotient_at_3,
+        }.get(name, lambda: case_certificate(CASES[name]))()
+        pres = kernel_presentation(cert)
+        group = pres.group
+        ell = cert.images[2 * cert.signature.genus:]
+        fixed = {}
+        for q in group.elements:
+            total = 0
+            for c, m in zip(ell, cert.signature.periods):
+                powers = {group.identity}
+                x = c
+                while x != group.identity:
+                    powers.add(x)
+                    x = group.mul(x, c)
+                hits = sum(group.mul(group.mul(group.inv(x), q), x) in powers
+                           for x in group.elements)
+                assert hits % m == 0
+                total += hits // m
+            fixed[q] = total
+        for p in (2, 3, 5, 7, 11):
+            action = homology_action(pres, p)
+            for q, mat in action.matrices.items():
+                trace = sum(mat[i][i] for i in range(action.dim))
+                expected = 2 * cert.kernel_genus if q == group.identity else 2 - fixed[q]
+                assert (trace - expected) % p == 0, (name, p, q)
+
 
 class TestInvariantHyperplanes:
     BRUTE_COMPARISONS = [
@@ -108,14 +175,12 @@ class TestInvariantHyperplanes:
         pres = kernel_presentation(case_certificate(CASES[label]))
         action = homology_action(pres, p)
         fast = [h.covector for h in invariant_hyperplanes(action)]
-        slow = [h.covector for h in invariant_hyperplanes_brute(action)]
-        assert fast == slow
+        assert fast == brute_invariant_covectors(action)
 
     def test_v4_at_23_matches_brute(self):
         action = homology_action(v4_presentation(), 23)
-        fast = invariant_hyperplanes(action)
-        slow = invariant_hyperplanes_brute(action)
-        assert [h.covector for h in fast] == [h.covector for h in slow]
+        fast = [h.covector for h in invariant_hyperplanes(action)]
+        assert fast == brute_invariant_covectors(action)
         assert fast
 
     def test_lambdas_multiplicative(self):
@@ -216,6 +281,14 @@ class TestQuotient:
         assert quotient.signature == cert.signature
         verify_certificate(quotient)
 
+    def test_case_b_mod_2_end_to_end(self):
+        # Q8 is not abelian: the images must compose in the group's convention
+        cert = case_certificate(CASES["b"])
+        quotient = quotient_ske_from_cover(build_cover(cert, 2))
+        assert quotient.group_order == 16
+        assert quotient.kernel_genus == 3
+        verify_certificate(quotient)
+
     def test_case_d_mod_5_end_to_end(self):
         cert = case_certificate(CASES["d"])
         cover = build_cover(cert, 5)
@@ -233,10 +306,10 @@ class TestQuotient:
 
     def test_iterated_cover_presentation(self):
         # genus-4 kernel from case g at p = 3; its own presentation has rank 8
-        cert = case_certificate(CASES["g"])
-        cover = build_cover(cert, 3)
-        quotient = quotient_ske_from_cover(cover)
+        quotient = case_g_quotient_at_3()
         assert quotient.group_order == 36
         assert quotient.kernel_genus == 4
         pres = kernel_presentation(quotient)
         assert pres.homology_dim == 8
+        assert homology_action(pres, 3).dim == 8
+        assert_integer_homology_is_free(pres)

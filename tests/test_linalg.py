@@ -9,7 +9,6 @@ from surfbound.linalg import (
     det_mod,
     identity_matrix,
     invert_mod,
-    lcm,
     mat_mul_mod,
     mat_vec_mod,
     nullspace_mod,
@@ -179,7 +178,3 @@ class TestModP:
         m = [[1, 2], [3, 4]]
         assert vec_mat_mod([1, 1], m, 5) == (4, 1)
         assert mat_vec_mod(m, [1, 1], 5) == (3, 2)
-
-    def test_lcm(self):
-        assert lcm(4, 6) == 12
-        assert lcm(1, 7) == 7

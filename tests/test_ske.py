@@ -194,16 +194,6 @@ class TestSearchControls:
         with pytest.raises(SearchSpaceTooLarge):
             search_ske(Signature(0, (2, 2, 2, 2, 2)), klein_four())
 
-    def test_workers_match_sequential(self):
-        sig = Signature(0, (2, 2, 2, 3))
-        group = dihedral_perm(6)
-        assert (search_ske(sig, group, mode="all", workers=3)
-                == search_ske(sig, group, mode="all"))
-        assert (search_ske(sig, group, mode="first", workers=3)
-                == search_ske(sig, group, mode="first"))
-        assert (search_ske(sig, group, mode="count", dedup=True, workers=2)
-                == search_ske(sig, group, mode="count", dedup=True))
-
     def test_incompatible_order_raises(self):
         with pytest.raises(NonIntegralGenus):
             search_ske(Signature(0, (2, 3, 12)), cyclic_perm(12))
