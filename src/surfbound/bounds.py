@@ -23,6 +23,7 @@ from math import factorial, lcm
 from .covers import (
     GENUS2_COVER_CASES,
     build_cover,
+    case_by_label,
     case_certificate,
     check_cover_cases,
     kernel_presentation,
@@ -415,13 +416,6 @@ CATALOG_ROUTES = {
 CATALOG_RANGE = range(2, 24)
 
 
-def _case_by_label(label):
-    for case in GENUS2_COVER_CASES:
-        if case.label == label:
-            return case
-    raise ValueError(f"unknown cover case {label!r}")
-
-
 def _search_witness(sig, descriptor):
     group = construct(descriptor)
     images = search_ske(sig, group, mode="first")
@@ -436,7 +430,7 @@ def _search_witness(sig, descriptor):
 
 
 def _cover_witness(label, primes):
-    cert = case_certificate(_case_by_label(label))
+    cert = case_certificate(case_by_label(label))
     covectors = []
     for p in primes:
         pres = kernel_presentation(cert)
@@ -508,12 +502,26 @@ def verify_genus_certificate(cert):
     attained = prime_conditions(cert.genus - 1).attained
     if attained != cert.attained:
         raise ValueError("attainedness flag does not match the prime conditions")
-    if cert.attained:
-        if cert.bound != 4 * (cert.genus - 1):
-            raise ValueError("attained genus must have bound exactly 4(g-1)")
-        if cert.discharge is None or not discharge_prime(cert.genus - 1).complete:
-            raise ValueError("attained genus lacks a complete discharge report")
+    if not cert.attained:
+        if cert.discharge is not None:
+            raise ValueError("discharge report given at a genus where 4(g-1) is not attained")
+        return cert
+    if cert.bound != 4 * (cert.genus - 1):
+        raise ValueError("attained genus must have bound exactly 4(g-1)")
+    if cert.discharge is None:
+        raise ValueError("attained genus lacks a discharge report")
+    fresh = discharge_prime(cert.genus - 1, deep=_recorded_deep(cert.discharge))
+    if not fresh.complete:
+        raise ValueError("attained genus lacks a complete discharge report")
+    if cert.discharge.to_dict() != fresh.to_dict():
+        raise ValueError("recorded discharge report differs from the recomputed one")
     return cert
+
+
+def _recorded_deep(report):
+    # a deep ledger records the recomputed cover lift sets in its shield facts
+    return any(e.method == "cover-congruence-shield" and isinstance(e.facts, dict)
+               and "computed_lift_sets_empty" in e.facts for e in report.entries)
 
 
 def small_genus_catalog(genera=None, deep=False):

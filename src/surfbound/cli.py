@@ -27,17 +27,17 @@ from .bounds import (
     verify_genus_certificate,
 )
 from .covers import (
-    GENUS2_COVER_CASES,
     CoverCertificate,
     NotInvariant,
     build_cover,
+    case_by_label,
     case_certificate,
     check_cover_cases,
     kernel_presentation,
     quotient_ske_from_cover,
     verify_cover_certificate,
 )
-from .groups import OrderCapExceeded, construct
+from .groups import OrderCapExceeded, construct, element_data
 from .linalg import is_prime
 from .signatures import (
     NonIntegralGenus,
@@ -82,11 +82,9 @@ def _parse_sig(text):
         raise UsageError(f"bad signature {text!r}: {exc}")
 
 
-def _construct(descriptor, order_cap=None):
+def _construct(descriptor):
     try:
-        return construct(descriptor, order_cap=order_cap)
-    except OrderCapExceeded:
-        raise
+        return construct(descriptor)
     except ValueError as exc:
         raise UsageError(f"bad group descriptor {descriptor!r}: {exc}")
 
@@ -106,7 +104,6 @@ def cmd_table(args):
         return 1
     rows = []
     lines = []
-    mismatches = []
     for entry in entries:
         ratio = render_ratio(entry.s_over_r)
         rows.append({
@@ -118,21 +115,14 @@ def cmd_table(args):
         })
         lines.append(f"{str(entry.signature):<16} bound {ratio}(g-1)"
                      f"  {entry.arithmeticity_flag}")
-        if args.check:
-            mc = measure_class(entry.signature)
-            if mc.mu_over_pi != entry.mu_over_pi or mc.s_over_r != entry.s_over_r:
-                mismatches.append(str(entry.signature))
     payload = {"command": "table", "rows": rows}
     if args.check:
+        # the loader already recomputed every row and raised on a mismatch
         payload["checked"] = len(rows)
-        payload["consistent"] = not mismatches
-        if mismatches:
-            payload["mismatches"] = mismatches
-            lines.append(f"MISMATCHED ROWS: {' '.join(mismatches)}")
-        else:
-            lines.append(f"{len(rows)} signatures verified")
+        payload["consistent"] = True
+        lines.append(f"{len(rows)} signatures verified")
     _emit(args, payload, lines)
-    return 1 if mismatches else 0
+    return 0
 
 
 def cmd_measure(args):
@@ -227,16 +217,16 @@ def cmd_ske_search(args):
         payload["certificate"] = cert.to_dict()
         lines = [
             f"found epimorphism onto {group.descriptor} (order {group.order})",
-            f"images {[group.element_data(x) for x in result]}",
+            f"images {[element_data(x) for x in result]}",
             f"kernel genus {cert.kernel_genus}",
         ]
         _emit(args, payload, lines)
         return 0
     payload["count"] = len(result)
     payload["found"] = bool(result)
-    payload["solutions"] = [[group.element_data(x) for x in sol] for sol in result]
+    payload["solutions"] = [[element_data(x) for x in sol] for sol in result]
     lines = [f"count {len(result)}"] if result else ["none"]
-    lines.extend(str([group.element_data(x) for x in sol]) for sol in result)
+    lines.extend(str([element_data(x) for x in sol]) for sol in result)
     _emit(args, payload, lines)
     return 0
 
@@ -294,14 +284,6 @@ def cmd_ske_verify(args):
     return 0
 
 
-def _case_by_label(label):
-    for case in GENUS2_COVER_CASES:
-        if case.label == label:
-            return case
-    raise UsageError(f"unknown cover case {label!r}; have "
-                     + " ".join(c.label for c in GENUS2_COVER_CASES))
-
-
 def cmd_cover(args):
     if args.check:
         if args.case is not None or args.prime is not None:
@@ -315,7 +297,10 @@ def cmd_cover(args):
 
 
 def _cover_build(args):
-    case = _case_by_label(args.case)
+    try:
+        case = case_by_label(args.case)
+    except ValueError as exc:
+        raise UsageError(str(exc))
     if not is_prime(args.prime):
         raise UsageError(f"--prime must be a prime number, got {args.prime}")
     base = case_certificate(case)
@@ -346,19 +331,16 @@ def _cover_build(args):
 
 def _cover_check(args):
     labels = tuple(args.labels) if args.labels else None
-    known = {c.label for c in GENUS2_COVER_CASES}
-    if labels is not None:
-        for label in labels:
-            if label not in known:
-                raise UsageError(f"unknown cover case {label!r}; have "
-                                 + " ".join(sorted(known)))
     primes = None
     if args.primes:
         primes = tuple(_parse_int_list(args.primes))
         for p in primes:
             if not is_prime(p):
                 raise UsageError(f"--primes entries must be prime, got {p}")
-    reports = check_cover_cases(labels=labels, primes=primes)
+    try:
+        reports = check_cover_cases(labels=labels, primes=primes)
+    except ValueError as exc:
+        raise UsageError(str(exc))
     rows = []
     lines = []
     all_ok = True

@@ -460,6 +460,15 @@ GENUS2_COVER_CASES = (
 )
 
 
+def case_by_label(label):
+    """The frozen cover case with this label; ValueError names the labels."""
+    for case in GENUS2_COVER_CASES:
+        if case.label == label:
+            return case
+    raise ValueError(f"unknown cover case {label!r}; have "
+                     + " ".join(c.label for c in GENUS2_COVER_CASES))
+
+
 def case_certificate(case):
     """Verified genus-2 epimorphism for one of the frozen cover cases."""
     group = construct(case.group_descriptor)
@@ -480,8 +489,12 @@ def check_cover_cases(labels=None, primes=None):
     """Compare liftable primes against the predicted sets, case by case.
 
     Returns one report per case: the primes actually admitting an invariant
-    hyperplane, the predicted set, and whether they agree.
+    hyperplane, the predicted set, and whether they agree.  An unknown label
+    raises ValueError.
     """
+    if labels is not None:
+        for label in labels:
+            case_by_label(label)
     reports = []
     for case in GENUS2_COVER_CASES:
         if labels is not None and case.label not in labels:

@@ -4,10 +4,17 @@ Two element models share one informal protocol (mul, inv, identity,
 element_order, contains, generates, elements, descriptor):
 
 * PermutationGroup: elements are image tuples, eagerly enumerated by BFS
-  over the generators (deterministic order), capped to keep memory sane.
+  over the generators (deterministic order).
 * CyclicGroup / DihedralGroup: elements are arithmetic keys, so verifying
   a witness inside a dihedral group of order 4(g-1) costs a handful of
   big-int operations however large g gets.
+
+Enumeration is bounded by the order cap, read from SURFBOUND_ORDER_CAP
+(default 10**6) and nowhere else.  Where the order is known from the
+descriptor (C_n, D_n, S_n, A_n, direct products, and the parametric
+elements) it is compared with the cap before anything is built; otherwise
+the BFS stops when it would pass the cap.  Either way OrderCapExceeded is
+raised.  A group within the cap still stores order x degree entries.
 
 Composition convention throughout: (x*y)[i] = x[y[i]], i.e. y acts first.
 Left multiplication in the regular representation is then a homomorphism.
@@ -24,11 +31,29 @@ class OrderCapExceeded(RuntimeError):
     """Enumerating the group would exceed the configured order cap."""
 
 
-def _order_cap(explicit):
-    if explicit is not None:
-        return explicit
+def _order_cap():
     env = os.environ.get("SURFBOUND_ORDER_CAP")
     return int(env) if env else DEFAULT_ORDER_CAP
+
+
+def _check_order(what, factors):
+    """Raise OrderCapExceeded when the product of factors, a group's known
+    order, passes the cap.
+
+    The product stops at the first partial value above the cap, so orders
+    like 10**11! are never formed, and nothing of the group is built.
+    """
+    cap = _order_cap()
+    order = 1
+    for f in factors:
+        order *= f
+        if order > cap:
+            raise OrderCapExceeded(f"{what} exceeds order cap {cap}")
+
+
+def element_data(x):
+    """JSON form of an element of any backend: tuples become lists."""
+    return list(x) if isinstance(x, tuple) else x
 
 
 def perm_mul(x, y):
@@ -59,18 +84,19 @@ def perm_order(x):
 
 
 class PermutationGroup:
-    def __init__(self, degree, generators, descriptor, order_cap=None):
+    def __init__(self, degree, generators, descriptor):
         self.degree = degree
         self.descriptor = descriptor
         gens = []
         for g in generators:
             g = tuple(g)
-            if sorted(g) != list(range(degree)):
+            # the length test first: a huge degree must not be materialised
+            if len(g) != degree or sorted(g) != list(range(degree)):
                 raise ValueError(f"not a permutation of 0..{degree - 1}: {g}")
             gens.append(g)
         self.generators = tuple(gens)
         self.identity = tuple(range(degree))
-        cap = _order_cap(order_cap)
+        cap = _order_cap()
         # eager BFS closure; the visit order is the canonical enumeration
         elements = [self.identity]
         index = {self.identity: 0}
@@ -127,15 +153,6 @@ class PermutationGroup:
             frontier = nxt
         return len(closure) == self.order
 
-    def exponent(self):
-        result = 1
-        for e in self.elements:
-            result = lcm(result, perm_order(e))
-        return result
-
-    def element_data(self, x):
-        return list(x)
-
     def element_from_data(self, data):
         x = tuple(data)
         if not self.contains(x):
@@ -146,14 +163,13 @@ class PermutationGroup:
 class CyclicGroup:
     """C_n with elements 0..n-1 as exponent keys; never enumerated unless asked."""
 
-    def __init__(self, n, order_cap=None):
+    def __init__(self, n):
         if n < 1:
             raise ValueError(f"cyclic order must be >= 1, got {n}")
         self.n = n
         self.descriptor = f"cyclic:{n}"
         self.identity = 0
         self.generators = (1 % n,)
-        self._cap = _order_cap(order_cap)
 
     @property
     def order(self):
@@ -181,19 +197,12 @@ class CyclicGroup:
 
     @property
     def elements(self):
-        if self.n > self._cap:
-            raise OrderCapExceeded(f"{self.descriptor} exceeds order cap {self._cap}")
+        _check_order(self.descriptor, (self.n,))
         return tuple(range(self.n))
 
     @property
     def index(self):
         return {k: k for k in self.elements}
-
-    def exponent(self):
-        return self.n
-
-    def element_data(self, x):
-        return x
 
     def element_from_data(self, data):
         if not self.contains(data):
@@ -208,14 +217,13 @@ class DihedralGroup:
     All operations are O(1) integer arithmetic, independent of n.
     """
 
-    def __init__(self, n, order_cap=None):
+    def __init__(self, n):
         if n < 1:
             raise ValueError(f"dihedral parameter must be >= 1, got {n}")
         self.n = n
         self.descriptor = f"dihedral:{n}"
         self.identity = (0, 0)
         self.generators = ((1 % n, 0), (0, 1))
-        self._cap = _order_cap(order_cap)
 
     @property
     def order(self):
@@ -265,19 +273,12 @@ class DihedralGroup:
 
     @property
     def elements(self):
-        if 2 * self.n > self._cap:
-            raise OrderCapExceeded(f"{self.descriptor} exceeds order cap {self._cap}")
+        _check_order(self.descriptor, (2, self.n))
         return tuple((i, e) for e in (0, 1) for i in range(self.n))
 
     @property
     def index(self):
         return {k: i for i, k in enumerate(self.elements)}
-
-    def exponent(self):
-        return lcm(self.n, 2)
-
-    def element_data(self, x):
-        return list(x)
 
     def element_from_data(self, data):
         x = (data[0], data[1])
@@ -286,34 +287,36 @@ class DihedralGroup:
         return x
 
 
-def _regular_group(keys, mul_fn, gen_keys, descriptor, order_cap=None):
+def _regular_group(keys, mul_fn, gen_keys, descriptor):
     # left-regular representation: with (x*y)[i] = x[y[i]] this is a homomorphism
     index = {k: i for i, k in enumerate(keys)}
     gens = [tuple(index[mul_fn(g, k)] for k in keys) for g in gen_keys]
-    return PermutationGroup(len(keys), gens, descriptor, order_cap)
+    return PermutationGroup(len(keys), gens, descriptor)
 
 
-def cyclic_perm(n, order_cap=None):
+def cyclic_perm(n):
     if n < 1:
         raise ValueError(f"cyclic order must be >= 1, got {n}")
+    _check_order(f"group 'C{n}'", (n,))
     rot = tuple((i + 1) % n for i in range(n))
-    return PermutationGroup(n, [rot], f"C{n}", order_cap)
+    return PermutationGroup(n, [rot], f"C{n}")
 
 
-def dihedral_perm(n, order_cap=None):
+def dihedral_perm(n):
     # the natural degree-n action is only faithful from n = 3 on
     if n < 3:
         raise ValueError(f"dihedral permutation model needs n >= 3, got {n}; use V4 or C2")
+    _check_order(f"group 'D{n}'", (2, n))
     rot = tuple((i + 1) % n for i in range(n))
     ref = tuple((-i) % n for i in range(n))
-    return PermutationGroup(n, [rot, ref], f"D{n}", order_cap)
+    return PermutationGroup(n, [rot, ref], f"D{n}")
 
 
-def klein_four(order_cap=None):
-    return PermutationGroup(4, [(1, 0, 3, 2), (2, 3, 0, 1)], "V4", order_cap)
+def klein_four():
+    return PermutationGroup(4, [(1, 0, 3, 2), (2, 3, 0, 1)], "V4")
 
 
-def quaternion8(order_cap=None):
+def quaternion8():
     # keys (i, e) = a^i b^e with a^4 = 1, b^2 = a^2, b a b^-1 = a^-1
     def mul(x, y):
         i, e = x
@@ -325,10 +328,10 @@ def quaternion8(order_cap=None):
         return ((i - j + 2) % 4, 0)
 
     keys = [(i, e) for e in (0, 1) for i in range(4)]
-    return _regular_group(keys, mul, [(1, 0), (0, 1)], "Q8", order_cap)
+    return _regular_group(keys, mul, [(1, 0), (0, 1)], "Q8")
 
 
-def semidihedral16(order_cap=None):
+def semidihedral16():
     # keys (i, e) = a^i b^e with a^8 = b^2 = 1, b a b^-1 = a^3
     def mul(x, y):
         i, e = x
@@ -338,7 +341,7 @@ def semidihedral16(order_cap=None):
         return ((i + 3 * j) % 8, 1 ^ f)
 
     keys = [(i, e) for e in (0, 1) for i in range(8)]
-    return _regular_group(keys, mul, [(1, 0), (0, 1)], "SD16", order_cap)
+    return _regular_group(keys, mul, [(1, 0), (0, 1)], "SD16")
 
 
 GL23_POINTS = tuple(
@@ -358,51 +361,53 @@ def _linear_perm_33(matrix, points):
     return tuple(images)
 
 
-def gl2_3(order_cap=None):
+def gl2_3():
     """GL(2,3) acting on the 8 nonzero vectors of F_3^2 in lex order."""
     gens = [
         _linear_perm_33(((1, 1), (0, 1)), GL23_POINTS),
         _linear_perm_33(((1, 0), (1, 1)), GL23_POINTS),
         _linear_perm_33(((2, 0), (0, 1)), GL23_POINTS),
     ]
-    return PermutationGroup(8, gens, "GL23", order_cap)
+    return PermutationGroup(8, gens, "GL23")
 
 
-def symmetric(n, order_cap=None):
+def symmetric(n):
     if n < 2:
         raise ValueError(f"symmetric model needs n >= 2, got {n}")
+    _check_order(f"group 'S{n}'", range(2, n + 1))
     cycle = tuple((i + 1) % n for i in range(n))
     swap = tuple([1, 0] + list(range(2, n)))
     gens = [swap] if n == 2 else [swap, cycle]
-    return PermutationGroup(n, gens, f"S{n}", order_cap)
+    return PermutationGroup(n, gens, f"S{n}")
 
 
-def alternating(n, order_cap=None):
+def alternating(n):
     if n < 3:
         raise ValueError(f"alternating model needs n >= 3, got {n}")
+    _check_order(f"group 'A{n}'", range(3, n + 1))  # n!/2
     three = tuple([1, 2, 0] + list(range(3, n)))
     if n % 2:
         big = tuple((i + 1) % n for i in range(n))
     else:
         big = tuple([0] + [(i % (n - 1)) + 1 for i in range(1, n)])
     gens = [three] if n == 3 else [three, big]
-    return PermutationGroup(n, gens, f"A{n}", order_cap)
+    return PermutationGroup(n, gens, f"A{n}")
 
 
-def direct_product(left, right, order_cap=None):
+def direct_product(left, right):
     """Direct product of two permutation groups, acting on the disjoint union."""
     d1, d2 = left.degree, right.degree
+    descriptor = f"{left.descriptor}*{right.descriptor}"
+    _check_order(f"group {descriptor!r}", (left.order, right.order))
     gens = []
     for g in left.generators:
         gens.append(tuple(g) + tuple(d1 + i for i in range(d2)))
     for g in right.generators:
         gens.append(tuple(range(d1)) + tuple(d1 + gi for gi in g))
-    return PermutationGroup(
-        d1 + d2, gens, f"{left.descriptor}*{right.descriptor}", order_cap
-    )
+    return PermutationGroup(d1 + d2, gens, descriptor)
 
 
-def affine33(matrices, order_cap=None):
+def affine33(matrices):
     """(C3 x C3) extended by the linear maps given as 2x2 matrices over F_3.
 
     Acts on the 9 points of F_3^2 (point (x, y) is index 3x + y); generators
@@ -421,7 +426,7 @@ def affine33(matrices, order_cap=None):
             images.append(index[((a * x + b * y) % 3, (c * x + d * y) % 3)])
         gens.append(tuple(images))
         parts.append(",".join(str(e % 3) for e in (a, b, c, d)))
-    return PermutationGroup(9, gens, "aff9:" + ":".join(parts), order_cap)
+    return PermutationGroup(9, gens, "aff9:" + ":".join(parts))
 
 
 _FIXED = {
@@ -433,7 +438,7 @@ _FIXED = {
 }
 
 
-def construct(descriptor, order_cap=None):
+def construct(descriptor):
     """Build a group from its descriptor string.
 
     Grammar: C<n>, D<n> (n >= 3), S<n>, A<n>, V4 (alias klein_four), Q8,
@@ -444,28 +449,28 @@ def construct(descriptor, order_cap=None):
     descriptor = descriptor.strip()
     if "*" in descriptor:
         parts = descriptor.split("*")
-        group = construct(parts[0], order_cap)
+        group = construct(parts[0])
         for part in parts[1:]:
-            group = direct_product(group, construct(part, order_cap), order_cap)
+            group = direct_product(group, construct(part))
         return group
     if descriptor in _FIXED:
-        return _FIXED[descriptor](order_cap)
+        return _FIXED[descriptor]()
     m = re.fullmatch(r"([CDSA])(\d+)", descriptor)
     if m:
         kind, n = m.group(1), int(m.group(2))
         if kind == "C":
-            return cyclic_perm(n, order_cap)
+            return cyclic_perm(n)
         if kind == "D":
-            return dihedral_perm(n, order_cap)
+            return dihedral_perm(n)
         if kind == "S":
-            return symmetric(n, order_cap)
-        return alternating(n, order_cap)
+            return symmetric(n)
+        return alternating(n)
     m = re.fullmatch(r"cyclic:(\d+)", descriptor)
     if m:
-        return CyclicGroup(int(m.group(1)), order_cap)
+        return CyclicGroup(int(m.group(1)))
     m = re.fullmatch(r"dihedral:(\d+)", descriptor)
     if m:
-        return DihedralGroup(int(m.group(1)), order_cap)
+        return DihedralGroup(int(m.group(1)))
     if descriptor.startswith("aff9:"):
         matrices = []
         for part in descriptor[len("aff9:"):].split(":"):
@@ -473,7 +478,7 @@ def construct(descriptor, order_cap=None):
             if len(entries) != 4:
                 raise ValueError(f"bad aff9 matrix {part!r}")
             matrices.append(((entries[0], entries[1]), (entries[2], entries[3])))
-        return affine33(matrices, order_cap)
+        return affine33(matrices)
     if descriptor.startswith("perm:"):
         parts = descriptor.split(":")
         if len(parts) < 3:
@@ -482,5 +487,5 @@ def construct(descriptor, order_cap=None):
         gens = []
         for part in parts[2:]:
             gens.append(tuple(int(t) for t in part.split(",")))
-        return PermutationGroup(degree, gens, descriptor, order_cap)
+        return PermutationGroup(degree, gens, descriptor)
     raise ValueError(f"cannot parse group descriptor {descriptor!r}")

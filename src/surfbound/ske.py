@@ -20,7 +20,7 @@ a_g, b_g), then elliptic generators in signature order.
 import os
 from dataclasses import dataclass, field
 
-from .groups import DihedralGroup, construct
+from .groups import DihedralGroup, construct, element_data
 from .signatures import Signature, kernel_genus, measure_class
 
 VERIFIER_VERSION = "1"
@@ -52,9 +52,7 @@ class SearchSpaceTooLarge(RuntimeError):
     """The backtracking search exhausted its node budget."""
 
 
-def _node_budget(explicit):
-    if explicit is not None:
-        return explicit
+def _node_budget():
     env = os.environ.get("SURFBOUND_NODE_BUDGET")
     return int(env) if env else DEFAULT_NODE_BUDGET
 
@@ -71,7 +69,6 @@ class SkeCertificate:
     verifier_version: str = field(default=VERIFIER_VERSION)
 
     def to_dict(self):
-        group = construct(self.group_descriptor)
         return {
             "type": "ske",
             "verifier_version": self.verifier_version,
@@ -81,7 +78,7 @@ class SkeCertificate:
             },
             "group": self.group_descriptor,
             "group_order": self.group_order,
-            "images": [group.element_data(x) for x in self.images],
+            "images": [element_data(x) for x in self.images],
             "kernel_genus": self.kernel_genus,
         }
 
@@ -177,7 +174,7 @@ def _conjugation_canon(group, elements, images):
     return best
 
 
-def search_ske(sig, group, mode="first", dedup=False, node_budget=None):
+def search_ske(sig, group, mode="first", dedup=False):
     """Backtracking search for surface-kernel epimorphisms onto a finite group.
 
     mode 'first' returns the first image tuple under the canonical iteration
@@ -188,7 +185,8 @@ def search_ske(sig, group, mode="first", dedup=False, node_budget=None):
     Searched slots: elliptic generators (rarest candidate class first), then
     hyperbolic ones; the final elliptic generator is solved from the long
     relation rather than searched.  Every candidate assignment costs one node
-    against the budget; exceeding it raises SearchSpaceTooLarge.
+    against the budget (SURFBOUND_NODE_BUDGET, default 10**9); exceeding it
+    raises SearchSpaceTooLarge.
 
     Raises NonIntegralGenus immediately when |G| is incompatible with the
     signature (no surface kernel of that index can exist).
@@ -197,7 +195,7 @@ def search_ske(sig, group, mode="first", dedup=False, node_budget=None):
         raise ValueError(f"unknown search mode {mode!r}")
     measure_class(sig)
     kernel_genus(sig, group.order)
-    budget = _node_budget(node_budget)
+    budget = _node_budget()
     elements = tuple(group.elements)
     g, periods = sig.genus, sig.periods
     k = len(periods)

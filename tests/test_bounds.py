@@ -487,6 +487,34 @@ class TestGenusCertificateTampering:
         with pytest.raises(ValueError):
             verify_genus_certificate(bad)
 
+    def test_rewritten_ledger_rejected(self):
+        data = certify_genus(24).to_dict()
+        ledger = data["discharge"]
+        for entry in ledger["entries"]:
+            entry["ok"] = False
+        ledger["bounds"] = [1]
+        ledger["complete"] = False
+        with pytest.raises(ValueError, match="discharge report differs"):
+            verify_genus_certificate(GenusCertificate.from_dict(data))
+
+    def test_ledger_of_another_genus_rejected(self):
+        data = certify_genus(24).to_dict()
+        data["discharge"] = certify_genus(48).to_dict()["discharge"]
+        with pytest.raises(ValueError, match="discharge report differs"):
+            verify_genus_certificate(GenusCertificate.from_dict(data))
+
+    def test_ledger_at_non_attained_genus_rejected(self):
+        data = certify_genus(16).to_dict()
+        data["discharge"] = certify_genus(24).to_dict()["discharge"]
+        with pytest.raises(ValueError, match="not attained"):
+            verify_genus_certificate(GenusCertificate.from_dict(data))
+
+    @pytest.mark.parametrize("deep", [False, True])
+    def test_honest_ledger_verifies(self, deep):
+        cert = certify_genus(24, deep=deep)
+        back = GenusCertificate.from_dict(json.loads(json.dumps(cert.to_dict())))
+        assert verify_genus_certificate(back) is back
+
     def test_empty_witnesses_rejected(self):
         cert = certify_genus(5)
         bad = GenusCertificate(cert.genus, cert.bound, (),

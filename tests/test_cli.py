@@ -349,6 +349,12 @@ class TestCover:
         code, _, err = run(capsys, "cover", "--check", "--primes", "7,x")
         assert code == 2
 
+    def test_check_unknown_label_exits_2(self, capsys):
+        code, out, err = run(capsys, "cover", "--check", "--labels", "az")
+        assert code == 2
+        assert out == ""
+        assert "unknown cover case 'z'; have a b c d e f g" in err
+
     def test_nonprime_check_entry_exits_2(self, capsys):
         code, _, err = run(capsys, "cover", "--check", "--primes", "6")
         assert code == 2
@@ -446,6 +452,20 @@ class TestResourceCaps:
                            "--mode", "all")
         assert code == 3
         assert "resource cap" in err
+
+    @pytest.mark.parametrize("kind", "CDSA")
+    def test_huge_group_certificate_exits_3(self, capsys, tmp_path, kind):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({
+            "type": "ske", "verifier_version": "1",
+            "signature": {"genus": 0, "periods": [2, 2, 2, 2, 2]},
+            "group": f"{kind}99999999999", "group_order": 4,
+            "images": [[0]] * 5, "kernel_genus": 0,
+        }))
+        code, out, err = run(capsys, "ske", "verify", str(path))
+        assert code == 3
+        assert "resource cap" in err
+        assert "Traceback" not in err and out == ""
 
     def test_env_restored_after_flag(self, capsys):
         assert "SURFBOUND_ORDER_CAP" not in os.environ

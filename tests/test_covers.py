@@ -224,6 +224,10 @@ class TestCoverCases:
         assert len(reports) == 1
         assert reports[0]["with_hyperplane"] == [5, 11]
 
+    def test_unknown_label_raises(self):
+        with pytest.raises(ValueError, match="unknown cover case 'z'"):
+            check_cover_cases(labels=("z",))
+
     def test_custom_primes(self):
         reports = check_cover_cases(labels={"f"}, primes=(7, 11, 19))
         assert reports[0]["with_hyperplane"] == [7, 19]

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import Counter
 from math import factorial
 
@@ -15,6 +16,7 @@ from surfbound.groups import (
     cyclic_perm,
     dihedral_perm,
     direct_product,
+    element_data,
     gl2_3,
     klein_four,
     perm_inv,
@@ -211,14 +213,21 @@ class TestEnumeration:
     def test_enumeration_deterministic(self):
         assert gl2_3().elements == gl2_3().elements
 
-    def test_order_cap(self):
+    def test_order_cap(self, monkeypatch):
+        monkeypatch.setenv("SURFBOUND_ORDER_CAP", "1000")
         with pytest.raises(OrderCapExceeded):
-            symmetric(8, order_cap=1000)
+            symmetric(8)
 
-    def test_exponent(self):
-        assert quaternion8().exponent() == 4
-        assert klein_four().exponent() == 2
-        assert symmetric(4).exponent() == 12
+    @pytest.mark.parametrize("desc,order", [
+        ("C7", 7), ("D7", 14), ("S5", 120), ("A5", 60), ("S3*D11", 132),
+        ("GL23", 48), ("cyclic:9", 9), ("dihedral:9", 18),
+    ])
+    def test_order_cap_is_exact(self, desc, order, monkeypatch):
+        monkeypatch.setenv("SURFBOUND_ORDER_CAP", str(order))
+        assert len(construct(desc).elements) == order
+        monkeypatch.setenv("SURFBOUND_ORDER_CAP", str(order - 1))
+        with pytest.raises(OrderCapExceeded, match=f"exceeds order cap {order - 1}"):
+            construct(desc).elements
 
     def test_generates_requires_membership(self):
         g = klein_four()
@@ -266,8 +275,38 @@ class TestConstruct:
     def test_element_data_round_trip(self):
         g = construct("Q8")
         for e in g.elements:
-            assert g.element_from_data(g.element_data(e)) == e
+            assert element_data(e) == list(e)
+            assert g.element_from_data(element_data(e)) == e
         p = construct("cyclic:9")
-        assert p.element_from_data(p.element_data(4)) == 4
+        assert element_data(4) == 4
+        assert p.element_from_data(element_data(4)) == 4
         d = construct("dihedral:9")
-        assert d.element_from_data(d.element_data((3, 1))) == (3, 1)
+        assert element_data((3, 1)) == [3, 1]
+        assert d.element_from_data(element_data((3, 1))) == (3, 1)
+
+
+def _peak_bytes(descriptor, exc):
+    tracemalloc.start()
+    try:
+        with pytest.raises(exc):
+            construct(descriptor)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestCapBeforeAllocation:
+    """Hostile descriptors fail before any element or degree-sized tuple exists."""
+
+    @pytest.mark.parametrize("kind", "CDSA")
+    def test_huge_order_at_default_cap(self, kind):
+        assert _peak_bytes(f"{kind}99999999999", OrderCapExceeded) < 10 ** 6
+
+    @pytest.mark.parametrize("desc", ["C1000000", "D1000000", "S1000000",
+                                      "A1000000", "S3*D11"])
+    def test_small_cap(self, desc, monkeypatch):
+        monkeypatch.setenv("SURFBOUND_ORDER_CAP", "100")
+        assert _peak_bytes(desc, OrderCapExceeded) < 10 ** 6
+
+    def test_perm_generator_shorter_than_degree(self):
+        assert _peak_bytes("perm:99999999999:0", ValueError) < 10 ** 6

@@ -185,10 +185,6 @@ class TestSearchDedup:
 
 
 class TestSearchControls:
-    def test_budget_exhaustion(self):
-        with pytest.raises(SearchSpaceTooLarge):
-            search_ske(Signature(0, (2, 2, 2, 2, 2)), klein_four(), node_budget=2)
-
     def test_budget_env(self, monkeypatch):
         monkeypatch.setenv("SURFBOUND_NODE_BUDGET", "2")
         with pytest.raises(SearchSpaceTooLarge):
