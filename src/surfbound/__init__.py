@@ -43,7 +43,6 @@ from .ske import (
 from .covers import (
     KernelPresentation,
     HomologyAction,
-    InvariantHyperplane,
     CoverCertificate,
     NotSurfaceKernel,
     NotInvariant,

@@ -32,7 +32,14 @@ from .covers import (
 from .groups import construct
 from .linalg import is_prime
 from .signatures import Signature, abelianization, signature_table
-from .ske import SkeCertificate, dihedral_witness_ske, search_ske, verify_certificate, verify_ske
+from .ske import (
+    SkeCertificate,
+    dihedral_witness_ske,
+    int_field,
+    search_ske,
+    verify_certificate,
+    verify_ske,
+)
 
 ATTAINED_RESIDUES = (23, 47, 59)
 
@@ -70,7 +77,7 @@ def bound_constants(table=None):
 
 @dataclass(frozen=True)
 class PrimeConditions:
-    """Attainedness test for a prime, via two independent criteria."""
+    """Attainedness test for a prime: p prime with p mod 60 in {23, 47, 59}."""
 
     p: int
     prime: bool
@@ -80,14 +87,7 @@ class PrimeConditions:
 
 def prime_conditions(p):
     prime = is_prime(p)
-    via_residue = prime and p % 60 in ATTAINED_RESIDUES
-    via_divisibility = (
-        prime and p > 5 and p % 2 == 1
-        and (p - 1) % 3 and (p - 1) % 4 and (p - 1) % 5
-    )
-    if via_residue != bool(via_divisibility):
-        raise RuntimeError(f"attainedness criteria disagree at {p}")
-    return PrimeConditions(p, prime, p % 60, via_residue)
+    return PrimeConditions(p, prime, p % 60, prime and p % 60 in ATTAINED_RESIDUES)
 
 
 def _divisors(n):
@@ -332,14 +332,18 @@ def attained_genera(limit, deep=False):
 
 @dataclass(frozen=True)
 class GenusWitness:
+    """A route name and its certificate, which is the whole evidence.
+
+    Certificates written by older versions carry a "detail" key; it was never
+    verified and is ignored.
+    """
+
     route: str
     certificate: SkeCertificate
-    detail: dict
 
     def to_dict(self):
         return {
             "route": self.route,
-            "detail": _jsonable(self.detail),
             "certificate": self.certificate.to_dict(),
         }
 
@@ -348,7 +352,6 @@ class GenusWitness:
         return GenusWitness(
             route=data["route"],
             certificate=SkeCertificate.from_dict(data["certificate"]),
-            detail=data["detail"],
         )
 
 
@@ -377,8 +380,8 @@ class GenusCertificate:
         if data.get("type") != "genus":
             raise ValueError(f"not a genus certificate: {data.get('type')!r}")
         return GenusCertificate(
-            genus=data["genus"],
-            bound=data["bound"],
+            genus=int_field(data, "genus"),
+            bound=int_field(data, "bound"),
             witnesses=tuple(GenusWitness.from_dict(w) for w in data["witnesses"]),
             attained=data["attained"],
             discharge=(DischargeReport.from_dict(data["discharge"])
@@ -422,26 +425,16 @@ def _search_witness(sig, descriptor):
     if images is None:
         raise WitnessSearchFailed(f"no epimorphism {sig} -> {descriptor}")
     cert = verify_ske(sig, group, images)
-    return GenusWitness(
-        route="ske-search",
-        certificate=cert,
-        detail={"signature": str(sig), "group": descriptor},
-    )
+    return GenusWitness(route="ske-search", certificate=cert)
 
 
 def _cover_witness(label, primes):
     cert = case_certificate(case_by_label(label))
-    covectors = []
     for p in primes:
         pres = kernel_presentation(cert)
         cover = build_cover(cert, p, presentation=pres)
         cert = quotient_ske_from_cover(cover, presentation=pres)
-        covectors.append(list(cover.covector))
-    return GenusWitness(
-        route="homology-cover",
-        certificate=cert,
-        detail={"case": label, "primes": list(primes), "covectors": covectors},
-    )
+    return GenusWitness(route="homology-cover", certificate=cert)
 
 
 def _build_route(spec):
@@ -461,11 +454,7 @@ def certify_genus(g, deep=False):
     """
     if g < 2:
         raise ValueError(f"need genus >= 2, got {g}")
-    witnesses = [GenusWitness(
-        route="dihedral-family",
-        certificate=dihedral_witness_ske(g),
-        detail={"order": 4 * (g - 1)},
-    )]
+    witnesses = [GenusWitness(route="dihedral-family", certificate=dihedral_witness_ske(g))]
     for spec in CATALOG_ROUTES.get(g, ()):
         witnesses.append(_build_route(spec))
     cond = prime_conditions(g - 1)

@@ -23,15 +23,9 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 
 from .groups import PermutationGroup, construct
-from .linalg import (
-    identity_matrix,
-    is_prime,
-    mat_mul_mod,
-    nullspace_mod,
-    vec_mat_mod,
-)
+from .linalg import identity_matrix, is_prime, nullspace_mod, vec_mat_mod
 from .signatures import Signature, kernel_genus
-from .ske import SkeCertificate, verify_certificate, verify_ske
+from .ske import SkeCertificate, int_field, verify_certificate, verify_ske
 
 
 class NotSurfaceKernel(ValueError):
@@ -139,19 +133,17 @@ class HomologyAction:
 
     cocycles is the basis of H^1(K; F_p), each 0 on the tree, 1 on its own
     free edge and 0 on the others' (the free edges depend on p).  Homology
-    coordinates are the cocycle values, and coords(q_* z) = matrix[q] *
-    coords(z), so q -> matrix[q] is a homomorphism; this is checked.
+    coordinates are the cocycle values, and coords(g_* z) = matrices[i] *
+    coords(z) for the generator g = group.generators[i].  The generators
+    determine the whole action, so a line fixed by every matrices[i] is fixed
+    by Q.
     """
 
     presentation: KernelPresentation
     prime: int
     dim: int
-    matrices: dict
+    matrices: list
     cocycles: list
-
-    @property
-    def group(self):
-        return self.presentation.group
 
 
 def homology_action(pres, p):
@@ -173,7 +165,7 @@ def homology_action(pres, p):
         raise RuntimeError("cocycle basis is not dual to its free edges")
 
     def row(phi, left):
-        # values of the translate (c, s) -> phi(q*c, s) on the free edges,
+        # values of the translate (c, s) -> phi(g*c, s) on the free edges,
         # after subtracting the coboundary that makes it vanish on the tree
         def value(col):
             return phi[left[col // nslots] * nslots + col % nslots]
@@ -184,34 +176,12 @@ def homology_action(pres, p):
         return [(value(col) + pot[col // nslots] - pot[act[col % nslots][col // nslots]]) % p
                 for col in free]
 
-    matrices = {}
-    for q in elements:
-        left = [index[group.mul(q, e)] for e in elements]
-        matrices[q] = [row(phi, left) for phi in cocycles]
-
-    if matrices[group.identity] != identity_matrix(dim):
-        raise RuntimeError("identity does not act trivially on homology")
-    for q in elements:
-        for g in group.generators:
-            if mat_mul_mod(matrices[q], matrices[g], p) != matrices[group.mul(q, g)]:
-                raise RuntimeError("homology action is not a homomorphism")
+    matrices = []
+    for g in group.generators:
+        left = [index[group.mul(g, e)] for e in elements]
+        matrices.append([row(phi, left) for phi in cocycles])
     return HomologyAction(presentation=pres, prime=p, dim=dim, matrices=matrices,
                           cocycles=cocycles)
-
-
-@dataclass(frozen=True, eq=False)
-class InvariantHyperplane:
-    """A hyperplane ker(covector) preserved by the whole group action.
-
-    lambdas[q] is the scalar by which conjugation by q rescales the covector.
-    """
-
-    covector: tuple
-    lambdas: dict
-    kernel_basis: tuple
-
-    def __eq__(self, other):
-        return isinstance(other, InvariantHyperplane) and self.covector == other.covector
 
 
 def _normalize_covector(f, p):
@@ -223,21 +193,20 @@ def _normalize_covector(f, p):
     raise ValueError("zero covector")
 
 
-def _lambdas_for(covector, action):
-    """Scalars f*M_q = lambda_q*f for every q; NotInvariant if any q breaks it."""
+def _check_invariant(covector, action):
+    """NotInvariant unless the normalized covector is an eigencovector of
+    every generator matrix, i.e. its hyperplane is preserved by Q."""
     p = action.prime
+    if len(covector) != action.dim:
+        raise NotInvariant(
+            f"covector has {len(covector)} entries, homology mod {p} has dimension {action.dim}"
+        )
     lead = next(i for i, v in enumerate(covector) if v)
-    lead_inv = pow(covector[lead], -1, p)
-    lambdas = {}
-    for q, m in action.matrices.items():
+    for m in action.matrices:
         image = vec_mat_mod(covector, m, p)
-        scale = image[lead] * lead_inv % p
-        if tuple(v * scale % p for v in covector) != tuple(image):
-            raise NotInvariant(
-                f"hyperplane {covector} is not preserved mod {p}"
-            )
-        lambdas[q] = scale
-    return lambdas
+        # the leading entry is 1, so image[lead] is the eigenvalue
+        if tuple(v * image[lead] % p for v in covector) != image:
+            raise NotInvariant(f"hyperplane {covector} is not preserved mod {p}")
 
 
 def _projective_points(basis, dim, p):
@@ -255,27 +224,20 @@ def _projective_points(basis, dim, p):
 
 
 def invariant_hyperplanes(action):
-    """All invariant hyperplanes, by common-eigencovector enumeration.
+    """Normalized covectors of all invariant hyperplanes, sorted.
 
     A covector spans an invariant line of the transposed action iff it is a
     simultaneous eigencovector of the generator matrices; profiles of
-    eigenvalues are explored with subspace pruning.  Results are sorted by
-    normalized covector, so the order is deterministic.
+    eigenvalues are explored with subspace pruning, and every point of a
+    common eigenspace found that way is invariant by construction.
     """
     p, dim = action.prime, action.dim
-    mats = [action.matrices[g] for g in action.group.generators]
-    found = {}
+    mats = action.matrices
+    found = set()
 
     def descend(idx, constraints):
         if idx == len(mats):
-            basis = nullspace_mod(constraints, dim, p)
-            for f in _projective_points(basis, dim, p):
-                if f not in found:
-                    found[f] = InvariantHyperplane(
-                        covector=f,
-                        lambdas=_lambdas_for(f, action),
-                        kernel_basis=tuple(nullspace_mod([f], dim, p)),
-                    )
+            found.update(_projective_points(nullspace_mod(constraints, dim, p), dim, p))
             return
         m = mats[idx]
         for lam in range(1, p):
@@ -287,7 +249,7 @@ def invariant_hyperplanes(action):
                 descend(idx + 1, rows)
 
     descend(0, [])
-    return [found[f] for f in sorted(found)]
+    return sorted(found)
 
 
 @dataclass(frozen=True)
@@ -314,12 +276,15 @@ class CoverCertificate:
     def from_dict(data):
         if data.get("type") != "cover":
             raise ValueError(f"not a cover certificate: {data.get('type')!r}")
+        covector = tuple(data["covector"])
+        if any(type(v) is not int for v in covector):
+            raise TypeError(f"covector entries must be integers, got {covector!r:.60}")
         return CoverCertificate(
             base=SkeCertificate.from_dict(data["base"]),
-            prime=data["prime"],
-            covector=tuple(data["covector"]),
-            cover_genus=data["cover_genus"],
-            cover_group_order=data["cover_group_order"],
+            prime=int_field(data, "prime"),
+            covector=covector,
+            cover_genus=int_field(data, "cover_genus"),
+            cover_group_order=int_field(data, "cover_group_order"),
         )
 
 
@@ -327,8 +292,8 @@ def build_cover(cert, p, covector=None, presentation=None):
     """Certify a degree-p cover from an invariant hyperplane.
 
     Picks the first invariant hyperplane in canonical order unless a covector
-    is supplied; either way invariance is rechecked directly against every
-    group element before the certificate is issued.
+    is supplied, which is then checked against the generator matrices before
+    the certificate is issued.
     """
     pres = presentation if presentation is not None else kernel_presentation(cert)
     action = homology_action(pres, p)
@@ -339,18 +304,15 @@ def build_cover(cert, p, covector=None, presentation=None):
                 f"no invariant hyperplane mod {p} for {cert.signature} -> "
                 f"{cert.group_descriptor}"
             )
-        chosen = planes[0].covector
+        chosen = planes[0]
     else:
         chosen = _normalize_covector(covector, p)
-    _lambdas_for(chosen, action)
-    genus = 1 + p * (cert.kernel_genus - 1)
-    if kernel_genus(cert.signature, p * cert.group_order) != genus:
-        raise RuntimeError("cover genus disagrees with the index computation")
+        _check_invariant(chosen, action)
     return CoverCertificate(
         base=cert,
         prime=p,
         covector=chosen,
-        cover_genus=genus,
+        cover_genus=kernel_genus(cert.signature, p * cert.group_order),
         cover_group_order=p * cert.group_order,
     )
 
@@ -385,7 +347,7 @@ def quotient_ske_from_cover(cover, presentation=None):
     pres = presentation if presentation is not None else kernel_presentation(cert)
     action = homology_action(pres, p)
     f = _normalize_covector(cover.covector, p)
-    _lambdas_for(f, action)
+    _check_invariant(f, action)
 
     n, nslots = pres.group.order, pres.nslots
     phi = [sum(fi * v[col] for fi, v in zip(f, action.cocycles)) % p

@@ -396,6 +396,10 @@ def alternating(n):
 
 def direct_product(left, right):
     """Direct product of two permutation groups, acting on the disjoint union."""
+    for factor in (left, right):
+        if not isinstance(factor, PermutationGroup):
+            raise ValueError(f"direct product factor {factor.descriptor!r} "
+                             "is not a permutation group")
     d1, d2 = left.degree, right.degree
     descriptor = f"{left.descriptor}*{right.descriptor}"
     _check_order(f"group {descriptor!r}", (left.order, right.order))

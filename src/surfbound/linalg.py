@@ -10,11 +10,8 @@ a certificate.
 def smith_normal_form(rows, ncols):
     """Diagonalize an integer matrix by unimodular row and column operations.
 
-    Returns (diag, colmat) where diag is the list of diagonal entries
-    d_1 | d_2 | ... (nonnegative, divisibility chain) and colmat is the
-    accumulated n x n unimodular column transform V with U*A*V diagonal.
-    Row transforms are not tracked; for presenting the cokernel
-    Z^n / rowspace(A), the class of a row vector v has coordinates v*V.
+    Returns the nonzero diagonal entries d_1 | d_2 | ... (positive, a
+    divisibility chain); the transforms themselves are not kept.
     """
     a = [list(r) for r in rows]
     m = len(a)
@@ -22,15 +19,12 @@ def smith_normal_form(rows, ncols):
     for r in a:
         if len(r) != n:
             raise ValueError("ragged matrix")
-    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
 
     def swap_cols(i, j):
         for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
             row[i], row[j] = row[j], row[i]
 
     def add_row(src, dst, c):
@@ -42,14 +36,6 @@ def smith_normal_form(rows, ncols):
     def add_col(src, dst, c):
         for row in a:
             row[dst] += c * row[src]
-        for row in v:
-            row[dst] += c * row[src]
-
-    def negate_col(j):
-        for row in a:
-            row[j] = -row[j]
-        for row in v:
-            row[j] = -row[j]
 
     t = 0
     limit = min(m, n)
@@ -104,19 +90,15 @@ def smith_normal_form(rows, ncols):
 
     diag = []
     for i in range(limit):
-        d = a[i][i]
-        if d < 0:
-            negate_col(i)
-            d = -d
-        if d == 0:
+        if a[i][i] == 0:
             break
-        diag.append(d)
-    return diag, v
+        diag.append(abs(a[i][i]))
+    return diag
 
 
 def cokernel_invariants(rows, ncols):
     """Invariants of Z^ncols / rowspace(rows): (free_rank, torsion divisors > 1)."""
-    diag, _ = smith_normal_form(rows, ncols)
+    diag = smith_normal_form(rows, ncols)
     torsion = tuple(d for d in diag if d > 1)
     return ncols - len(diag), torsion
 

@@ -84,19 +84,31 @@ class SkeCertificate:
 
     @staticmethod
     def from_dict(data):
+        if not isinstance(data, dict):
+            raise TypeError("an ske certificate must be a JSON object")
         if data.get("type") != "ske":
             raise ValueError(f"not an ske certificate: {data.get('type')!r}")
         sig = Signature(data["signature"]["genus"], tuple(data["signature"]["periods"]))
+        if not isinstance(data["group"], str):
+            raise TypeError(f"group must be a descriptor string, got {data['group']!r:.60}")
         group = construct(data["group"])
         images = tuple(group.element_from_data(x) for x in data["images"])
         return SkeCertificate(
             signature=sig,
             group_descriptor=data["group"],
             images=images,
-            group_order=data["group_order"],
-            kernel_genus=data["kernel_genus"],
+            group_order=int_field(data, "group_order"),
+            kernel_genus=int_field(data, "kernel_genus"),
             verifier_version=data["verifier_version"],
         )
+
+
+def int_field(data, key):
+    """data[key] if it is an integer (not a bool); TypeError naming key otherwise."""
+    value = data[key]
+    if type(value) is not int:
+        raise TypeError(f"{key} must be an integer, got {value!r:.60}")
+    return value
 
 
 def _relation_product(group, genus, hyperbolic, elliptic):

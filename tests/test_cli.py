@@ -201,6 +201,15 @@ class TestSkeSearch:
         assert code == 2
         assert "bad group descriptor" in err
 
+    @pytest.mark.parametrize("group,factor", [("cyclic:5*C2", "cyclic:5"),
+                                              ("C2*dihedral:3", "dihedral:3")])
+    def test_non_permutation_product_exits_2(self, capsys, group, factor):
+        code, out, err = run(capsys, "ske", "search", "--signature", "2,2,2,2,2",
+                             "--group", group)
+        assert code == 2
+        assert f"factor '{factor}' is not a permutation group" in err
+        assert out == ""
+
 
 class TestSkeVerify:
     def _cert_file(self, capsys, tmp_path, *argv):
@@ -278,6 +287,63 @@ class TestSkeVerify:
         code, _, err = run(capsys, "ske", "verify", str(path))
         assert code == 2
         assert "malformed" in err
+
+    HOSTILE_COVERS = {
+        # field, tampering, exit code, named defect
+        "covector-too-long": ("covector", lambda v: v + [0], 1, "dimension"),
+        "covector-float": ("covector", lambda v: [float(x) for x in v], 2, "covector entries"),
+        "covector-string": ("covector", lambda v: [str(x) for x in v], 2, "covector entries"),
+        "prime-string": ("prime", lambda v: str(v), 2, "prime must be an integer"),
+        "prime-float": ("prime", lambda v: float(v), 2, "prime must be an integer"),
+        "genus-string": ("cover_genus", lambda v: str(v), 2, "cover_genus must be"),
+        "base-list": ("base", lambda v: [v], 2, "JSON object"),
+    }
+
+    @pytest.mark.parametrize("variant", sorted(HOSTILE_COVERS))
+    def test_hostile_cover_field(self, capsys, tmp_path, variant):
+        field, tamper, expected, defect = self.HOSTILE_COVERS[variant]
+        _, data, _ = run_json(capsys, "cover", "--case", "d", "--prime", "5", "--json")
+        doc = data["cover"]
+        doc[field] = tamper(doc[field])
+        path = tmp_path / "cover.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "ske", "verify", str(path))
+        assert code == expected
+        assert defect in (out if expected == 1 else err)
+
+    @pytest.mark.parametrize("group", [5, ["C5"], None])
+    def test_ske_group_not_a_string_exits_2(self, capsys, tmp_path, group):
+        path = self._cert_file(capsys, tmp_path, "ske", "search",
+                               "--signature", "2,3,8", "--group", "GL23", "--json")
+        doc = json.loads(path.read_text())
+        doc["group"] = group
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "ske", "verify", str(path))
+        assert code == 2
+        assert "group must be a descriptor string" in err
+
+    def test_float_genus_certificate_exits_2(self, capsys, tmp_path):
+        _, data, _ = run_json(capsys, "certify", "--genus", "24", "--json")
+        doc = data["certificate"]
+        doc["genus"] = 24.0
+        path = tmp_path / "genus.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "ske", "verify", str(path))
+        assert code == 2
+        assert "genus must be an integer" in err
+
+    def test_non_permutation_product_certificate_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "product.json"
+        path.write_text(json.dumps({
+            "type": "ske", "verifier_version": "1",
+            "signature": {"genus": 0, "periods": [2, 2, 2, 2, 2]},
+            "group": "cyclic:5*C2", "group_order": 10,
+            "images": [[0]] * 5, "kernel_genus": 0,
+        }))
+        code, out, err = run(capsys, "ske", "verify", str(path))
+        assert code == 2
+        assert "'cyclic:5' is not a permutation group" in err
+        assert "Traceback" not in err and out == ""
 
 
 class TestCover:

@@ -72,7 +72,7 @@ class TestSmithNormalForm:
 
     @pytest.mark.parametrize("rows,ncols,expected", FROZEN)
     def test_frozen_diagonals(self, rows, ncols, expected):
-        diag, _ = smith_normal_form(rows, ncols)
+        diag = smith_normal_form(rows, ncols)
         assert [d for d in diag if d] == expected
 
     def test_divisibility_chain(self):
@@ -81,7 +81,7 @@ class TestSmithNormalForm:
             nrows = rng.randrange(1, 5)
             ncols = rng.randrange(1, 5)
             rows = [[rng.randrange(-9, 10) for _ in range(ncols)] for _ in range(nrows)]
-            diag, _ = smith_normal_form(rows, ncols)
+            diag = smith_normal_form(rows, ncols)
             nz = [d for d in diag if d]
             assert all(d > 0 for d in nz)
             for a, b in zip(nz, nz[1:]):
@@ -93,26 +93,20 @@ class TestSmithNormalForm:
             nrows = rng.randrange(1, 4)
             ncols = rng.randrange(1, 4)
             rows = [[rng.randrange(-8, 9) for _ in range(ncols)] for _ in range(nrows)]
-            diag, _ = smith_normal_form(rows, ncols)
+            diag = smith_normal_form(rows, ncols)
             assert [d for d in diag if d] == oracle_smith_diagonal(rows, ncols)
 
     def test_relation_rows_vanish_in_cokernel(self):
-        # the coordinates of any input row, read through the column transform,
-        # must be 0 on free columns and divisible by d_i on torsion columns
+        # a row already in the rowspace is a relation that holds in the
+        # cokernel, so appending it leaves the diagonal unchanged
         rng = random.Random(9)
         for _ in range(80):
             nrows = rng.randrange(1, 5)
             ncols = rng.randrange(1, 5)
             rows = [[rng.randrange(-7, 8) for _ in range(ncols)] for _ in range(nrows)]
-            diag, colmat = smith_normal_form(rows, ncols)
-            rank = len([d for d in diag if d])
-            for row in rows:
-                coords = [sum(row[i] * colmat[i][j] for i in range(ncols)) for j in range(ncols)]
-                for j in range(ncols):
-                    if j < rank:
-                        assert coords[j] % diag[j] == 0
-                    else:
-                        assert coords[j] == 0
+            coefs = [rng.randrange(-3, 4) for _ in rows]
+            combo = [sum(c * row[j] for c, row in zip(coefs, rows)) for j in range(ncols)]
+            assert smith_normal_form(rows + [combo], ncols) == smith_normal_form(rows, ncols)
 
 
 class TestCokernel:
