@@ -17,6 +17,7 @@ serve a table that does not reproduce its own stated invariants.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from importlib import resources
 from itertools import combinations_with_replacement
 from math import gcd
@@ -46,6 +47,8 @@ class Signature:
     periods: tuple
 
     def __post_init__(self):
+        if not isinstance(self.genus, int) or isinstance(self.genus, bool):
+            raise TypeError(f"genus must be an integer, got {self.genus!r:.60}")
         if self.genus < 0:
             raise ValueError(f"genus must be >= 0, got {self.genus}")
         for m in self.periods:
@@ -244,18 +247,26 @@ def _parse_table(text, origin):
         entries.append(entry)
     if not entries:
         raise TableCorrupt(f"{origin}: no rows")
-    return entries
+    return tuple(entries)
 
 
 def signature_table(path=None):
-    """The embedded table of arithmetic signatures with measure below pi.
+    """The embedded table of arithmetic signatures with measure below pi, as
+    a tuple of entries.
 
     Every row is re-verified on load (stated measure and s/r against exact
-    recomputation); any mismatch raises TableCorrupt naming the row.
+    recomputation); any mismatch raises TableCorrupt naming the row.  The
+    packaged table is loaded once per process; a table read from path is
+    read and verified on every call.
     """
     if path is not None:
         with open(path, encoding="utf-8") as fh:
             return _parse_table(fh.read(), str(path))
+    return _packaged_table()
+
+
+@cache
+def _packaged_table():
     text = resources.files("surfbound.data").joinpath("signature_table.txt").read_text("utf-8")
     return _parse_table(text, "signature_table.txt")
 

@@ -10,8 +10,9 @@ torsion-free (surface) kernel exactly when
 
 verify_ske checks these three conditions exactly and packages the result as
 a certificate carrying the kernel genus 1 + |G| * q.  search_ske enumerates
-image tuples by backtracking, solving the last elliptic generator from the
-long relation instead of searching it.
+image tuples by backtracking over conjugacy-class and centralizer-orbit
+representatives, solving the last elliptic generator from the long relation
+instead of searching it.
 
 Image tuples are always ordered hyperbolic generators first (a_1, b_1, ...,
 a_g, b_g), then elliptic generators in signature order.
@@ -91,6 +92,9 @@ class SkeCertificate:
         sig = Signature(data["signature"]["genus"], tuple(data["signature"]["periods"]))
         if not isinstance(data["group"], str):
             raise TypeError(f"group must be a descriptor string, got {data['group']!r:.60}")
+        if not isinstance(data["verifier_version"], str):
+            raise TypeError("verifier_version must be a string, "
+                            f"got {data['verifier_version']!r:.60}")
         group = construct(data["group"])
         images = tuple(group.element_from_data(x) for x in data["images"])
         return SkeCertificate(
@@ -161,6 +165,11 @@ def verify_ske(sig, group, images):
 
 def verify_certificate(cert):
     """Replay a certificate from scratch; returns the freshly computed twin."""
+    if cert.verifier_version != VERIFIER_VERSION:
+        raise ValueError(
+            f"unsupported verifier_version {cert.verifier_version!r:.60}, "
+            f"this verifier replays version {VERIFIER_VERSION!r}"
+        )
     group = construct(cert.group_descriptor)
     fresh = verify_ske(cert.signature, group, cert.images)
     if fresh.group_order != cert.group_order:
@@ -196,9 +205,32 @@ def search_ske(sig, group, mode="first", dedup=False):
 
     Searched slots: elliptic generators (rarest candidate class first), then
     hyperbolic ones; the final elliptic generator is solved from the long
-    relation rather than searched.  Every candidate assignment costs one node
-    against the budget (SURFBOUND_NODE_BUDGET, default 10**9); exceeding it
-    raises SearchSpaceTooLarge.
+    relation rather than searched.  The canonical order is lexicographic in
+    the group's element index, slot by slot.
+
+    The solution set is closed under simultaneous conjugation, so slot 0
+    runs over one representative per conjugacy class and slot 1 over one
+    representative per orbit of that representative's centralizer; each
+    representative is the least-index member of its class or orbit.  A
+    solution found there stands for |class| * |orbit| solutions: 'count'
+    adds that weight, 'all' expands each one to its conjugates and sorts
+    them into canonical order, and 'first' and dedup need nothing more,
+    because the canonical-first member of every conjugacy orbit of
+    solutions is one of those found.
+
+    Classes and orbits are found by BFS under a generating set, the
+    group's generators or at most log2 |C(r)| generators of C(r), so each
+    slot-0 or slot-1 candidate costs that many conjugations, and each
+    non-central slot-0 representative at most 2|G| + 2|C(r)| log2 |C(r)|
+    products to find the generators of C(r).  The cut pays off when
+    classes are large and centralizers small; where the centre is large it
+    saves little, and in an abelian group, where every class and orbit is
+    one element, it tries as many nodes as a search without it.
+
+    A node is one assignment to one slot: a class representative in slot 0,
+    an orbit representative in slot 1, or a candidate element in any deeper
+    slot.  Each costs one node against the budget (SURFBOUND_NODE_BUDGET,
+    default 10**9); exceeding it raises SearchSpaceTooLarge.
 
     Raises NonIntegralGenus immediately when |G| is incompatible with the
     signature (no surface kernel of that index can exist).
@@ -216,6 +248,7 @@ def search_ske(sig, group, mode="first", dedup=False):
         by_order[m] = tuple(e for e in elements if group.element_order(e) == m)
     searched_ell = sorted(range(k - 1) if k else [],
                           key=lambda j: (len(by_order[periods[j]]), j))
+    # an admissible signature always leaves at least two searched slots
     slots = [("e", j) for j in searched_ell] + [("h", i) for i in range(2 * g)]
     slot_candidates = [
         by_order[periods[j]] if kind == "e" else elements for kind, j in slots
@@ -233,6 +266,7 @@ class _SearchState:
         self.sig = sig
         self.group = group
         self.elements = elements
+        self.index = group.index
         self.periods = periods
         self.slots = slots
         self.slot_candidates = slot_candidates
@@ -246,6 +280,63 @@ class _SearchState:
         g, k = sig.genus, len(periods)
         self.ell = [None] * k
         self.hyp = [None] * (2 * g)
+
+    def _orbits(self, candidates, gens):
+        # (least-index member, size) of each orbit among the candidates of
+        # the subgroup the gens generate, acting by conjugation, in index
+        # order; an orbit is found by BFS under the gens, so every candidate
+        # costs len(gens) conjugations
+        group, index, elements = self.group, self.index, self.elements
+        gens = [(x, group.inv(x)) for x in gens]
+        seen = bytearray(len(elements))
+        for r in candidates:
+            if seen[index[r]]:
+                continue
+            seen[index[r]] = 1
+            members = [r]
+            for y in members:
+                for x, xinv in gens:
+                    i = index[group.mul(group.mul(x, y), xinv)]
+                    if not seen[i]:
+                        seen[i] = 1
+                        members.append(elements[i])
+            yield r, len(members)
+
+    def _centralizer_generators(self, r, class_size):
+        # at most log2 |C(r)| generators of the centralizer of r, whose order
+        # is |G| / class_size: an element of C(r) outside the subgroup the
+        # earlier ones generate at least doubles it; the subgroup is
+        # rebuilt by BFS after each, and the scan stops once it is all of
+        # C(r), so the cost is at most 2|G| + 2|C(r)| log2 |C(r)| products
+        group, index, elements = self.group, self.index, self.elements
+        order = len(elements) // class_size
+        gens = []
+        inside = bytearray(len(elements))
+        members = [elements[index[group.identity]]]
+        inside[index[members[0]]] = 1
+        for h in elements:
+            if len(members) == order:
+                break
+            if inside[index[h]] or group.mul(h, r) != group.mul(r, h):
+                continue
+            gens.append(h)
+            for y in members:
+                for x in gens:
+                    i = index[group.mul(y, x)]
+                    if not inside[i]:
+                        inside[i] = 1
+                        members.append(elements[i])
+        return gens
+
+    def _assign(self, pos, cand):
+        self.nodes += 1
+        if self.nodes > self.budget:
+            raise SearchSpaceTooLarge(
+                f"node budget {self.budget} exhausted searching "
+                f"{self.sig} -> {self.group.descriptor}"
+            )
+        kind, j = self.slots[pos]
+        (self.ell if kind == "e" else self.hyp)[j] = cand
 
     def _leaf(self):
         group, sig = self.group, self.sig
@@ -263,47 +354,78 @@ class _SearchState:
             return None
         return images
 
-    def _record(self, images):
+    def _record(self, images, weight):
         if self.dedup:
             canon = _conjugation_canon(self.group, self.elements, images)
             if canon in self.seen:
                 return False
             self.seen.add(canon)
+            weight = 1
         if self.mode == "count":
-            self.count += 1
+            self.count += weight
             return False
         self.solutions.append(images)
         return self.mode == "first"
 
-    def _dfs(self, pos):
+    def _dfs(self, pos, weight):
         if pos == len(self.slots):
             images = self._leaf()
             if images is not None:
-                return self._record(images)
+                return self._record(images, weight)
             return False
-        kind, j = self.slots[pos]
-        target = self.ell if kind == "e" else self.hyp
         for cand in self.slot_candidates[pos]:
-            self.nodes += 1
-            if self.nodes > self.budget:
-                raise SearchSpaceTooLarge(
-                    f"node budget {self.budget} exhausted searching "
-                    f"{self.sig} -> {self.group.descriptor}"
-                )
-            target[j] = cand
-            if self._dfs(pos + 1):
+            self._assign(pos, cand)
+            if self._dfs(pos + 1, weight):
                 return True
         return False
 
     def run(self):
-        self._dfs(0)
+        # a central representative (class of size 1) has C(r) = G, whose
+        # orbits are the conjugacy classes: found once and shared
+        candidates, central = self.slot_candidates, None
+        for r, class_size in self._orbits(candidates[0], self.group.generators):
+            self._assign(0, r)
+            if class_size == 1:
+                if central is None:
+                    central = list(self._orbits(candidates[1], self.group.generators))
+                orbits = central
+            else:
+                orbits = self._orbits(candidates[1],
+                                      self._centralizer_generators(r, class_size))
+            for s, orbit_size in orbits:
+                self._assign(1, s)
+                if self._dfs(2, class_size * orbit_size):
+                    return
+
+    def _conjugates(self):
+        # every solution: the conjugates of the representative-level ones,
+        # each orbit found by BFS under conjugation by the generators
+        group = self.group
+        gens = [(x, group.inv(x)) for x in group.generators]
+        found = set()
+        for images in self.solutions:
+            if images in found:
+                continue  # its whole orbit is already in
+            found.add(images)
+            orbit = [images]
+            for t in orbit:
+                for x, xinv in gens:
+                    c = tuple(group.mul(group.mul(x, y), xinv) for y in t)
+                    if c not in found:
+                        found.add(c)
+                        orbit.append(c)
+        g, index = self.sig.genus, self.index
+        where = [2 * g + j if kind == "e" else j for kind, j in self.slots]
+        return sorted(found, key=lambda images: [index[images[p]] for p in where])
 
     def result(self):
         if self.mode == "count":
             return self.count
         if self.mode == "first":
             return self.solutions[0] if self.solutions else None
-        return self.solutions
+        if self.dedup:
+            return self.solutions
+        return self._conjugates()
 
 
 def dihedral_witness_ske(g):

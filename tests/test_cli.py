@@ -322,6 +322,39 @@ class TestSkeVerify:
         assert code == 2
         assert "group must be a descriptor string" in err
 
+    # field, value, exit code, named defect
+    HOSTILE_SKE = {
+        "version-unknown": ("verifier_version", "2", 1, "unsupported verifier_version"),
+        "version-int": ("verifier_version", 1, 2, "verifier_version must be a string"),
+        "genus-string": ("signature", {"genus": "0", "periods": [2, 3, 8]}, 2,
+                         "genus must be an integer"),
+        "genus-bool": ("signature", {"genus": False, "periods": [2, 3, 8]}, 2,
+                       "genus must be an integer"),
+    }
+
+    @pytest.mark.parametrize("variant", sorted(HOSTILE_SKE))
+    def test_hostile_ske_field(self, capsys, tmp_path, variant):
+        field, value, expected, defect = self.HOSTILE_SKE[variant]
+        path = self._cert_file(capsys, tmp_path, "ske", "search",
+                               "--signature", "2,3,8", "--group", "GL23", "--json")
+        doc = json.loads(path.read_text())
+        doc[field] = value
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "ske", "verify", str(path))
+        assert code == expected
+        assert defect in (out if expected == 1 else err)
+        assert "Traceback" not in err
+
+    def test_cover_base_with_unknown_version_exits_1(self, capsys, tmp_path):
+        _, data, _ = run_json(capsys, "cover", "--case", "d", "--prime", "5", "--json")
+        doc = data["cover"]
+        doc["base"]["verifier_version"] = "0"
+        path = tmp_path / "cover.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "ske", "verify", str(path))
+        assert code == 1
+        assert "unsupported verifier_version" in out
+
     def test_float_genus_certificate_exits_2(self, capsys, tmp_path):
         _, data, _ = run_json(capsys, "certify", "--genus", "24", "--json")
         doc = data["certificate"]

@@ -38,6 +38,11 @@ class TestSignature:
         with pytest.raises(ValueError):
             Signature(0, (2, 1))
 
+    @pytest.mark.parametrize("genus", ["0", 0.0, None, True])
+    def test_rejects_non_integer_genus(self, genus):
+        with pytest.raises(TypeError, match="genus must be an integer"):
+            Signature(genus, (2, 3, 7))
+
     def test_rejects_negative_genus(self):
         with pytest.raises(ValueError):
             Signature(-1, ())
@@ -253,6 +258,23 @@ class TestSignatureTable:
     def test_all_measures_below_pi(self):
         for e in signature_table():
             assert 0 < e.mu_over_pi < 1
+
+    def test_packaged_table_loaded_once(self):
+        table = signature_table()
+        assert isinstance(table, tuple)
+        assert signature_table() is table
+
+    def test_path_is_read_on_every_call(self, tmp_path):
+        path = tmp_path / "table.txt"
+        path.write_text("2 3 7 | 1/21 | 84 | verified-by-literature\n")
+        first = signature_table(path)
+        assert [str(e.signature) for e in first] == ["(2,3,7)"]
+        path.write_text("2 3 8 | 1/12 | 48 | verified-by-literature\n")
+        second = signature_table(path)
+        assert [str(e.signature) for e in second] == ["(2,3,8)"]
+        path.write_text("2 3 8 | 1/11 | 48 | verified-by-literature\n")
+        with pytest.raises(TableCorrupt, match="recomputed"):
+            signature_table(path)
 
     def test_corrupt_measure_rejected(self, tmp_path):
         bad = tmp_path / "bad.txt"

@@ -1,17 +1,25 @@
 import json
+from functools import cache
 from itertools import product as iproduct
 
 import pytest
 
 from surfbound.groups import (
     DihedralGroup,
+    construct,
     cyclic_perm,
     dihedral_perm,
     gl2_3,
     klein_four,
+    quaternion8,
     symmetric,
 )
-from surfbound.signatures import NonIntegralGenus, NotAdmissible, Signature
+from surfbound.signatures import (
+    NonIntegralGenus,
+    NotAdmissible,
+    Signature,
+    parse_signature,
+)
 from surfbound.ske import (
     LongRelationFails,
     NotSurjective,
@@ -60,6 +68,82 @@ def brute_classes(sig, group):
             hinv = group.inv(h)
             sols.discard(tuple(group.mul(group.mul(h, x), hinv) for x in rep))
     return classes
+
+
+def exhaustive_search(sig, group, mode, dedup):
+    """The search without conjugation cuts, as an oracle for search_ske.
+
+    Every candidate of every searched slot is tried, in the same slot order
+    (searched elliptic slots rarest order first, then hyperbolic ones) and
+    element-index order, with the last elliptic image solved from the long
+    relation.  dedup keeps the first solution of every conjugacy orbit.
+    """
+    found = _exhaustive_solutions(sig, group.descriptor)[dedup]
+    if mode == "first":
+        return found[0] if found else None
+    return len(found) if mode == "count" else list(found)
+
+
+@cache
+def _exhaustive_solutions(sig, descriptor):
+    # (every solution, the first solution of each conjugacy orbit), found
+    # once per instance on element indices through a multiplication table
+    # so that the order-72 case stays fast
+    group = construct(descriptor)
+    elements = tuple(group.elements)
+    n = len(elements)
+    index = group.index
+    mul = [[index[group.mul(x, y)] for y in elements] for x in elements]
+    inv = [index[group.inv(x)] for x in elements]
+    order = [group.element_order(x) for x in elements]
+    e = index[group.identity]
+
+    def generates(gens):
+        reached = bytearray(n)
+        reached[e] = 1
+        frontier = [e]
+        for x in frontier:
+            for y in gens:
+                z = mul[x][y]
+                if not reached[z]:
+                    reached[z] = 1
+                    frontier.append(z)
+        return len(frontier) == n
+
+    g, periods = sig.genus, sig.periods
+    k = len(periods)
+    pools = {m: [i for i in range(n) if order[i] == m] for m in periods}
+    searched = sorted(range(k - 1), key=lambda j: (len(pools[periods[j]]), j))
+    slots = [pools[periods[j]] for j in searched] + [range(n)] * (2 * g)
+    found = []
+    for choice in iproduct(*slots):
+        ell = [None] * k
+        for j, x in zip(searched, choice):
+            ell[j] = x
+        hyp = choice[len(searched):]
+        w = e
+        for t in range(g):
+            a, b = hyp[2 * t], hyp[2 * t + 1]
+            w = mul[w][mul[mul[a][b]][mul[inv[a]][inv[b]]]]
+        for c in ell[: k - 1]:
+            w = mul[w][c]
+        if k:
+            ell[k - 1] = inv[w]
+            if order[ell[k - 1]] != periods[k - 1]:
+                continue
+        elif w != e:
+            continue
+        images = tuple(hyp) + tuple(ell)
+        if generates(images):
+            found.append(images)
+    covered, firsts = set(), []
+    for images in found:
+        if images not in covered:
+            firsts.append(images)
+            covered.update(tuple(mul[mul[h][x]][inv[h]] for x in images)
+                           for h in range(n))
+    return tuple(tuple(tuple(elements[i] for i in images) for images in sols)
+                 for sols in (found, firsts))
 
 
 class TestVerify:
@@ -161,6 +245,41 @@ class TestSearchAgainstBruteForce:
         assert search_ske(sig, cyclic_perm(24), mode="count") == 0
 
 
+class TestSearchAgainstExhaustive:
+    CASES = TestSearchAgainstBruteForce.CASES + [
+        # parametric backend
+        (Signature(0, (2, 2, 2, 3)), lambda: DihedralGroup(6), True),
+        # centralizer orbits over the two hyperbolic slots
+        (Signature(1, (2,)), quaternion8, True),
+        # a direct product, three searched elliptic slots
+        (Signature(0, (2, 2, 2, 6)), lambda: construct("S3*D6"), True),
+    ]
+
+    @pytest.mark.parametrize("dedup", [False, True])
+    @pytest.mark.parametrize("sig,build,nonempty", CASES)
+    def test_every_mode_matches(self, sig, build, nonempty, dedup):
+        group = build()
+        for mode in ("first", "all", "count"):
+            expected = exhaustive_search(sig, group, mode, dedup)
+            assert search_ske(sig, group, mode=mode, dedup=dedup) == expected, mode
+        assert bool(expected) == nonempty
+
+    # the counts of the benchmark's search workload
+    WORKLOAD = [
+        ("2,3,7", "S7", False, 0),
+        ("3,3,4", "A6", False, 1440),
+        ("2,2,2,6", "S3*D7", False, 6048),
+        ("2,2,2,4", "aff9:0,1,2,0:0,1,1,0", False, 1728),
+        ("2,3,7", "perm:7:0,5,6,3,4,1,2:3,0,4,1,5,2,6", True, 2),
+        ("g1p3", "A5", False, 1080),
+    ]
+
+    @pytest.mark.parametrize("sig,descriptor,dedup,count", WORKLOAD)
+    def test_workload_counts(self, sig, descriptor, dedup, count):
+        group = construct(descriptor)
+        assert search_ske(parse_signature(sig), group, mode="count", dedup=dedup) == count
+
+
 class TestSearchDedup:
     def test_classes_match_orbit_count(self):
         sig = Signature(0, (2, 2, 2, 3))
@@ -189,6 +308,64 @@ class TestSearchControls:
         monkeypatch.setenv("SURFBOUND_NODE_BUDGET", "2")
         with pytest.raises(SearchSpaceTooLarge):
             search_ske(Signature(0, (2, 2, 2, 2, 2)), klein_four())
+
+    @pytest.mark.parametrize("sig,build", [
+        (Signature(0, (2, 2, 2, 3)), lambda: dihedral_perm(6)),
+        (Signature(1, (2,)), quaternion8),
+    ])
+    def test_budget_is_exact(self, monkeypatch, sig, build):
+        # nodes: slot-0 class representatives, slot-1 centralizer-orbit
+        # representatives, then every candidate of every deeper slot;
+        # classes and orbits are counted here by conjugating with all of G
+        group = build()
+        elements = group.elements
+
+        def conj(h, x):
+            return group.mul(group.mul(h, x), group.inv(h))
+
+        def orbit_count(acting, pool):
+            return len({min(conj(h, x) for h in acting) for x in pool})
+
+        searched = sig.periods[:-1]
+        pools = [[x for x in elements if group.element_order(x) == m] for m in searched]
+        pools += [elements] * (2 * sig.genus)
+        first, second, deeper = pools[0], pools[1], pools[2:]
+        reps = {min(conj(h, r) for h in elements) for r in first}
+        pairs = sum(orbit_count([h for h in elements if conj(h, r) == r], second)
+                    for r in reps)
+        below, width = 1, 1
+        for pool in deeper:
+            width *= len(pool)
+            below += width
+        nodes = len(reps) + pairs * below
+
+        expected = search_ske(sig, group, mode="count")
+        monkeypatch.setenv("SURFBOUND_NODE_BUDGET", str(nodes))
+        assert search_ske(sig, group, mode="count") == expected
+        monkeypatch.setenv("SURFBOUND_NODE_BUDGET", str(nodes - 1))
+        with pytest.raises(SearchSpaceTooLarge) as err:
+            search_ske(sig, group, mode="count")
+        assert str(err.value) == (f"node budget {nodes - 1} exhausted searching "
+                                  f"{sig} -> {group.descriptor}")
+
+    @pytest.mark.parametrize("descriptor", ["cyclic:100", "C10*D4"])
+    def test_products_bounded_on_a_large_centre(self, descriptor):
+        # g1p2 has no solution onto these groups.  The exhaustive search
+        # spends 4|G|^2 products on commutators of hyperbolic pairs; the
+        # class and orbit cuts must stay within a small multiple of that
+        # where centralizers are large (acting with every element of C(r)
+        # on every candidate costs about 2|G|^3 in an abelian group)
+        group = construct(descriptor)
+        mul, products = group.mul, 0
+
+        def counting_mul(x, y):
+            nonlocal products
+            products += 1
+            return mul(x, y)
+
+        group.mul = counting_mul
+        assert search_ske(Signature(1, (2,)), group, mode="count") == 0
+        assert products <= 6 * group.order ** 2
 
     def test_incompatible_order_raises(self):
         with pytest.raises(NonIntegralGenus):
@@ -274,6 +451,18 @@ class TestCertificates:
         data["kernel_genus"] = 6
         with pytest.raises(ValueError, match="kernel genus"):
             verify_certificate(SkeCertificate.from_dict(data))
+
+    def test_unsupported_verifier_version_rejected(self):
+        data = dihedral_witness_ske(5).to_dict()
+        data["verifier_version"] = "2"
+        with pytest.raises(ValueError, match="unsupported verifier_version '2'"):
+            verify_certificate(SkeCertificate.from_dict(data))
+
+    def test_non_string_verifier_version_malformed(self):
+        data = dihedral_witness_ske(5).to_dict()
+        data["verifier_version"] = 1
+        with pytest.raises(TypeError, match="verifier_version must be a string"):
+            SkeCertificate.from_dict(data)
 
     def test_wrong_type_rejected(self):
         with pytest.raises(ValueError, match="not an ske"):
