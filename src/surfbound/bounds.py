@@ -17,18 +17,9 @@ Three layers:
   and homology covers), all replayable.
 """
 
-from dataclasses import dataclass
 from math import factorial, lcm
+from typing import NamedTuple
 
-from .covers import (
-    GENUS2_COVER_CASES,
-    build_cover,
-    case_by_label,
-    case_certificate,
-    check_cover_cases,
-    kernel_presentation,
-    quotient_ske_from_cover,
-)
 from .groups import construct
 from .linalg import is_prime
 from .signatures import Signature, abelianization, signature_table
@@ -48,8 +39,7 @@ class WitnessSearchFailed(RuntimeError):
     """A catalogued witness search came back empty."""
 
 
-@dataclass(frozen=True)
-class BoundConstants:
+class BoundConstants(NamedTuple):
     """Invariants of the signature table driving every bound argument."""
 
     s_max: int
@@ -75,8 +65,7 @@ def bound_constants(table=None):
     )
 
 
-@dataclass(frozen=True)
-class PrimeConditions:
+class PrimeConditions(NamedTuple):
     """Attainedness test for a prime: p prime with p mod 60 in {23, 47, 59}."""
 
     p: int
@@ -189,8 +178,7 @@ def degree24_obstruction(p, s):
     return facts, ok
 
 
-@dataclass(frozen=True)
-class DischargeEntry:
+class DischargeEntry(NamedTuple):
     prime: int
     method: str
     bounds_covered: tuple
@@ -217,8 +205,7 @@ class DischargeEntry:
         )
 
 
-@dataclass(frozen=True)
-class DischargeReport:
+class DischargeReport(NamedTuple):
     prime: int
     bounds: tuple
     entries: tuple
@@ -260,6 +247,8 @@ def discharge_prime(p, deep=False):
     degree-24 orbit embedding.  deep=True additionally recomputes the seven
     cover cases mod p instead of trusting their congruence conditions.
     """
+    from .covers import GENUS2_COVER_CASES, check_cover_cases
+
     cond = prime_conditions(p)
     if not cond.attained:
         raise ValueError(f"{p} is not an attained prime")
@@ -307,8 +296,7 @@ def discharge_prime(p, deep=False):
                            complete=complete)
 
 
-@dataclass(frozen=True)
-class AttainedGenus:
+class AttainedGenus(NamedTuple):
     genus: int
     prime: int
     bound: int
@@ -330,8 +318,7 @@ def attained_genera(limit, deep=False):
     return out
 
 
-@dataclass(frozen=True)
-class GenusWitness:
+class GenusWitness(NamedTuple):
     """A route name and its certificate, which is the whole evidence.
 
     Certificates written by older versions carry a "detail" key; it was never
@@ -355,8 +342,7 @@ class GenusWitness:
         )
 
 
-@dataclass(frozen=True)
-class GenusCertificate:
+class GenusCertificate(NamedTuple):
     """Best certified automorphism count for one genus, with all evidence."""
 
     genus: int
@@ -429,6 +415,14 @@ def _search_witness(sig, descriptor):
 
 
 def _cover_witness(label, primes):
+    from .covers import (
+        build_cover,
+        case_by_label,
+        case_certificate,
+        kernel_presentation,
+        quotient_ske_from_cover,
+    )
+
     cert = case_certificate(case_by_label(label))
     for p in primes:
         pres = kernel_presentation(cert)

@@ -4,7 +4,8 @@ Subcommands expose the library layers one by one: the signature table and
 its measure arithmetic, epimorphism search and certificate verification,
 homology covers, and the per-genus bound certificates.  Every --json output
 is canonical: keys sorted, compact separators, schema_version tagged, no
-timestamps, so identical invocations are byte-identical.
+timestamps, so identical invocations are byte-identical.  A command imports
+the covers and bounds layers only if it uses them.
 
 Exit codes: 0 success, 1 failed verification of a claimed certificate or
 table row, 2 usage error (unparseable or out-of-domain input), 3 resource
@@ -17,26 +18,6 @@ import json
 import os
 import sys
 
-from .bounds import (
-    CATALOG_RANGE,
-    GenusCertificate,
-    WitnessSearchFailed,
-    attained_genera,
-    bound_constants,
-    certify_genus,
-    verify_genus_certificate,
-)
-from .covers import (
-    CoverCertificate,
-    NotInvariant,
-    build_cover,
-    case_by_label,
-    case_certificate,
-    check_cover_cases,
-    kernel_presentation,
-    quotient_ske_from_cover,
-    verify_cover_certificate,
-)
 from .groups import OrderCapExceeded, construct, element_data
 from .linalg import is_prime
 from .signatures import (
@@ -164,6 +145,8 @@ def cmd_measure(args):
 
 
 def cmd_constants(args):
+    from .bounds import bound_constants
+
     c = bound_constants()
     payload = {
         "command": "constants",
@@ -250,29 +233,29 @@ def cmd_ske_verify(args):
     if "certificate" in data and "type" not in data:
         data = data["certificate"]
     kind = data.get("type")
-    loaders = {
-        "ske": SkeCertificate.from_dict,
-        "cover": CoverCertificate.from_dict,
-        "genus": GenusCertificate.from_dict,
-    }
-    if kind not in loaders:
+    # only the module that defines the certificate type is imported
+    if kind == "ske":
+        record, verify = SkeCertificate, verify_certificate
+    elif kind == "cover":
+        from .covers import CoverCertificate as record, verify_cover_certificate as verify
+    elif kind == "genus":
+        from .bounds import GenusCertificate as record, verify_genus_certificate as verify
+    else:
         raise UsageError(f"unknown certificate type {kind!r}")
     try:
-        cert = loaders[kind](data)
+        cert = record.from_dict(data)
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"malformed certificate: {exc!r}")
     try:
+        verify(cert)
         if kind == "ske":
-            verify_certificate(cert)
             summary = (f"ske {cert.signature} -> {cert.group_descriptor}"
                        f" (order {cert.group_order}, kernel genus {cert.kernel_genus})")
         elif kind == "cover":
-            verify_cover_certificate(cert)
             summary = (f"cover of {cert.base.signature} -> {cert.base.group_descriptor}"
                        f" mod {cert.prime}: genus {cert.cover_genus},"
                        f" order {cert.cover_group_order}")
         else:
-            verify_genus_certificate(cert)
             summary = f"genus {cert.genus}: bound {cert.bound}"
     except (ValueError, RuntimeError) as exc:
         payload = {"command": "ske-verify", "ok": False, "error": str(exc)}
@@ -297,6 +280,15 @@ def cmd_cover(args):
 
 
 def _cover_build(args):
+    from .covers import (
+        NotInvariant,
+        build_cover,
+        case_by_label,
+        case_certificate,
+        kernel_presentation,
+        quotient_ske_from_cover,
+    )
+
     try:
         case = case_by_label(args.case)
     except ValueError as exc:
@@ -330,6 +322,8 @@ def _cover_build(args):
 
 
 def _cover_check(args):
+    from .covers import check_cover_cases
+
     labels = tuple(args.labels) if args.labels else None
     primes = None
     if args.primes:
@@ -368,6 +362,8 @@ def _cover_check(args):
 
 
 def cmd_certify(args):
+    from .bounds import WitnessSearchFailed, certify_genus, verify_genus_certificate
+
     if args.genus < 2:
         raise UsageError("genus must be at least 2")
     try:
@@ -394,6 +390,8 @@ def cmd_certify(args):
 
 
 def cmd_attained(args):
+    from .bounds import attained_genera
+
     genera = attained_genera(args.max, deep=args.deep)
     rows = []
     lines = []
@@ -425,6 +423,8 @@ def _parse_int_list(text):
 
 
 def cmd_catalog(args):
+    from .bounds import CATALOG_RANGE, certify_genus, verify_genus_certificate
+
     genera = _parse_int_list(args.genera) if args.genera else list(CATALOG_RANGE)
     certs = []
     lines = []

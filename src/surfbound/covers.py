@@ -19,8 +19,8 @@ as the monodromy of the p-fold cover of X on Q x F_p and re-verifies the
 induced epimorphism from scratch, so every cover claim is replayable.
 """
 
-from dataclasses import dataclass
 from itertools import product as iproduct
+from typing import NamedTuple
 
 from .groups import PermutationGroup, construct
 from .linalg import identity_matrix, is_prime, nullspace_mod, vec_mat_mod
@@ -36,8 +36,7 @@ class NotInvariant(ValueError):
     """The requested hyperplane is not preserved by the group action."""
 
 
-@dataclass
-class KernelPresentation:
+class KernelPresentation(NamedTuple):
     """Cells of the cover X whose fundamental group is the kernel.
 
     Vertex c is group.elements[c]; edge column c*nslots + s runs from c to
@@ -127,8 +126,7 @@ def kernel_presentation(cert):
     return pres
 
 
-@dataclass
-class HomologyAction:
+class HomologyAction(NamedTuple):
     """Matrices of the deck-transformation action of Q on H_1(kernel; F_p).
 
     cocycles is the basis of H^1(K; F_p), each 0 on the tree, 1 on its own
@@ -252,8 +250,7 @@ def invariant_hyperplanes(action):
     return sorted(found)
 
 
-@dataclass(frozen=True)
-class CoverCertificate:
+class CoverCertificate(NamedTuple):
     """A degree-p unramified cover on which the whole group action lifts."""
 
     base: SkeCertificate
@@ -378,8 +375,7 @@ def quotient_ske_from_cover(cover, presentation=None):
     return quotient
 
 
-@dataclass(frozen=True)
-class CoverCase:
+class CoverCase(NamedTuple):
     """A genus-2 epimorphism with its predicted liftable primes."""
 
     label: str

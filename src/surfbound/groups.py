@@ -7,7 +7,8 @@ element_order, contains, generates, elements, descriptor):
   over the generators (deterministic order).
 * CyclicGroup / DihedralGroup: elements are arithmetic keys, so verifying
   a witness inside a dihedral group of order 4(g-1) costs a handful of
-  big-int operations however large g gets.
+  big-int operations however large g gets.  Their elements and index are
+  built on first use, once per group.
 
 Enumeration is bounded by the order cap, read from SURFBOUND_ORDER_CAP
 (default 10**6) and nowhere else.  Where the order is known from the
@@ -22,6 +23,7 @@ Left multiplication in the regular representation is then a homomorphism.
 
 import os
 import re
+from functools import cached_property
 from math import gcd, lcm
 
 DEFAULT_ORDER_CAP = 10 ** 6
@@ -195,12 +197,12 @@ class CyclicGroup:
             g = gcd(g, x)
         return g == 1
 
-    @property
+    @cached_property
     def elements(self):
         _check_order(self.descriptor, (self.n,))
         return tuple(range(self.n))
 
-    @property
+    @cached_property
     def index(self):
         return {k: k for k in self.elements}
 
@@ -271,12 +273,12 @@ class DihedralGroup:
             g = gcd(g, j - base)
         return g == 1
 
-    @property
+    @cached_property
     def elements(self):
         _check_order(self.descriptor, (2, self.n))
         return tuple((i, e) for e in (0, 1) for i in range(self.n))
 
-    @property
+    @cached_property
     def index(self):
         return {k: i for i, k in enumerate(self.elements)}
 

@@ -120,10 +120,6 @@ def mat_mul_mod(x, y, p):
     return out
 
 
-def mat_vec_mod(m, vec, p):
-    return tuple(sum(mi * vi for mi, vi in zip(row, vec)) % p for row in m)
-
-
 def vec_mat_mod(vec, m, p):
     n = len(m[0])
     return tuple(sum(vec[i] * m[i][j] for i in range(len(vec))) % p for j in range(n))
@@ -187,30 +183,6 @@ def invert_mod(matrix, p):
     if pivots != list(range(n)):
         return None
     return [list(row[n:]) for row in red]
-
-
-def det_mod(matrix, p):
-    a = [[e % p for e in row] for row in matrix]
-    n = len(a)
-    det = 1
-    for c in range(n):
-        piv = None
-        for i in range(c, n):
-            if a[i][c]:
-                piv = i
-                break
-        if piv is None:
-            return 0
-        if piv != c:
-            a[c], a[piv] = a[piv], a[c]
-            det = -det
-        det = (det * a[c][c]) % p
-        inv = pow(a[c][c], -1, p)
-        for i in range(c + 1, n):
-            if a[i][c]:
-                f = (a[i][c] * inv) % p
-                a[i] = [(e - f * g) % p for e, g in zip(a[i], a[c])]
-    return det % p
 
 
 # smallest composite not caught by these witnesses is > 3.3 * 10^24

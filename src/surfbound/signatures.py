@@ -15,13 +15,13 @@ measure below pi; the loader re-verifies every row on load and refuses to
 serve a table that does not reproduce its own stated invariants.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from importlib import resources
 from itertools import combinations_with_replacement
-from math import gcd
+from math import gcd, lcm
 import re
+from typing import NamedTuple
 
 from .linalg import cokernel_invariants
 
@@ -41,20 +41,29 @@ class TableCorrupt(ValueError):
     """The signature data file failed parsing or self-verification."""
 
 
-@dataclass(frozen=True, order=True)
-class Signature:
+class _SignatureFields(NamedTuple):
     genus: int
     periods: tuple
 
-    def __post_init__(self):
-        if not isinstance(self.genus, int) or isinstance(self.genus, bool):
-            raise TypeError(f"genus must be an integer, got {self.genus!r:.60}")
-        if self.genus < 0:
-            raise ValueError(f"genus must be >= 0, got {self.genus}")
-        for m in self.periods:
+
+class Signature(_SignatureFields):
+    """(g; m_1, ..., m_k) with sorted periods; orders as (genus, periods).
+
+    Validation needs __new__, which NamedTuple forbids in its own body,
+    hence the field base class.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, genus, periods):
+        if not isinstance(genus, int) or isinstance(genus, bool):
+            raise TypeError(f"genus must be an integer, got {genus!r:.60}")
+        if genus < 0:
+            raise ValueError(f"genus must be >= 0, got {genus}")
+        for m in periods:
             if not isinstance(m, int) or m < 2:
-                raise ValueError(f"periods must be integers >= 2, got {self.periods}")
-        object.__setattr__(self, "periods", tuple(sorted(self.periods)))
+                raise ValueError(f"periods must be integers >= 2, got {periods}")
+        return super().__new__(cls, genus, tuple(sorted(periods)))
 
     @property
     def generator_count(self):
@@ -74,16 +83,15 @@ def measure(sig):
     """Normalized co-area of the signature, in units of pi (exact Fraction).
 
     measure/pi = 2*(2g - 2 + sum_j (1 - 1/m_j)); positive iff the signature
-    is realized by a cocompact Fuchsian group.
+    is realized by a cocompact Fuchsian group.  Summed in integers over the
+    common denominator lcm(m_j) and reduced once.
     """
-    total = Fraction(2 * sig.genus - 2)
-    for m in sig.periods:
-        total += 1 - Fraction(1, m)
-    return 2 * total
+    den = lcm(*sig.periods)
+    total = (2 * sig.genus - 2) * den + sum(den - den // m for m in sig.periods)
+    return Fraction(2 * total, den)
 
 
-@dataclass(frozen=True)
-class MeasureClass:
+class MeasureClass(NamedTuple):
     """The commensurability-invariant ratio q = measure/(4*pi) in lowest terms.
 
     For a surface kernel of index n the kernel genus is 1 + n*q, so the
@@ -127,8 +135,7 @@ def kernel_genus(sig, index):
     return int(g)
 
 
-@dataclass(frozen=True)
-class AbelianInvariants:
+class AbelianInvariants(NamedTuple):
     """Abelianized signature group: free rank plus the torsion divisor chain."""
     free_rank: int
     torsion: tuple
@@ -206,8 +213,7 @@ def enumerate_signatures(mu_bound, max_genus, max_periods, max_period):
     return found
 
 
-@dataclass(frozen=True)
-class SignatureTableEntry:
+class SignatureTableEntry(NamedTuple):
     signature: Signature
     mu_over_pi: Fraction
     s_over_r: Fraction

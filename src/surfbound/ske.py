@@ -19,7 +19,7 @@ a_g, b_g), then elliptic generators in signature order.
 """
 
 import os
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .groups import DihedralGroup, construct, element_data
 from .signatures import Signature, kernel_genus, measure_class
@@ -58,8 +58,7 @@ def _node_budget():
     return int(env) if env else DEFAULT_NODE_BUDGET
 
 
-@dataclass(frozen=True)
-class SkeCertificate:
+class SkeCertificate(NamedTuple):
     """A verified surface-kernel epimorphism, replayable from its own data."""
 
     signature: Signature
@@ -67,7 +66,7 @@ class SkeCertificate:
     images: tuple
     group_order: int
     kernel_genus: int
-    verifier_version: str = field(default=VERIFIER_VERSION)
+    verifier_version: str = VERIFIER_VERSION
 
     def to_dict(self):
         return {

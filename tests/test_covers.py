@@ -1,5 +1,4 @@
 import json
-from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -127,13 +126,13 @@ class TestKernelPresentation:
         pres = v4_presentation()
         faces = len(pres.relation_rows) - len(pres.tree)
         rows = [[3 * v for v in row] for row in pres.relation_rows[:faces]]
-        torsion = replace(pres, relation_rows=rows + pres.relation_rows[faces:])
+        torsion = pres._replace(relation_rows=rows + pres.relation_rows[faces:])
         assert homology_action(torsion, 5).dim == 4
         with pytest.raises(NotSurfaceKernel, match="dimension"):
             homology_action(torsion, 3)
 
     def test_wrong_rank_rejected(self):
-        altered = replace(v4_presentation(), homology_dim=6)
+        altered = v4_presentation()._replace(homology_dim=6)
         with pytest.raises(NotSurfaceKernel, match="expected 6"):
             homology_action(altered, 7)
 

@@ -142,6 +142,14 @@ class TestParametricCyclic:
             CyclicGroup(10 ** 30).elements
 
 
+@pytest.mark.parametrize("group", [CyclicGroup(12), DihedralGroup(6)],
+                         ids=["cyclic", "dihedral"])
+def test_parametric_elements_and_index_built_once(group):
+    assert group.elements is group.elements
+    assert group.index is group.index
+    assert [group.index[x] for x in group.elements] == list(range(group.order))
+
+
 class TestParametricDihedral:
     def test_matches_perm_model(self):
         # dual route: key arithmetic vs explicit permutations a^i b^e
@@ -307,6 +315,19 @@ class TestCapBeforeAllocation:
     def test_small_cap(self, desc, monkeypatch):
         monkeypatch.setenv("SURFBOUND_ORDER_CAP", "100")
         assert _peak_bytes(desc, OrderCapExceeded) < 10 ** 6
+
+    @pytest.mark.parametrize("desc", ["cyclic:99999999999", "dihedral:99999999999"])
+    @pytest.mark.parametrize("attr", ["elements", "index"])
+    def test_parametric_elements_checked_on_every_access(self, desc, attr):
+        group = construct(desc)
+        for _ in range(2):
+            tracemalloc.start()
+            try:
+                with pytest.raises(OrderCapExceeded):
+                    getattr(group, attr)
+                assert tracemalloc.get_traced_memory()[1] < 10 ** 6
+            finally:
+                tracemalloc.stop()
 
     def test_perm_generator_shorter_than_degree(self):
         assert _peak_bytes("perm:99999999999:0", ValueError) < 10 ** 6

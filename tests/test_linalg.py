@@ -6,16 +6,40 @@ import pytest
 
 from surfbound.linalg import (
     cokernel_invariants,
-    det_mod,
     identity_matrix,
     invert_mod,
     mat_mul_mod,
-    mat_vec_mod,
     nullspace_mod,
     rref_mod,
     smith_normal_form,
     vec_mat_mod,
 )
+
+
+def mat_vec_mod(m, vec, p):
+    # column action m * vec over F_p; an oracle, nothing in the package needs it
+    return tuple(sum(mi * vi for mi, vi in zip(row, vec)) % p for row in m)
+
+
+def det_mod(matrix, p):
+    # determinant over F_p by elimination; an oracle for invert_mod
+    a = [[e % p for e in row] for row in matrix]
+    n = len(a)
+    det = 1
+    for c in range(n):
+        piv = next((i for i in range(c, n) if a[i][c]), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            a[c], a[piv] = a[piv], a[c]
+            det = -det
+        det = (det * a[c][c]) % p
+        inv = pow(a[c][c], -1, p)
+        for i in range(c + 1, n):
+            if a[i][c]:
+                f = (a[i][c] * inv) % p
+                a[i] = [(e - f * g) % p for e, g in zip(a[i], a[c])]
+    return det % p
 
 
 def int_det(matrix):

@@ -22,6 +22,14 @@ from surfbound.signatures import (
 )
 
 
+def fraction_sum_measure(sig):
+    # the former runtime formula, one Fraction per period, kept as the oracle
+    total = Fraction(2 * sig.genus - 2)
+    for m in sig.periods:
+        total += 1 - Fraction(1, m)
+    return 2 * total
+
+
 def brute_measure(genus, periods):
     # independent route: sum as float-free Fraction accumulation in a different order
     acc = Fraction(0)
@@ -88,6 +96,29 @@ class TestMeasure:
             k = rng.randrange(0, 6)
             periods = tuple(rng.randrange(2, 30) for _ in range(k))
             assert measure(Signature(g, periods)) == brute_measure(g, periods)
+
+    def test_matches_fraction_sum_on_enumerated_signatures(self):
+        sigs = enumerate_signatures(Fraction(4), 2, 5, 12)
+        assert len(sigs) > 1000
+        for sig in sigs:
+            assert measure(sig) == fraction_sum_measure(sig)
+
+    def test_matches_fraction_sum_on_table_rows(self):
+        table = signature_table()
+        assert len(table) == 74
+        for entry in table:
+            assert measure(entry.signature) == fraction_sum_measure(entry.signature)
+            assert measure(entry.signature) == entry.mu_over_pi
+
+    def test_matches_fraction_sum_at_positive_genus(self):
+        # admissible or not, with and without periods, including (2;)
+        sigs = [Signature(g, periods) for g in range(1, 4)
+                for k in range(4) for periods in product(range(2, 9), repeat=k)]
+        assert Signature(2, ()) in sigs
+        for sig in sigs:
+            mu = measure(sig)
+            assert type(mu) is Fraction
+            assert mu == fraction_sum_measure(sig)
 
 
 class TestMeasureClass:
