@@ -49,8 +49,8 @@ class BoundConstants(NamedTuple):
     table_size: int
 
 
-def bound_constants(table=None):
-    table = signature_table() if table is None else table
+def bound_constants():
+    table = signature_table()
     integer_bounds = [int(e.s_over_r) for e in table if e.s_over_r.denominator == 1]
     r_lcm = 1
     for e in table:
@@ -114,7 +114,7 @@ def _is_prime_power(n):
     return False
 
 
-def frobenius_obstruction(p, s, table=None):
+def frobenius_obstruction(p, s):
     """Discharge order p*s when the Sylow count would have to be s itself.
 
     A self-normalizing Sylow p-subgroup forces a normal p-complement, hence
@@ -122,7 +122,7 @@ def frobenius_obstruction(p, s, table=None):
     integer bound value s must then surject onto it abelianly.  The facts
     record the epimorphism counts, which must all be zero.
     """
-    table = signature_table() if table is None else table
+    table = signature_table()
     exceptions = [d for d in _divisors(s) if d % p == 1 and d > 1]
     sigs = [e.signature for e in table
             if e.s_over_r.denominator == 1 and int(e.s_over_r) == s]
@@ -284,7 +284,7 @@ def discharge_prime(p, deep=False):
             facts, ok = degree24_obstruction(p, s)
             entries.append(DischargeEntry(p, "sylow-orbit-embedding", (s,), facts, ok))
         else:
-            facts, ok = frobenius_obstruction(p, s, table)
+            facts, ok = frobenius_obstruction(p, s)
             entries.append(DischargeEntry(p, "frobenius-quotient", (s,), facts, ok))
 
     covered = set()

@@ -335,20 +335,9 @@ def _cover_check(args):
         reports = check_cover_cases(labels=labels, primes=primes)
     except ValueError as exc:
         raise UsageError(str(exc))
-    rows = []
     lines = []
     all_ok = True
     for rep in reports:
-        rows.append({
-            "case": rep["case"],
-            "signature": str(rep["signature"]),
-            "group": rep["group"],
-            "condition": rep["condition"],
-            "primes": list(rep["primes"]),
-            "with_hyperplane": list(rep["with_hyperplane"]),
-            "expected": list(rep["expected"]),
-            "match": rep["match"],
-        })
         all_ok = all_ok and rep["match"]
         lifted = ",".join(map(str, rep["with_hyperplane"])) or "-"
         lines.append(
@@ -356,7 +345,7 @@ def _cover_check(args):
             f" lifts at {lifted}"
             f" ({'matches' if rep['match'] else 'DISAGREES WITH'} {rep['condition']})"
         )
-    _emit(args, {"command": "cover", "check": True, "reports": rows,
+    _emit(args, {"command": "cover", "check": True, "reports": reports,
                  "ok": all_ok}, lines)
     return 0 if all_ok else 1
 

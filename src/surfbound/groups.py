@@ -353,14 +353,10 @@ GL23_POINTS = tuple(
 
 def _linear_perm_33(matrix, points):
     (a, b), (c, d) = matrix
+    if (a * d - b * c) % 3 == 0:
+        raise ValueError(f"matrix {matrix} is singular mod 3")
     index = {v: i for i, v in enumerate(points)}
-    images = []
-    for x, y in points:
-        w = ((a * x + b * y) % 3, (c * x + d * y) % 3)
-        if w not in index:
-            raise ValueError(f"matrix {matrix} is singular mod 3")
-        images.append(index[w])
-    return tuple(images)
+    return tuple(index[((a * x + b * y) % 3, (c * x + d * y) % 3)] for x, y in points)
 
 
 def gl2_3():
@@ -426,12 +422,8 @@ def affine33(matrices):
     gens = [t1, t2]
     parts = []
     for m in matrices:
-        (a, b), (c, d) = m
-        images = []
-        for x, y in points:
-            images.append(index[((a * x + b * y) % 3, (c * x + d * y) % 3)])
-        gens.append(tuple(images))
-        parts.append(",".join(str(e % 3) for e in (a, b, c, d)))
+        gens.append(_linear_perm_33(m, points))
+        parts.append(",".join(str(e % 3) for row in m for e in row))
     return PermutationGroup(9, gens, "aff9:" + ":".join(parts))
 
 

@@ -17,7 +17,6 @@ serve a table that does not reproduce its own stated invariants.
 
 from fractions import Fraction
 from functools import cache
-from importlib import resources
 from itertools import combinations_with_replacement
 from math import gcd, lcm
 import re
@@ -273,6 +272,8 @@ def signature_table(path=None):
 
 @cache
 def _packaged_table():
+    from importlib import resources
+
     text = resources.files("surfbound.data").joinpath("signature_table.txt").read_text("utf-8")
     return _parse_table(text, "signature_table.txt")
 

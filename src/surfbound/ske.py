@@ -182,25 +182,15 @@ def verify_certificate(cert):
     return fresh
 
 
-def _conjugation_canon(group, elements, images):
-    # least index tuple over simultaneous conjugation; the dedup key
-    idx = group.index
-    best = None
-    for h in elements:
-        hinv = group.inv(h)
-        key = tuple(idx[group.mul(group.mul(h, x), hinv)] for x in images)
-        if best is None or key < best:
-            best = key
-    return best
-
-
 def search_ske(sig, group, mode="first", dedup=False):
     """Backtracking search for surface-kernel epimorphisms onto a finite group.
 
     mode 'first' returns the first image tuple under the canonical iteration
     order (or None), 'all' returns the list of tuples, 'count' the number.
     With dedup=True, solutions equal up to simultaneous conjugation are
-    collapsed to their first representative.
+    collapsed to their first representative.  The images of a solution
+    generate G, so only the centre Z(G) fixes it: every conjugacy orbit of
+    solutions has exactly |G : Z(G)| members.
 
     Searched slots: elliptic generators (rarest candidate class first), then
     hyperbolic ones; the final elliptic generator is solved from the long
@@ -211,11 +201,14 @@ def search_ske(sig, group, mode="first", dedup=False):
     runs over one representative per conjugacy class and slot 1 over one
     representative per orbit of that representative's centralizer; each
     representative is the least-index member of its class or orbit.  A
-    solution found there stands for |class| * |orbit| solutions: 'count'
-    adds that weight, 'all' expands each one to its conjugates and sorts
-    them into canonical order, and 'first' and dedup need nothing more,
-    because the canonical-first member of every conjugacy orbit of
-    solutions is one of those found.
+    solution found there stands for |class| * |orbit| solutions, and the
+    canonical-first member of every conjugacy orbit of solutions is one of
+    those found.  'count' adds that weight and, with dedup, divides by
+    |G : Z(G)|; 'all' conjugates each found solution whose orbit is not yet
+    in by one element per coset of Z(G), then returns those solutions in
+    search order (dedup) or their orbits in canonical order; 'first' needs
+    nothing more.  So dedup costs nothing in 'first' and 'all', and at most
+    |G| (2 len(generators) + 1) products for Z(G) in 'count'.
 
     Classes and orbits are found by BFS under a generating set, the
     group's generators or at most log2 |C(r)| generators of C(r), so each
@@ -275,7 +268,6 @@ class _SearchState:
         self.nodes = 0
         self.count = 0
         self.solutions = []
-        self.seen = set()
         g, k = sig.genus, len(periods)
         self.ell = [None] * k
         self.hyp = [None] * (2 * g)
@@ -354,12 +346,6 @@ class _SearchState:
         return images
 
     def _record(self, images, weight):
-        if self.dedup:
-            canon = _conjugation_canon(self.group, self.elements, images)
-            if canon in self.seen:
-                return False
-            self.seen.add(canon)
-            weight = 1
         if self.mode == "count":
             self.count += weight
             return False
@@ -396,35 +382,43 @@ class _SearchState:
                 if self._dfs(2, class_size * orbit_size):
                     return
 
-    def _conjugates(self):
-        # every solution: the conjugates of the representative-level ones,
-        # each orbit found by BFS under conjugation by the generators
-        group = self.group
-        gens = [(x, group.inv(x)) for x in group.generators]
-        found = set()
-        for images in self.solutions:
-            if images in found:
-                continue  # its whole orbit is already in
-            found.add(images)
-            orbit = [images]
-            for t in orbit:
-                for x, xinv in gens:
-                    c = tuple(group.mul(group.mul(x, y), xinv) for y in t)
-                    if c not in found:
-                        found.add(c)
-                        orbit.append(c)
-        g, index = self.sig.genus, self.index
-        where = [2 * g + j if kind == "e" else j for kind, j in self.slots]
-        return sorted(found, key=lambda images: [index[images[p]] for p in where])
+    def _central_cosets(self):
+        # one element per coset of the centre Z(G), the elements that
+        # commute with the generators: |G| (2 len(generators) + 1) products
+        group, index, elements = self.group, self.index, self.elements
+        centre = [z for z in elements
+                  if all(group.mul(z, x) == group.mul(x, z) for x in group.generators)]
+        covered = bytearray(len(elements))
+        cosets = []
+        for h in elements:
+            if not covered[index[h]]:
+                cosets.append(h)
+                for z in centre:
+                    covered[index[group.mul(h, z)]] = 1
+        return cosets
 
     def result(self):
         if self.mode == "count":
-            return self.count
+            return self.count // len(self._central_cosets()) if self.dedup else self.count
         if self.mode == "first":
             return self.solutions[0] if self.solutions else None
+        # only Z(G) fixes a solution, whose images generate G, so one
+        # conjugate per coset of Z(G) gives each member of its orbit once;
+        # firsts are the solutions found that open a new orbit
+        group = self.group
+        cosets = [(h, group.inv(h)) for h in self._central_cosets()]
+        firsts, found = [], set()
+        for images in self.solutions:
+            if images in found:
+                continue  # its whole orbit is already in
+            firsts.append(images)
+            found.update(tuple(group.mul(group.mul(h, y), hinv) for y in images)
+                         for h, hinv in cosets)
         if self.dedup:
-            return self.solutions
-        return self._conjugates()
+            return firsts
+        g, index = self.sig.genus, self.index
+        where = [2 * g + j if kind == "e" else j for kind, j in self.slots]
+        return sorted(found, key=lambda images: [index[images[p]] for p in where])
 
 
 def dihedral_witness_ske(g):

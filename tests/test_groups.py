@@ -276,7 +276,7 @@ class TestConstruct:
         assert construct(g.descriptor).elements == g.elements
 
     def test_rejects_garbage(self):
-        for bad in ("X5", "perm:3", "aff9:1,2,3", "D2"):
+        for bad in ("X5", "perm:3", "aff9:1,2,3", "aff9:0,0,0,0", "D2"):
             with pytest.raises(ValueError):
                 construct(bad)
 

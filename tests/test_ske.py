@@ -302,6 +302,47 @@ class TestSearchDedup:
         assert (search_ske(sig, group, mode="count", dedup=True)
                 == search_ske(sig, group, mode="count"))
 
+    # the search workload, a large centre and an abelian group
+    INSTANCES = [(sig, descriptor) for sig, descriptor, _, _ in
+                 TestSearchAgainstExhaustive.WORKLOAD] + [
+        ("g1p3", "C15*S3"),
+        ("g2", "C5"),
+    ]
+
+    @pytest.mark.parametrize("sig,descriptor", INSTANCES)
+    def test_orbits_have_the_centre_index(self, sig, descriptor):
+        # only the centre fixes a generating tuple under conjugation
+        group = construct(descriptor)
+        elements = group.elements
+        centre = [z for z in elements
+                  if all(group.mul(z, h) == group.mul(h, z) for h in elements)]
+        sig = parse_signature(sig)
+        orbits = search_ske(sig, group, mode="count", dedup=True)
+        assert orbits * (len(elements) // len(centre)) == search_ske(sig, group, mode="count")
+
+    @pytest.mark.parametrize("sig,descriptor", [
+        ("2,2,2,6", "S3*D7"),
+        ("3,3,4", "A6"),
+        ("g1p3", "C15*S3"),
+        ("g2", "C5"),
+    ])
+    def test_count_dedup_costs_only_the_centre(self, sig, descriptor):
+        # finding Z(G) and its cosets is the only work dedup adds to count,
+        # whatever the number of solutions
+        sig, group = parse_signature(sig), construct(descriptor)
+        mul, products = group.mul, 0
+
+        def counting_mul(x, y):
+            nonlocal products
+            products += 1
+            return mul(x, y)
+
+        group.mul = counting_mul
+        assert search_ske(sig, group, mode="count", dedup=True)
+        deduped, products = products, 0
+        assert search_ske(sig, group, mode="count")
+        assert deduped <= products + 4 * group.order * (len(group.generators) + 1)
+
 
 class TestSearchControls:
     def test_budget_env(self, monkeypatch):

@@ -56,12 +56,13 @@ def certificate_files(tmp_path_factory):
 
 
 COVERS, BOUNDS = "surfbound.covers", "surfbound.bounds"
+RESOURCES = "importlib.resources"
 
 
 @pytest.mark.parametrize("argv, loaded, absent", [
     (("table", "--check"), (), (COVERS, BOUNDS)),
-    (("measure", "2,3,7"), (), (COVERS, BOUNDS)),
-    (SEARCH, (), (COVERS, BOUNDS)),
+    (("measure", "2,3,7"), (), (COVERS, BOUNDS, RESOURCES)),
+    (SEARCH, (), (COVERS, BOUNDS, RESOURCES)),
     (("constants",), (BOUNDS,), (COVERS,)),
     (("cover", "--case", "d", "--prime", "5"), (COVERS,), (BOUNDS,)),
     (("ske", "verify", "{cover}"), (COVERS,), (BOUNDS,)),
