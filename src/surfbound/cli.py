@@ -19,7 +19,7 @@ import os
 import sys
 
 from .groups import OrderCapExceeded, construct, element_data
-from .linalg import is_prime
+from .linalg import BeyondWitnessRange, is_prime
 from .signatures import (
     NonIntegralGenus,
     NotAdmissible,
@@ -108,6 +108,8 @@ def cmd_table(args):
 
 def cmd_measure(args):
     sig = _parse_sig(args.signature)
+    if args.order is not None and args.order < 1:
+        raise UsageError(f"--order must be at least 1, got {args.order}")
     try:
         mc = measure_class(sig)
     except NotAdmissible as exc:
@@ -351,7 +353,7 @@ def _cover_check(args):
 
 
 def cmd_certify(args):
-    from .bounds import WitnessSearchFailed, certify_genus, verify_genus_certificate
+    from .bounds import WitnessSearchFailed, certify_genus
 
     if args.genus < 2:
         raise UsageError("genus must be at least 2")
@@ -360,7 +362,6 @@ def cmd_certify(args):
     except WitnessSearchFailed as exc:
         print(f"witness search failed: {exc}", file=sys.stderr)
         return 1
-    verify_genus_certificate(cert)
     payload = {"command": "certify", "certificate": cert.to_dict(),
                "lower_bound_only": not cert.attained}
     lines = [f"genus {cert.genus}", f"bound {cert.bound}"]
@@ -412,7 +413,7 @@ def _parse_int_list(text):
 
 
 def cmd_catalog(args):
-    from .bounds import CATALOG_RANGE, certify_genus, verify_genus_certificate
+    from .bounds import CATALOG_RANGE, certify_genus
 
     genera = _parse_int_list(args.genera) if args.genera else list(CATALOG_RANGE)
     certs = []
@@ -421,7 +422,6 @@ def cmd_catalog(args):
         if g < 2:
             raise UsageError("genus must be at least 2")
         cert = certify_genus(g, deep=args.deep)
-        verify_genus_certificate(cert)
         certs.append(cert.to_dict())
         best = max(cert.witnesses, key=lambda w: w.certificate.group_order)
         lines.append(
@@ -528,7 +528,7 @@ def main(argv=None):
             os.environ[name] = str(value)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, BeyondWitnessRange) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (OrderCapExceeded, SearchSpaceTooLarge) as exc:

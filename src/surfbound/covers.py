@@ -23,7 +23,7 @@ from itertools import product as iproduct
 from typing import NamedTuple
 
 from .groups import PermutationGroup, construct
-from .linalg import identity_matrix, is_prime, nullspace_mod, vec_mat_mod
+from .linalg import is_prime, nullspace_mod, vec_mat_mod
 from .signatures import Signature, kernel_genus
 from .ske import SkeCertificate, int_field, verify_certificate, verify_ske
 
@@ -71,7 +71,12 @@ class KernelPresentation(NamedTuple):
 
 
 def kernel_presentation(cert):
-    """Cell complex of the kernel of a certificate, re-verifying it first."""
+    """Cell complex of the kernel of a certificate, re-verifying it first.
+
+    The certificate may come from JSON, so it is replayed; that is the only
+    check.  Its images generate Q, so the BFS tree spans X, and they satisfy
+    the relators, so each relator read from a vertex ends there (tested).
+    """
     verify_certificate(cert)
     group = construct(cert.group_descriptor)
     elements = group.elements
@@ -83,7 +88,6 @@ def kernel_presentation(cert):
     act = [[index[group.mul(e, x)] for e in elements] for x in gens]
     act_inv = [[index[group.mul(e, group.inv(x))] for e in elements] for x in gens]
 
-    # the images generate the finite group Q, so forward edges reach every vertex
     seen = [False] * n
     seen[0] = True
     tree = []
@@ -95,8 +99,6 @@ def kernel_presentation(cert):
                 seen[nxt] = True
                 tree.append((nxt, c, c * nslots + s))
                 queue.append(nxt)
-    if len(queue) != n:
-        raise RuntimeError("coset graph is not connected despite surjectivity")
 
     ncols = n * nslots
     sig = cert.signature
@@ -115,10 +117,7 @@ def kernel_presentation(cert):
     )
     for rel in relators:
         for start in range(n):
-            vec, end = pres.rewrite(rel, start)
-            if end != start:
-                raise RuntimeError(f"relator does not act trivially from coset {start}")
-            pres.relation_rows.append(vec)
+            pres.relation_rows.append(pres.rewrite(rel, start)[0])
     for _, _, col in tree:
         unit = [0] * ncols
         unit[col] = 1
@@ -157,10 +156,9 @@ def homology_action(pres, p):
         raise NotSurfaceKernel(
             f"first homology mod {p} has dimension {dim}, expected {pres.homology_dim}"
         )
-    # nullspace_mod puts the 1 of each vector's own free column last
+    # nullspace_mod puts the 1 of each vector's own free column last and 0
+    # in the others' free columns, so the basis is dual to these edges
     free = [max(j for j, v in enumerate(phi) if v) for phi in cocycles]
-    if [[phi[j] for j in free] for phi in cocycles] != identity_matrix(dim):
-        raise RuntimeError("cocycle basis is not dual to its free edges")
 
     def row(phi, left):
         # values of the translate (c, s) -> phi(g*c, s) on the free edges,
@@ -338,6 +336,10 @@ def quotient_ske_from_cover(cover, presentation=None):
     These monodromy permutations generate the extension of Q by F_p; their
     inverses go through verify_ske, so the returned certificate is independent
     evidence that the cover carries the claimed automorphism count.
+
+    The cover may come from JSON, so its covector is checked invariant first
+    (else the monodromy closure runs to the order cap before it fails), and
+    the extension's order and the quotient's genus are checked after.
     """
     cert = cover.base
     p = cover.prime
@@ -437,10 +439,7 @@ def case_certificate(case):
             for _ in range(e):
                 img = group.mul(img, gen)
         images.append(img)
-    cert = verify_ske(case.signature, group, tuple(images))
-    if cert.kernel_genus != 2:
-        raise RuntimeError(f"case {case.label} kernel genus is {cert.kernel_genus}")
-    return cert
+    return verify_ske(case.signature, group, tuple(images))
 
 
 def check_cover_cases(labels=None, primes=None):

@@ -58,6 +58,16 @@ def element_data(x):
     return list(x) if isinstance(x, tuple) else x
 
 
+def element_from_data(group, data):
+    """element_data's inverse: an int, or a flat list of ints for a tuple,
+    never a bool.  ValueError unless the element is in group."""
+    flat = type(data) is list and all(type(v) is int for v in data)
+    x = tuple(data) if flat else data
+    if type(x) not in (int, tuple) or not group.contains(x):
+        raise ValueError(f"element {data!r:.60} not in group {group.descriptor!r}")
+    return x
+
+
 def perm_mul(x, y):
     return tuple(x[i] for i in y)
 
@@ -155,12 +165,6 @@ class PermutationGroup:
             frontier = nxt
         return len(closure) == self.order
 
-    def element_from_data(self, data):
-        x = tuple(data)
-        if not self.contains(x):
-            raise ValueError(f"element {data} not in group {self.descriptor!r}")
-        return x
-
 
 class CyclicGroup:
     """C_n with elements 0..n-1 as exponent keys; never enumerated unless asked."""
@@ -205,11 +209,6 @@ class CyclicGroup:
     @cached_property
     def index(self):
         return {k: k for k in self.elements}
-
-    def element_from_data(self, data):
-        if not self.contains(data):
-            raise ValueError(f"element {data} not in {self.descriptor}")
-        return data
 
 
 class DihedralGroup:
@@ -281,12 +280,6 @@ class DihedralGroup:
     @cached_property
     def index(self):
         return {k: i for i, k in enumerate(self.elements)}
-
-    def element_from_data(self, data):
-        x = (data[0], data[1])
-        if not self.contains(x):
-            raise ValueError(f"element {data} not in {self.descriptor}")
-        return x
 
 
 def _regular_group(keys, mul_fn, gen_keys, descriptor):

@@ -185,6 +185,10 @@ def invert_mod(matrix, p):
     return [list(row[n:]) for row in red]
 
 
+class BeyondWitnessRange(ValueError):
+    """is_prime cannot decide a number this large."""
+
+
 # smallest composite not caught by these witnesses is > 3.3 * 10^24
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_LIMIT = 3317044064679887385961981
@@ -198,7 +202,7 @@ def is_prime(n):
         if n % small == 0:
             return n == small
     if n >= _MR_LIMIT:
-        raise ValueError(f"{n} exceeds the deterministic witness range")
+        raise BeyondWitnessRange(f"{n} is past the Miller-Rabin witness range (< {_MR_LIMIT})")
     d = n - 1
     r = 0
     while d % 2 == 0:

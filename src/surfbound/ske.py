@@ -21,8 +21,8 @@ a_g, b_g), then elliptic generators in signature order.
 import os
 from typing import NamedTuple
 
-from .groups import DihedralGroup, construct, element_data
-from .signatures import Signature, kernel_genus, measure_class
+from .groups import DihedralGroup, construct, element_data, element_from_data
+from .signatures import Signature, kernel_genus
 
 VERIFIER_VERSION = "1"
 DEFAULT_NODE_BUDGET = 10 ** 9
@@ -95,7 +95,7 @@ class SkeCertificate(NamedTuple):
             raise TypeError("verifier_version must be a string, "
                             f"got {data['verifier_version']!r:.60}")
         group = construct(data["group"])
-        images = tuple(group.element_from_data(x) for x in data["images"])
+        images = tuple(element_from_data(group, x) for x in data["images"])
         return SkeCertificate(
             signature=sig,
             group_descriptor=data["group"],
@@ -224,12 +224,12 @@ def search_ske(sig, group, mode="first", dedup=False):
     slot.  Each costs one node against the budget (SURFBOUND_NODE_BUDGET,
     default 10**9); exceeding it raises SearchSpaceTooLarge.
 
-    Raises NonIntegralGenus immediately when |G| is incompatible with the
-    signature (no surface kernel of that index can exist).
+    Raises NotAdmissible immediately for a signature of measure <= 0, and
+    NonIntegralGenus when |G| is incompatible with the signature (no
+    surface kernel of that index can exist); kernel_genus checks both.
     """
     if mode not in ("first", "all", "count"):
         raise ValueError(f"unknown search mode {mode!r}")
-    measure_class(sig)
     kernel_genus(sig, group.order)
     budget = _node_budget()
     elements = tuple(group.elements)

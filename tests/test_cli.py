@@ -1,5 +1,7 @@
+import io
 import json
 import os
+import sys
 
 import pytest
 
@@ -322,23 +324,55 @@ class TestSkeVerify:
         assert code == 2
         assert "group must be a descriptor string" in err
 
-    # field, value, exit code, named defect
+    # the command each tampered ske certificate comes from, and the keys
+    # that lead to it in the command's JSON output
+    SKE_SOURCES = {
+        "GL23": (("ske", "search", "--signature", "2,3,8", "--group", "GL23"),
+                 ("certificate",)),
+        "dihedral:6": (("certify", "--genus", "4"),
+                       ("certificate", "witnesses", 0, "certificate")),
+        "cyclic:8": (("cover", "--case", "a", "--prime", "2"), ("cover", "base")),
+    }
+
+    # source, field, value or function of the old value, exit code, named
+    # defect; the dihedral images are [[1,1],[0,1],[2,1],[0,1],[3,0]], the
+    # cyclic ones [4,1,3], so each element variant but the short one reads
+    # as the original if bools pass as ints or extra entries are dropped
     HOSTILE_SKE = {
-        "version-unknown": ("verifier_version", "2", 1, "unsupported verifier_version"),
-        "version-int": ("verifier_version", 1, 2, "verifier_version must be a string"),
-        "genus-string": ("signature", {"genus": "0", "periods": [2, 3, 8]}, 2,
+        "version-unknown": ("GL23", "verifier_version", "2", 1,
+                            "unsupported verifier_version"),
+        "version-int": ("GL23", "verifier_version", 1, 2,
+                        "verifier_version must be a string"),
+        "genus-string": ("GL23", "signature", {"genus": "0", "periods": [2, 3, 8]}, 2,
                          "genus must be an integer"),
-        "genus-bool": ("signature", {"genus": False, "periods": [2, 3, 8]}, 2,
+        "genus-bool": ("GL23", "signature", {"genus": False, "periods": [2, 3, 8]}, 2,
                        "genus must be an integer"),
+        "dihedral-short": ("dihedral:6", "images", lambda v: [[1]] + v[1:], 2,
+                           "element [1] not in group 'dihedral:6'"),
+        "dihedral-long": ("dihedral:6", "images", lambda v: [v[0] + [99]] + v[1:], 2,
+                          "element [1, 1, 99] not in group 'dihedral:6'"),
+        "dihedral-bool": ("dihedral:6", "images", lambda v: [[1, True]] + v[1:], 2,
+                          "element [1, True] not in group 'dihedral:6'"),
+        "cyclic-bool": ("cyclic:8", "images", lambda v: [v[0], True] + v[2:], 2,
+                        "element True not in group 'cyclic:8'"),
+        "perm-true": ("GL23", "images",
+                      lambda v: [[True if e == 1 else e for e in v[0]]] + v[1:], 2,
+                      "not in group 'GL23'"),
+        "perm-false": ("GL23", "images",
+                       lambda v: [[False if e == 0 else e for e in v[0]]] + v[1:], 2,
+                       "not in group 'GL23'"),
     }
 
     @pytest.mark.parametrize("variant", sorted(HOSTILE_SKE))
     def test_hostile_ske_field(self, capsys, tmp_path, variant):
-        field, value, expected, defect = self.HOSTILE_SKE[variant]
-        path = self._cert_file(capsys, tmp_path, "ske", "search",
-                               "--signature", "2,3,8", "--group", "GL23", "--json")
-        doc = json.loads(path.read_text())
-        doc[field] = value
+        source, field, value, expected, defect = self.HOSTILE_SKE[variant]
+        argv, keys = self.SKE_SOURCES[source]
+        _, doc, _ = run_json(capsys, *argv, "--json")
+        for key in keys:
+            doc = doc[key]
+        assert doc["group"] == source
+        doc[field] = value(doc[field]) if callable(value) else value
+        path = tmp_path / "cert.json"
         path.write_text(json.dumps(doc))
         code, out, err = run(capsys, "ske", "verify", str(path))
         assert code == expected
@@ -492,6 +526,27 @@ class TestCertify:
         _, out2, _ = run(capsys, "certify", "--genus", "24", "--json")
         assert out1 == out2
 
+    @pytest.mark.parametrize("argv", [
+        ("certify", "--genus", "22"),
+        ("certify", "--genus", "24", "--deep"),
+        ("catalog", "--genera", "3,22"),
+    ], ids=["certify-22", "certify-24-deep", "catalog-3-22"])
+    def test_prints_without_replaying(self, capsys, monkeypatch, argv):
+        # the command does not replay what it built; ske verify does
+        def refuse(cert):
+            raise AssertionError("genus certificate replayed in-process")
+
+        with monkeypatch.context() as patch:
+            patch.setattr("surfbound.bounds.verify_genus_certificate", refuse)
+            code, data, _ = run_json(capsys, *argv, "--json")
+        assert code == 0
+        certs = data["certificates"] if "certificates" in data else [data["certificate"]]
+        for cert in certs:
+            monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(cert)))
+            code, out, _ = run(capsys, "ske", "verify", "-")
+            assert code == 0
+            assert out.startswith(f"certificate ok: genus {cert['genus']}")
+
 
 class TestAttained:
     def test_up_to_300(self, capsys):
@@ -535,6 +590,33 @@ class TestCatalog:
     def test_bad_genus_exits_2(self, capsys):
         code, _, err = run(capsys, "catalog", "--genera", "1")
         assert code == 2
+
+
+class TestHostileArguments:
+    # argv, named defect: each exits 2 with that defect and no traceback
+    HOSTILE_ARGV = {
+        "measure-order-zero": (("measure", "2,3,7", "--order", "0"),
+                               "--order must be at least 1, got 0"),
+        "measure-order-negative": (("measure", "2,3,7", "--order", "-5"),
+                                   "--order must be at least 1, got -5"),
+        # g - 1 = 10^25 + 7 has no prime factor up to 37
+        "certify-genus": (("certify", "--genus", "10000000000000000000000008"),
+                          "10000000000000000000000007 is past the Miller-Rabin witness range"),
+        "catalog-genus": (("catalog", "--genera", "3,10000000000000000000000008"),
+                          "10000000000000000000000007 is past the Miller-Rabin witness range"),
+        "cover-prime": (("cover", "--case", "a", "--prime", "10000000000000000000000009"),
+                        "10000000000000000000000009 is past the Miller-Rabin witness range"),
+        "check-primes": (("cover", "--check", "--primes", "99999999999999999999999989"),
+                         "99999999999999999999999989 is past the Miller-Rabin witness range"),
+    }
+
+    @pytest.mark.parametrize("variant", sorted(HOSTILE_ARGV))
+    def test_exits_2_naming_the_defect(self, capsys, variant):
+        argv, defect = self.HOSTILE_ARGV[variant]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert defect in err
+        assert "Traceback" not in err and out == ""
 
 
 class TestResourceCaps:

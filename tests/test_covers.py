@@ -32,6 +32,29 @@ def case_g_quotient_at_3():
     return quotient_ske_from_cover(build_cover(case_certificate(CASES["g"]), 3))
 
 
+# the seven cases, the V4 and D8 dihedral witnesses, and the order-36 rung
+CERTIFICATES = sorted(CASES) + ["V4", "D8", "g-mod-3"]
+
+
+def certificate(name):
+    return {
+        "V4": lambda: dihedral_witness_ske(2),
+        "D8": lambda: dihedral_witness_ske(5),
+        "g-mod-3": case_g_quotient_at_3,
+    }.get(name, lambda: case_certificate(CASES[name]))()
+
+
+def relators(sig):
+    # the defining relators in kernel_presentation's order: the elliptic
+    # powers, then the long relation
+    g, periods = sig.genus, sig.periods
+    words = [((2 * g + j, 1),) * m for j, m in enumerate(periods)]
+    long_word = []
+    for i in range(g):
+        long_word += [(2 * i, 1), (2 * i + 1, 1), (2 * i, -1), (2 * i + 1, -1)]
+    return words + [tuple(long_word + [(2 * g + j, 1) for j in range(len(periods))])]
+
+
 def full_action(action):
     """Oracle: M_q for every q in Q, each from its own deck translate.
 
@@ -100,14 +123,28 @@ class TestKernelPresentation:
             assert pres.ncols - len(pres.tree) == 1 + n * (pres.nslots - 1)
 
     def test_tree_spans_every_vertex(self):
-        for label in ("a", "b", "d", "g"):
-            pres = kernel_presentation(case_certificate(CASES[label]))
+        for name in CERTIFICATES:
+            pres = kernel_presentation(certificate(name))
             n = pres.group.order
-            assert len(pres.tree) == n - 1
-            assert {v for v, _, _ in pres.tree} == set(range(1, n))
+            assert len(pres.tree) == n - 1, name
+            assert {v for v, _, _ in pres.tree} == set(range(1, n)), name
             for v, u, col in pres.tree:
                 c, s = divmod(col, pres.nslots)
                 assert (c, pres.act[s][c]) == (u, v)
+
+    @pytest.mark.parametrize("name", CERTIFICATES)
+    def test_every_relator_closes_at_every_vertex(self, name):
+        # the face rows are the relators read from each vertex, and each
+        # such path ends where it starts
+        pres = kernel_presentation(certificate(name))
+        faces = []
+        for word in relators(pres.certificate.signature):
+            for start in range(pres.group.order):
+                vec, end = pres.rewrite(word, start)
+                assert end == start, (word, start)
+                faces.append(vec)
+        assert pres.relation_rows[:len(faces)] == faces
+        assert len(pres.relation_rows) == len(faces) + len(pres.tree)
 
     def test_all_cases_have_genus_two_homology(self):
         for case in GENUS2_COVER_CASES:
@@ -157,15 +194,24 @@ class TestHomologyAction:
             m = mat_mul_mod(m, action.matrices[0], 11)
         assert m == identity_matrix(4)
 
-    @pytest.mark.parametrize("name", sorted(CASES) + ["V4", "D8", "g-mod-3"])
+    @pytest.mark.parametrize("name", CERTIFICATES)
+    def test_cocycle_basis_dual_to_free_edges(self, name):
+        # each cocycle is 1 on its own free (last nonzero) edge, 0 on the
+        # other cocycles' free edges and on the tree, and kills every face
+        pres = kernel_presentation(certificate(name))
+        for p in (2, 3, 5, 7, 11):
+            cocycles = homology_action(pres, p).cocycles
+            free = [max(j for j, v in enumerate(phi) if v) for phi in cocycles]
+            assert [[phi[j] for j in free] for phi in cocycles] == identity_matrix(len(free))
+            for phi in cocycles:
+                assert all(sum(r * v for r, v in zip(row, phi)) % p == 0
+                           for row in pres.relation_rows), (name, p)
+
+    @pytest.mark.parametrize("name", CERTIFICATES)
     def test_lefschetz_trace_formula(self, name):
         # basis-free check of every matrix: tr M_q = 2 - |Fix(q)| for q != 1,
         # with the fixed points of q counted over the cone points (Eichler)
-        cert = {
-            "V4": lambda: dihedral_witness_ske(2),
-            "D8": lambda: dihedral_witness_ske(5),
-            "g-mod-3": case_g_quotient_at_3,
-        }.get(name, lambda: case_certificate(CASES[name]))()
+        cert = certificate(name)
         pres = kernel_presentation(cert)
         group = pres.group
         ell = cert.images[2 * cert.signature.genus:]

@@ -17,6 +17,7 @@ from surfbound.groups import (
     dihedral_perm,
     direct_product,
     element_data,
+    element_from_data,
     gl2_3,
     klein_four,
     perm_inv,
@@ -284,13 +285,24 @@ class TestConstruct:
         g = construct("Q8")
         for e in g.elements:
             assert element_data(e) == list(e)
-            assert g.element_from_data(element_data(e)) == e
+            assert element_from_data(g, element_data(e)) == e
         p = construct("cyclic:9")
         assert element_data(4) == 4
-        assert p.element_from_data(element_data(4)) == 4
+        assert element_from_data(p, element_data(4)) == 4
         d = construct("dihedral:9")
         assert element_data((3, 1)) == [3, 1]
-        assert d.element_from_data(element_data((3, 1))) == (3, 1)
+        assert element_from_data(d, element_data((3, 1))) == (3, 1)
+
+    @pytest.mark.parametrize("descriptor,data", [
+        ("dihedral:6", [1]), ("dihedral:6", [1, 0, 99]), ("dihedral:6", [1, True]),
+        ("dihedral:6", 1), ("dihedral:6", [[1], 0]), ("cyclic:8", True),
+        ("cyclic:8", [1]), ("cyclic:8", 8), ("cyclic:8", 1.0), ("V4", [True, False, 3, 2]),
+        ("V4", 0), ("V4", [1, 0, 3]), ("V4", "1032"), ("V4", None), ("V4", {"0": 1}),
+    ])
+    def test_element_from_data_rejects_malformed(self, descriptor, data):
+        group = construct(descriptor)
+        with pytest.raises(ValueError, match=f"not in group '{descriptor}'"):
+            element_from_data(group, data)
 
 
 def _peak_bytes(descriptor, exc):
