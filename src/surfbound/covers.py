@@ -14,16 +14,19 @@ and Q acts on both by the deck transformations c -> q*c of X.
 A Q-invariant hyperplane W = ker(f) < H_1(K; F_p) yields an index-p subgroup
 M < K that is normal in Gamma, i.e. a degree-p unramified cover of the
 quotient surface on which Q lifts: the cover has genus 1 + p*(genus(K) - 1)
-and carries p*|Q| automorphisms.  quotient_ske_from_cover builds that group
-as the monodromy of the p-fold cover of X on Q x F_p and re-verifies the
-induced epimorphism from scratch, so every cover claim is replayable.
+and carries p*|Q| automorphisms.  f is an eigencovector of each generator
+matrix M_g, and M_g^ord(g) = I, so its eigenvalues are roots of unity: at
+most ord(g) candidates whatever p is.  Only the least such f is built.
+quotient_ske_from_cover builds the p*|Q| group as the monodromy of the p-fold
+cover of X on Q x F_p and re-verifies the induced epimorphism from scratch,
+so every cover claim is replayable.
 """
 
-from itertools import product as iproduct
+from math import gcd
 from typing import NamedTuple
 
-from .groups import PermutationGroup, construct
-from .linalg import is_prime, nullspace_mod, vec_mat_mod
+from .groups import PermutationGroup, _check_order, construct
+from .linalg import is_prime, nullspace_mod, rref_mod, vec_mat_mod
 from .signatures import Signature, kernel_genus
 from .ske import SkeCertificate, int_field, verify_certificate, verify_ske
 
@@ -205,47 +208,45 @@ def _check_invariant(covector, action):
             raise NotInvariant(f"hyperplane {covector} is not preserved mod {p}")
 
 
-def _projective_points(basis, dim, p):
-    # one representative per line of the span, first nonzero coefficient 1
-    d = len(basis)
-    for lead in range(d):
-        for rest in iproduct(range(p), repeat=d - lead - 1):
-            coeffs = (0,) * lead + (1,) + rest
-            f = [0] * dim
-            for coef, vec in zip(coeffs, basis):
-                if coef:
-                    for i in range(dim):
-                        f[i] = (f[i] + coef * vec[i]) % p
-            yield _normalize_covector(f, p)
+def _roots_of_unity(n, p):
+    """The x in F_p with x**n == 1: a cyclic group of order e = gcd(n, p-1),
+    closed up from the ((p-1)/e)-th powers of 2, 3, ..."""
+    e = gcd(n, p - 1)
+    roots, h = {1}, 2
+    while len(roots) < e:
+        z = pow(h, (p - 1) // e, p)
+        while (grown := roots | {x * z % p for x in roots}) != roots:
+            roots = grown
+        h += 1
+    return roots
 
 
 def invariant_hyperplanes(action):
-    """Normalized covectors of all invariant hyperplanes, sorted.
+    """Least normalized covector of an invariant hyperplane, or None.
 
-    A covector spans an invariant line of the transposed action iff it is a
-    simultaneous eigencovector of the generator matrices; profiles of
-    eigenvalues are explored with subspace pruning, and every point of a
-    common eigenspace found that way is invariant by construction.
+    Profiles of root-of-unity eigenvalues are explored with subspace pruning;
+    the least normalized point of a common eigenspace is the last row of its
+    reduced echelon basis, and the least over the eigenspaces is returned.
     """
     p, dim = action.prime, action.dim
+    group = action.presentation.group
     mats = action.matrices
-    found = set()
+    leaves = []
 
-    def descend(idx, constraints):
+    def descend(idx, constraints, space):
         if idx == len(mats):
-            found.update(_projective_points(nullspace_mod(constraints, dim, p), dim, p))
+            leaves.append(rref_mod(space, p)[0][-1])
             return
         m = mats[idx]
-        for lam in range(1, p):
+        for lam in _roots_of_unity(group.element_order(group.generators[idx]), p):
             # f*M = lam*f, i.e. (M^T - lam) f = 0
-            rows = list(constraints)
-            for i in range(dim):
-                rows.append([(m[j][i] - (lam if i == j else 0)) % p for j in range(dim)])
-            if nullspace_mod(rows, dim, p):
-                descend(idx + 1, rows)
+            rows = constraints + [[(m[j][i] - (lam if i == j else 0)) % p for j in range(dim)]
+                                  for i in range(dim)]
+            if sub := nullspace_mod(rows, dim, p):
+                descend(idx + 1, rows, sub)
 
-    descend(0, [])
-    return sorted(found)
+    descend(0, [], nullspace_mod([], dim, p))
+    return min(leaves, default=None)
 
 
 class CoverCertificate(NamedTuple):
@@ -286,20 +287,19 @@ class CoverCertificate(NamedTuple):
 def build_cover(cert, p, covector=None, presentation=None):
     """Certify a degree-p cover from an invariant hyperplane.
 
-    Picks the first invariant hyperplane in canonical order unless a covector
-    is supplied, which is then checked against the generator matrices before
-    the certificate is issued.
+    Picks the least invariant hyperplane unless a covector is supplied,
+    which is then checked against the generator matrices before the
+    certificate is issued.
     """
     pres = presentation if presentation is not None else kernel_presentation(cert)
     action = homology_action(pres, p)
     if covector is None:
-        planes = invariant_hyperplanes(action)
-        if not planes:
+        chosen = invariant_hyperplanes(action)
+        if chosen is None:
             raise NotInvariant(
                 f"no invariant hyperplane mod {p} for {cert.signature} -> "
                 f"{cert.group_descriptor}"
             )
-        chosen = planes[0]
     else:
         chosen = _normalize_covector(covector, p)
         _check_invariant(chosen, action)
@@ -349,6 +349,8 @@ def quotient_ske_from_cover(cover, presentation=None):
     _check_invariant(f, action)
 
     n, nslots = pres.group.order, pres.nslots
+    # the extension has order n*p: refuse it before its point lists exist
+    _check_order(f"extension of {cert.group_descriptor} by F_{p}", (n, p))
     phi = [sum(fi * v[col] for fi, v in zip(f, action.cocycles)) % p
            for col in range(pres.ncols)]
     # point (c, x) is c*p + x.  Reading a word moves points by a right
@@ -459,11 +461,8 @@ def check_cover_cases(labels=None, primes=None):
         tested = tuple(primes) if primes is not None else case.tested_primes
         cert = case_certificate(case)
         pres = kernel_presentation(cert)
-        with_hyperplane = []
-        for p in tested:
-            action = homology_action(pres, p)
-            if invariant_hyperplanes(action):
-                with_hyperplane.append(p)
+        with_hyperplane = [p for p in tested
+                           if invariant_hyperplanes(homology_action(pres, p)) is not None]
         expected = [p for p in tested if case.condition_holds(p)]
         reports.append({
             "case": case.label,

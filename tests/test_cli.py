@@ -493,6 +493,30 @@ class TestCover:
         assert code == 2
         assert "must be prime" in err
 
+    # 7 mod 8 and 1 mod 6: a no for case a, a yes for case f, and far too
+    # large for any loop over F_p
+    LARGE_PRIME = 1000000000039
+
+    def test_large_prime_without_hyperplane(self, capsys):
+        code, out, _ = run(capsys, "cover", "--case", "a", "--prime", str(self.LARGE_PRIME))
+        assert code == 0
+        assert "no invariant hyperplane" in out
+
+    def test_large_prime_check(self, capsys):
+        code, data, _ = run_json(capsys, "cover", "--check", "--labels", "abf",
+                                 "--primes", str(self.LARGE_PRIME), "--json")
+        assert code == 0
+        assert data["ok"] is True
+        assert {r["case"]: r["with_hyperplane"] for r in data["reports"]} == {
+            "a": [], "b": [], "f": [self.LARGE_PRIME]}
+
+    def test_large_prime_extension_exits_3(self, capsys):
+        # case f lifts, but its extension of order 6p is past the order cap
+        code, out, err = run(capsys, "cover", "--case", "f", "--prime", str(self.LARGE_PRIME))
+        assert code == 3
+        assert "exceeds order cap" in err
+        assert "Traceback" not in err and out == ""
+
 
 class TestCertify:
     def test_attained_genus(self, capsys):

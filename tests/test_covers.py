@@ -17,7 +17,14 @@ from surfbound.covers import (
     quotient_ske_from_cover,
     verify_cover_certificate,
 )
-from surfbound.linalg import cokernel_invariants, identity_matrix, mat_mul_mod, vec_mat_mod
+from surfbound.linalg import (
+    cokernel_invariants,
+    identity_matrix,
+    is_prime,
+    mat_mul_mod,
+    nullspace_mod,
+    vec_mat_mod,
+)
 from surfbound.ske import dihedral_witness_ske, verify_certificate
 
 CASES = {case.label: case for case in GENUS2_COVER_CASES}
@@ -100,6 +107,38 @@ def brute_invariant_covectors(action):
             if all(img == tuple(img[lead] * v % p for v in f) for img in images):
                 out.append(f)
     return sorted(out)
+
+
+def scanned_invariant_covectors(action):
+    """Oracle: the search invariant_hyperplanes replaced.  Every eigenvalue
+    1..p-1 of each generator matrix is tried, and every point of each common
+    eigenspace is listed; the covectors come back sorted."""
+    p, dim, mats = action.prime, action.dim, action.matrices
+    found = set()
+
+    def descend(idx, constraints):
+        if idx == len(mats):
+            basis = nullspace_mod(constraints, dim, p)
+            for lead in range(len(basis)):
+                for rest in product(range(p), repeat=len(basis) - lead - 1):
+                    f = [sum(c * v[i] for c, v in zip((1,) + rest, basis[lead:])) % p
+                         for i in range(dim)]
+                    inv = pow(next(v for v in f if v), -1, p)
+                    found.add(tuple(v * inv % p for v in f))
+            return
+        for lam in range(1, p):
+            rows = constraints + [[(mats[idx][j][i] - (lam if i == j else 0)) % p
+                                   for j in range(dim)] for i in range(dim)]
+            if nullspace_mod(rows, dim, p):
+                descend(idx + 1, rows)
+
+    descend(0, [])
+    return sorted(found)
+
+
+def assert_least_of_scan(action):
+    assert invariant_hyperplanes(action) == min(
+        scanned_invariant_covectors(action), default=None), action.prime
 
 
 def assert_integer_homology_is_free(pres):
@@ -251,13 +290,44 @@ class TestInvariantHyperplanes:
         pres = kernel_presentation(case_certificate(CASES[label]))
         action = homology_action(pres, p)
         fast = invariant_hyperplanes(action)
-        assert fast == brute_invariant_covectors(action)
+        assert fast == min(brute_invariant_covectors(action), default=None)
 
     def test_v4_at_23_matches_brute(self):
         action = homology_action(v4_presentation(), 23)
         fast = invariant_hyperplanes(action)
-        assert fast == brute_invariant_covectors(action)
-        assert fast
+        assert fast == min(brute_invariant_covectors(action), default=None)
+        assert fast is not None
+        assert_least_of_scan(action)
+
+    @pytest.mark.parametrize("label", sorted(CASES))
+    def test_cases_match_scan_below_100(self, label):
+        pres = kernel_presentation(case_certificate(CASES[label]))
+        for p in filter(is_prime, range(100)):
+            assert_least_of_scan(homology_action(pres, p))
+
+    @pytest.mark.parametrize("label,base_prime,order", [("g", 3, 36), ("g", 7, 84)])
+    def test_ladder_quotients_match_scan(self, label, base_prime, order):
+        quotient = quotient_ske_from_cover(build_cover(case_certificate(CASES[label]), base_prime))
+        assert quotient.group_order == order
+        pres = kernel_presentation(quotient)
+        for p in (2, 3, 5, 7, 11, 13):
+            assert_least_of_scan(homology_action(pres, p))
+
+    def test_work_does_not_grow_with_p(self, monkeypatch):
+        # case f is cyclic of order 6 and each p is 1 mod 6, so every
+        # generator has the same six candidate eigenvalues at each p
+        pres = kernel_presentation(case_certificate(CASES["f"]))
+        actions = [homology_action(pres, p) for p in (7, 103, 1000000000039)]
+        calls = []
+        monkeypatch.setattr("surfbound.covers.nullspace_mod",
+                            lambda *args: calls.append(args) or nullspace_mod(*args))
+        counts = []
+        for action in actions:
+            calls.clear()
+            assert invariant_hyperplanes(action) is not None
+            counts.append(len(calls))
+            # compared at once: a search over F_p would not end at 10**12 + 39
+            assert counts[-1] == counts[0], (action.prime, counts)
 
 
 class TestCoverCases:
@@ -311,7 +381,7 @@ class TestBuildCover:
         cert = case_certificate(CASES["d"])
         pres = kernel_presentation(cert)
         action = homology_action(pres, 11)
-        good = set(invariant_hyperplanes(action))
+        good = set(brute_invariant_covectors(action))
         bad = next(
             f for f in ((1, c2, c3, c4)
                         for c2 in range(11) for c3 in range(11) for c4 in range(11))
