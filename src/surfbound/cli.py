@@ -5,7 +5,7 @@ its measure arithmetic, epimorphism search and certificate verification,
 homology covers, and the per-genus bound certificates.  Every --json output
 is canonical: keys sorted, compact separators, schema_version tagged, no
 timestamps, so identical invocations are byte-identical.  A command imports
-the covers and bounds layers only if it uses them.
+the covers, bounds and linalg layers only if it uses them.
 
 Exit codes: 0 success, 1 failed verification of a claimed certificate or
 table row, 2 usage error (unparseable or out-of-domain input), 3 resource
@@ -19,7 +19,6 @@ import os
 import sys
 
 from .groups import OrderCapExceeded, construct, element_data
-from .linalg import BeyondWitnessRange, is_prime
 from .signatures import (
     NonIntegralGenus,
     NotAdmissible,
@@ -290,6 +289,7 @@ def _cover_build(args):
         kernel_presentation,
         quotient_ske_from_cover,
     )
+    from .linalg import is_prime
 
     try:
         case = case_by_label(args.case)
@@ -325,6 +325,7 @@ def _cover_build(args):
 
 def _cover_check(args):
     from .covers import check_cover_cases
+    from .linalg import is_prime
 
     labels = tuple(args.labels) if args.labels else None
     primes = None
@@ -513,6 +514,14 @@ def build_parser():
     return parser
 
 
+def _usage_errors():
+    # the linalg layer is loaded only by the commands that use it; an except
+    # clause evaluates this only once an exception reaches it
+    from .linalg import BeyondWitnessRange
+
+    return UsageError, BeyondWitnessRange
+
+
 _ENV_FLAGS = (("order_cap", "SURFBOUND_ORDER_CAP"),
               ("node_budget", "SURFBOUND_NODE_BUDGET"))
 
@@ -528,7 +537,7 @@ def main(argv=None):
             os.environ[name] = str(value)
     try:
         return args.func(args)
-    except (UsageError, BeyondWitnessRange) as exc:
+    except _usage_errors() as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (OrderCapExceeded, SearchSpaceTooLarge) as exc:

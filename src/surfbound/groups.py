@@ -4,7 +4,10 @@ Two element models share one informal protocol (mul, inv, identity,
 element_order, contains, generates, elements, descriptor):
 
 * PermutationGroup: elements are image tuples, eagerly enumerated by BFS
-  over the generators (deterministic order).
+  over the generators (deterministic order).  A product x*y is one C-level
+  call, operator.itemgetter(*y)(x), and generates stops by Lagrange: once
+  the closure of the given elements holds more than |G|/q elements, q the
+  least prime dividing |G|, the subgroup they generate is all of G.
 * CyclicGroup / DihedralGroup: elements are arithmetic keys, so verifying
   a witness inside a dihedral group of order 4(g-1) costs a handful of
   big-int operations however large g gets.  Their elements and index are
@@ -24,7 +27,8 @@ Left multiplication in the regular representation is then a homomorphism.
 import os
 import re
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
+from operator import itemgetter
 
 DEFAULT_ORDER_CAP = 10 ** 6
 
@@ -68,8 +72,16 @@ def element_from_data(group, data):
     return x
 
 
+def _right_mul(y):
+    """The map x -> x*y on permutations of y's degree, one C-level call each."""
+    if len(y) > 1:
+        return itemgetter(*y)
+    # itemgetter of a single index returns a bare item, not a tuple
+    return lambda x: tuple(x[i] for i in y)
+
+
 def perm_mul(x, y):
-    return tuple(x[i] for i in y)
+    return _right_mul(y)(x)
 
 
 def perm_inv(x):
@@ -110,14 +122,12 @@ class PermutationGroup:
         self.identity = tuple(range(degree))
         cap = _order_cap()
         # eager BFS closure; the visit order is the canonical enumeration
+        muls = [_right_mul(g) for g in self.generators]
         elements = [self.identity]
         index = {self.identity: 0}
-        head = 0
-        while head < len(elements):
-            e = elements[head]
-            head += 1
-            for g in self.generators:
-                w = perm_mul(e, g)
+        for e in elements:
+            for mul in muls:
+                w = mul(e)
                 if w not in index:
                     if len(elements) >= cap:
                         raise OrderCapExceeded(
@@ -144,26 +154,40 @@ class PermutationGroup:
     def contains(self, x):
         return x in self.index
 
+    @cached_property
+    def _proper_bound(self):
+        # |G|/q for the least prime q dividing |G|: the largest order of a
+        # proper subgroup allowed by Lagrange; 0 for the trivial group
+        n = self.order
+        q = next((d for d in range(2, isqrt(n) + 1) if n % d == 0), n)
+        return n // q if n > 1 else 0
+
     def generates(self, xs):
-        """Whether the given elements generate the whole group."""
-        xs = [x for x in xs]
+        """Whether the given elements generate the whole group.
+
+        The closure H = <xs> is grown breadth first, each level by one
+        itemgetter per distinct element mapped over the frontier.  |H|
+        divides |G|, so it stops with True as soon as the closure holds
+        more than |G|/q elements, q the least prime dividing |G|.
+        """
+        muls = {}
         for x in xs:
             if not self.contains(x):
                 raise ValueError(f"element {x} not in group {self.descriptor!r}")
+            if x not in muls:
+                muls[x] = _right_mul(x)
+        bound = self._proper_bound
         closure = {self.identity}
-        frontier = [self.identity]
-        while frontier:
-            if len(closure) == self.order:
-                return True
-            nxt = []
-            for e in frontier:
-                for g in xs:
-                    w = perm_mul(e, g)
-                    if w not in closure:
-                        closure.add(w)
-                        nxt.append(w)
-            frontier = nxt
-        return len(closure) == self.order
+        frontier = (self.identity,)
+        while len(closure) <= bound:
+            nxt = set()
+            for mul in muls.values():
+                nxt.update(map(mul, frontier))
+            frontier = nxt - closure
+            if not frontier:
+                return False
+            closure |= frontier
+        return True
 
 
 class CyclicGroup:

@@ -9,20 +9,19 @@ periods m_j >= 2 of a cocompact Fuchsian group, presented as
 All invariants here are exact: the normalized measure lives in units of pi
 as a Fraction, genus bookkeeping is integer arithmetic, abelianizations come
 from an integer Smith normal form.  No floating point is used anywhere.
+fractions and the linalg layer are imported by the functions that use them,
+so kernel_genus, and with it an epimorphism search, loads neither.
 
 The module also ships a plain-text table of the arithmetic signatures with
 measure below pi; the loader re-verifies every row on load and refuses to
 serve a table that does not reproduce its own stated invariants.
 """
 
-from fractions import Fraction
 from functools import cache
 from itertools import combinations_with_replacement
 from math import gcd, lcm
 import re
 from typing import NamedTuple
-
-from .linalg import cokernel_invariants
 
 FLAG_VERIFIED = "verified-by-literature"
 FLAG_UNVERIFIED = "included-unverified"
@@ -78,6 +77,29 @@ class Signature(_SignatureFields):
         return f"({self.genus};{body})" if body else f"({self.genus};)"
 
 
+def _measure_terms(sig):
+    """measure/pi as an unreduced (numerator, denominator) pair of integers,
+    summed over the common denominator lcm(m_j) > 0."""
+    den = lcm(*sig.periods)
+    total = (2 * sig.genus - 2) * den + sum(den - den // m for m in sig.periods)
+    return 2 * total, den
+
+
+def _ratio_text(num, den):
+    """str(Fraction(num, den)) for den > 0, without building the Fraction."""
+    d = gcd(num, den)
+    num, den = num // d, den // d
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
+def _admissible_terms(sig):
+    """_measure_terms(sig); NotAdmissible unless the measure is positive."""
+    num, den = _measure_terms(sig)
+    if num <= 0:
+        raise NotAdmissible(f"signature {sig} has measure {_ratio_text(num, den)}*pi <= 0")
+    return num, den
+
+
 def measure(sig):
     """Normalized co-area of the signature, in units of pi (exact Fraction).
 
@@ -85,9 +107,9 @@ def measure(sig):
     is realized by a cocompact Fuchsian group.  Summed in integers over the
     common denominator lcm(m_j) and reduced once.
     """
-    den = lcm(*sig.periods)
-    total = (2 * sig.genus - 2) * den + sum(den - den // m for m in sig.periods)
-    return Fraction(2 * total, den)
+    from fractions import Fraction
+
+    return Fraction(*_measure_terms(sig))
 
 
 class MeasureClass(NamedTuple):
@@ -97,8 +119,8 @@ class MeasureClass(NamedTuple):
     automorphism bound carried by the signature is (genus' - 1)/q = s/r
     where q = r/s reduced.
     """
-    mu_over_pi: Fraction
-    q: Fraction
+    mu_over_pi: "Fraction"
+    q: "Fraction"
 
     @property
     def r(self):
@@ -114,24 +136,28 @@ class MeasureClass(NamedTuple):
 
 
 def measure_class(sig):
-    mu = measure(sig)
-    if mu <= 0:
-        raise NotAdmissible(f"signature {sig} has measure {mu}*pi <= 0")
+    from fractions import Fraction
+
+    mu = Fraction(*_admissible_terms(sig))
     return MeasureClass(mu_over_pi=mu, q=mu / 4)
 
 
 def kernel_genus(sig, index):
     """Genus of a torsion-free kernel of the given index: 1 + index*q.
 
-    Raises NonIntegralGenus when the index is incompatible with the
-    signature (the would-be genus is not an integer).
+    Raises NotAdmissible for a signature of measure <= 0, and
+    NonIntegralGenus when the index is incompatible with the signature
+    (the would-be genus is not an integer).  Works in integers: with
+    measure/pi = num/den, q = num/(4 den).
     """
     if index < 1:
         raise ValueError(f"index must be >= 1, got {index}")
-    g = 1 + index * measure_class(sig).q
-    if g.denominator != 1:
-        raise NonIntegralGenus(f"index {index} on {sig} gives genus {g}, not an integer")
-    return int(g)
+    num, den = _admissible_terms(sig)
+    top, bottom = 4 * den + index * num, 4 * den
+    if top % bottom:
+        raise NonIntegralGenus(f"index {index} on {sig} gives genus "
+                               f"{_ratio_text(top, bottom)}, not an integer")
+    return top // bottom
 
 
 class AbelianInvariants(NamedTuple):
@@ -179,6 +205,8 @@ def abelianization(sig):
     Generators: 2g hyperbolic + k elliptic images; relations: m_j * c_j = 0
     and sum_j c_j = 0 (the commutators vanish).
     """
+    from .linalg import cokernel_invariants
+
     g, k = sig.genus, len(sig.periods)
     ncols = 2 * g + k
     rows = []
@@ -214,8 +242,8 @@ def enumerate_signatures(mu_bound, max_genus, max_periods, max_period):
 
 class SignatureTableEntry(NamedTuple):
     signature: Signature
-    mu_over_pi: Fraction
-    s_over_r: Fraction
+    mu_over_pi: "Fraction"
+    s_over_r: "Fraction"
     arithmeticity_flag: str
 
 
@@ -226,6 +254,8 @@ _ROW_RE = re.compile(
 
 
 def _parse_table(text, origin):
+    from fractions import Fraction
+
     entries = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()

@@ -210,6 +210,11 @@ def search_ske(sig, group, mode="first", dedup=False):
     nothing more.  So dedup costs nothing in 'first' and 'all', and at most
     |G| (2 len(generators) + 1) products for Z(G) in 'count'.
 
+    Each element's order is computed once, |G| element_order calls in one
+    pass; that table gives the candidates of every period and checks the
+    solved last image at each leaf.  A leaf then asks generates about the
+    searched images alone, since the solved one is a word in them.
+
     Classes and orbits are found by BFS under a generating set, the
     group's generators or at most log2 |C(r)| generators of C(r), so each
     slot-0 or slot-1 candidate costs that many conjugations, and each
@@ -233,11 +238,11 @@ def search_ske(sig, group, mode="first", dedup=False):
     kernel_genus(sig, group.order)
     budget = _node_budget()
     elements = tuple(group.elements)
+    orders = [group.element_order(e) for e in elements]
     g, periods = sig.genus, sig.periods
     k = len(periods)
-    by_order = {}
-    for m in set(periods):
-        by_order[m] = tuple(e for e in elements if group.element_order(e) == m)
+    by_order = {m: tuple(e for e, o in zip(elements, orders) if o == m)
+                for m in set(periods)}
     searched_ell = sorted(range(k - 1) if k else [],
                           key=lambda j: (len(by_order[periods[j]]), j))
     # an admissible signature always leaves at least two searched slots
@@ -246,18 +251,19 @@ def search_ske(sig, group, mode="first", dedup=False):
         by_order[periods[j]] if kind == "e" else elements for kind, j in slots
     ]
 
-    state = _SearchState(sig, group, elements, periods, slots, slot_candidates,
-                         mode, dedup, budget)
+    state = _SearchState(sig, group, elements, orders, periods, slots,
+                         slot_candidates, mode, dedup, budget)
     state.run()
     return state.result()
 
 
 class _SearchState:
-    def __init__(self, sig, group, elements, periods, slots, slot_candidates,
-                 mode, dedup, budget):
+    def __init__(self, sig, group, elements, orders, periods, slots,
+                 slot_candidates, mode, dedup, budget):
         self.sig = sig
         self.group = group
         self.elements = elements
+        self.orders = orders
         self.index = group.index
         self.periods = periods
         self.slots = slots
@@ -268,9 +274,9 @@ class _SearchState:
         self.nodes = 0
         self.count = 0
         self.solutions = []
-        g, k = sig.genus, len(periods)
-        self.ell = [None] * k
-        self.hyp = [None] * (2 * g)
+        # the last elliptic image is solved at each leaf, never stored
+        self.ell = [None] * max(len(periods) - 1, 0)
+        self.hyp = [None] * (2 * sig.genus)
 
     def _orbits(self, candidates, gens):
         # (least-index member, size) of each orbit among the candidates of
@@ -330,20 +336,20 @@ class _SearchState:
         (self.ell if kind == "e" else self.hyp)[j] = cand
 
     def _leaf(self):
-        group, sig = self.group, self.sig
-        g, k = sig.genus, len(self.periods)
-        w = _relation_product(group, g, self.hyp, self.ell[: k - 1] if k else ())
-        if k:
+        group, periods = self.group, self.periods
+        searched = tuple(self.hyp) + tuple(self.ell)
+        w = _relation_product(group, self.sig.genus, self.hyp, self.ell)
+        if periods:
             last = group.inv(w)
-            if group.element_order(last) != self.periods[k - 1]:
+            if self.orders[self.index[last]] != periods[-1]:
                 return None
-            self.ell[k - 1] = last
         elif w != group.identity:
             return None
-        images = tuple(self.hyp) + tuple(self.ell)
-        if not group.generates(images):
+        # the solved last image is a word in the searched ones, so they
+        # generate what all the images generate
+        if not group.generates(searched):
             return None
-        return images
+        return searched + (last,) if periods else searched
 
     def _record(self, images, weight):
         if self.mode == "count":

@@ -1,7 +1,8 @@
 """The benchmark in perfbench/ reaches into the package by name: its tracer
-resolves TARGETS with getattr, and its cover workload builds a ladder of
-certificates through the covers API.  A rename or signature change under
-src/ would break it without failing any other test."""
+resolves TARGETS with getattr, its search workload checks the counts it
+records, and its cover workload builds a ladder of certificates through the
+covers API.  A rename, a signature change or a wrong count under src/ would
+otherwise first show as failed benchmark operations."""
 
 import importlib
 import importlib.util
@@ -23,6 +24,16 @@ def test_trace_targets_resolve():
         for part in attr.split("."):
             owner = getattr(owner, part)
         assert callable(owner), (module_name, attr)
+
+
+def test_search_counts_as_recorded():
+    from surfbound.groups import construct
+    from surfbound.signatures import parse_signature
+    from surfbound.ske import search_ske
+
+    for sig, group, dedup, count in load("workloads").SEARCHES:
+        found = search_ske(parse_signature(sig), construct(group), mode="count", dedup=dedup)
+        assert found == count, (sig, group, dedup)
 
 
 def test_cover_ladder_builds():

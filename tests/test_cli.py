@@ -197,6 +197,21 @@ class TestSkeSearch:
         assert code == 2
         assert "not admissible" in err
 
+    def test_nonintegral_genus_reason_in_full(self, capsys):
+        code, data, _ = run_json(capsys, "ske", "search", "--signature", "2,3,7",
+                                 "--group", "C5", "--json")
+        assert code == 0
+        assert data["found"] is False
+        assert data["reason"] == "index 5 on (2,3,7) gives genus 89/84, not an integer"
+
+    @pytest.mark.parametrize("sig, measure", [("2,3,6", "0"), ("2,3", "-5/3")])
+    def test_inadmissible_message_in_full(self, capsys, sig, measure):
+        code, out, err = run(capsys, "ske", "search", "--signature", sig,
+                             "--group", "C6")
+        assert (code, out) == (2, "")
+        assert err == (f"error: not admissible: signature ({sig}) has measure "
+                       f"{measure}*pi <= 0\n")
+
     def test_bad_group_exits_2(self, capsys):
         code, _, err = run(capsys, "ske", "search", "--signature", "2,3,8",
                            "--group", "XYZ")

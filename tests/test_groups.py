@@ -50,6 +50,57 @@ class TestPermBasics:
         assert perm_order((1, 2, 0, 4, 3)) == 6
 
 
+def product_oracle(x, y):
+    return tuple(x[i] for i in y)
+
+
+def full_closure_generates(group, xs):
+    # the whole closure of xs, grown breadth first with no early stop
+    closure = {group.identity}
+    frontier = [group.identity]
+    while frontier:
+        nxt = []
+        for e in frontier:
+            for g in xs:
+                w = product_oracle(e, g)
+                if w not in closure:
+                    closure.add(w)
+                    nxt.append(w)
+        frontier = nxt
+    return len(closure) == group.order
+
+
+class TestPermutationKernel:
+    def test_mul_matches_oracle(self):
+        rng = random.Random(13)
+        for n in range(1, 13):
+            for _ in range(20):
+                x, y = list(range(n)), list(range(n))
+                rng.shuffle(x)
+                rng.shuffle(y)
+                want = product_oracle(x, y)
+                assert perm_mul(tuple(x), tuple(y)) == want
+                assert perm_mul(x, y) == want
+
+    # orders 1, 5, 7, 9, 25, 60, 84 and 48: least prime q = |G| for C5 and
+    # C7, q = 3 and 5 for C3*C3 and C5*C5, q = 2 for the rest, and the
+    # trivial group
+    @pytest.mark.parametrize("desc", ["C1", "C5", "C7", "C3*C3", "C5*C5", "A5",
+                                      "S3*D7", "GL23"])
+    def test_generates_matches_full_closure(self, desc):
+        group = construct(desc)
+        rng = random.Random(desc)
+        subsets = [[]] + [[x] for x in group.elements]
+        subsets += [rng.sample(group.elements, min(rng.randrange(1, 4), group.order))
+                    for _ in range(300)]
+        answers = set()
+        for xs in subsets:
+            want = full_closure_generates(group, xs)
+            assert group.generates(xs) == want, xs
+            answers.add(want)
+        assert answers == ({True} if desc == "C1" else {True, False})
+
+
 class TestNamedGroups:
     FROZEN_ORDERS = [
         (klein_four, 4),

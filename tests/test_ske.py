@@ -408,6 +408,21 @@ class TestSearchControls:
         assert search_ske(Signature(1, (2,)), group, mode="count") == 0
         assert products <= 6 * group.order ** 2
 
+    def test_each_order_computed_once(self):
+        # one order table serves the candidate pools of every period and
+        # the order check of the solved last image at each leaf
+        group = construct("S7")
+        element_order, calls = group.element_order, 0
+
+        def counting_order(x):
+            nonlocal calls
+            calls += 1
+            return element_order(x)
+
+        group.element_order = counting_order
+        assert search_ske(Signature(0, (2, 3, 7)), group, mode="count") == 0
+        assert calls <= group.order
+
     def test_incompatible_order_raises(self):
         with pytest.raises(NonIntegralGenus):
             search_ske(Signature(0, (2, 3, 12)), cyclic_perm(12))

@@ -3,7 +3,7 @@
 Every command runs in a fresh `python -S` child (no site hooks), which
 records sys.modules after main() returns.  No command may pull in
 dataclasses, and a command loads the covers and bounds layers only when it
-uses them.
+uses them.  A search loads neither the linalg layer nor fractions.
 """
 
 import json
@@ -56,13 +56,14 @@ def certificate_files(tmp_path_factory):
 
 
 COVERS, BOUNDS = "surfbound.covers", "surfbound.bounds"
+LINALG, FRACTIONS = "surfbound.linalg", "fractions"
 RESOURCES = "importlib.resources"
 
 
 @pytest.mark.parametrize("argv, loaded, absent", [
     (("table", "--check"), (), (COVERS, BOUNDS)),
     (("measure", "2,3,7"), (), (COVERS, BOUNDS, RESOURCES)),
-    (SEARCH, (), (COVERS, BOUNDS, RESOURCES)),
+    (SEARCH, (), (COVERS, BOUNDS, RESOURCES, LINALG, FRACTIONS)),
     (("constants",), (BOUNDS,), (COVERS,)),
     (("cover", "--case", "d", "--prime", "5"), (COVERS,), (BOUNDS,)),
     (("ske", "verify", "{cover}"), (COVERS,), (BOUNDS,)),
