@@ -526,6 +526,16 @@ _ENV_FLAGS = (("order_cap", "SURFBOUND_ORDER_CAP"),
               ("node_budget", "SURFBOUND_NODE_BUDGET"))
 
 
+def _check_caps():
+    # the library reads each cap with int() wherever it needs it; a bad
+    # value is a usage error here rather than a traceback or a misnamed
+    # defect there
+    for _, name in _ENV_FLAGS:
+        value = os.environ.get(name, "")
+        if value and not (value.isascii() and value.isdigit() and int(value) > 0):
+            raise UsageError(f"{name} must be a positive decimal integer, got {value!r:.60}")
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -536,6 +546,7 @@ def main(argv=None):
             saved[name] = os.environ.get(name)
             os.environ[name] = str(value)
     try:
+        _check_caps()
         return args.func(args)
     except _usage_errors() as exc:
         print(f"error: {exc}", file=sys.stderr)

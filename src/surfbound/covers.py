@@ -28,7 +28,8 @@ from typing import NamedTuple
 from .groups import PermutationGroup, _check_order, construct
 from .linalg import is_prime, nullspace_mod, rref_mod, vec_mat_mod
 from .signatures import Signature, kernel_genus
-from .ske import SkeCertificate, int_field, verify_certificate, verify_ske
+from .ske import (SkeCertificate, check_recorded, int_field, list_field, verify_certificate,
+                  verify_ske)
 
 
 class NotSurfaceKernel(ValueError):
@@ -272,7 +273,7 @@ class CoverCertificate(NamedTuple):
     def from_dict(data):
         if data.get("type") != "cover":
             raise ValueError(f"not a cover certificate: {data.get('type')!r}")
-        covector = tuple(data["covector"])
+        covector = list_field(data, "covector")
         if any(type(v) is not int for v in covector):
             raise TypeError(f"covector entries must be integers, got {covector!r:.60}")
         return CoverCertificate(
@@ -315,16 +316,7 @@ def build_cover(cert, p, covector=None, presentation=None):
 def verify_cover_certificate(cover):
     """Replay a cover certificate from scratch."""
     fresh = build_cover(cover.base, cover.prime, covector=cover.covector)
-    if fresh.cover_genus != cover.cover_genus:
-        raise ValueError(
-            f"certificate states cover genus {cover.cover_genus}, "
-            f"recomputed {fresh.cover_genus}"
-        )
-    if fresh.cover_group_order != cover.cover_group_order:
-        raise ValueError(
-            f"certificate states group order {cover.cover_group_order}, "
-            f"recomputed {fresh.cover_group_order}"
-        )
+    check_recorded(cover, fresh)
     return fresh
 
 

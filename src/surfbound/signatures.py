@@ -18,7 +18,6 @@ serve a table that does not reproduce its own stated invariants.
 """
 
 from functools import cache
-from itertools import combinations_with_replacement
 from math import gcd, lcm
 import re
 from typing import NamedTuple
@@ -62,13 +61,6 @@ class Signature(_SignatureFields):
             if not isinstance(m, int) or m < 2:
                 raise ValueError(f"periods must be integers >= 2, got {periods}")
         return super().__new__(cls, genus, tuple(sorted(periods)))
-
-    @property
-    def generator_count(self):
-        return 2 * self.genus + len(self.periods)
-
-    def is_admissible(self):
-        return measure(self) > 0
 
     def __str__(self):
         body = ",".join(str(m) for m in self.periods)
@@ -218,26 +210,6 @@ def abelianization(sig):
     rows.append(long_row)
     free_rank, torsion = cokernel_invariants(rows, ncols)
     return AbelianInvariants(free_rank=free_rank, torsion=torsion)
-
-
-def enumerate_signatures(mu_bound, max_genus, max_periods, max_period):
-    """All admissible signatures with 0 < measure < mu_bound (in units of pi).
-
-    The bound is strict, exact, and the result is sorted in (genus, periods)
-    normal-form order with no duplicates.
-    """
-    if mu_bound <= 0:
-        return []
-    found = []
-    for g in range(max_genus + 1):
-        for k in range(max_periods + 1):
-            for periods in combinations_with_replacement(range(2, max_period + 1), k):
-                sig = Signature(g, periods)
-                mu = measure(sig)
-                if 0 < mu < mu_bound:
-                    found.append(sig)
-    found.sort(key=lambda s: (s.genus, s.periods))
-    return found
 
 
 class SignatureTableEntry(NamedTuple):

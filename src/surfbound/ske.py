@@ -18,6 +18,7 @@ Image tuples are always ordered hyperbolic generators first (a_1, b_1, ...,
 a_g, b_g), then elliptic generators in signature order.
 """
 
+import json
 import os
 from typing import NamedTuple
 
@@ -88,14 +89,14 @@ class SkeCertificate(NamedTuple):
             raise TypeError("an ske certificate must be a JSON object")
         if data.get("type") != "ske":
             raise ValueError(f"not an ske certificate: {data.get('type')!r}")
-        sig = Signature(data["signature"]["genus"], tuple(data["signature"]["periods"]))
+        sig = Signature(data["signature"]["genus"], list_field(data["signature"], "periods"))
         if not isinstance(data["group"], str):
             raise TypeError(f"group must be a descriptor string, got {data['group']!r:.60}")
         if not isinstance(data["verifier_version"], str):
             raise TypeError("verifier_version must be a string, "
                             f"got {data['verifier_version']!r:.60}")
         group = construct(data["group"])
-        images = tuple(element_from_data(group, x) for x in data["images"])
+        images = tuple(element_from_data(group, x) for x in list_field(data, "images"))
         return SkeCertificate(
             signature=sig,
             group_descriptor=data["group"],
@@ -112,6 +113,14 @@ def int_field(data, key):
     if type(value) is not int:
         raise TypeError(f"{key} must be an integer, got {value!r:.60}")
     return value
+
+
+def list_field(data, key):
+    """data[key] as a tuple if it is a list; TypeError naming key otherwise."""
+    value = data[key]
+    if type(value) is not list:
+        raise TypeError(f"{key} must be a list, got {value!r:.60}")
+    return tuple(value)
 
 
 def _relation_product(group, genus, hyperbolic, elliptic):
@@ -169,17 +178,20 @@ def verify_certificate(cert):
             f"unsupported verifier_version {cert.verifier_version!r:.60}, "
             f"this verifier replays version {VERIFIER_VERSION!r}"
         )
-    group = construct(cert.group_descriptor)
-    fresh = verify_ske(cert.signature, group, cert.images)
-    if fresh.group_order != cert.group_order:
-        raise ValueError(
-            f"certificate states group order {cert.group_order}, recomputed {fresh.group_order}"
-        )
-    if fresh.kernel_genus != cert.kernel_genus:
-        raise ValueError(
-            f"certificate states kernel genus {cert.kernel_genus}, recomputed {fresh.kernel_genus}"
-        )
+    fresh = verify_ske(cert.signature, construct(cert.group_descriptor), cert.images)
+    check_recorded(cert, fresh)
     return fresh
+
+
+def check_recorded(stated, fresh):
+    """ValueError naming the first field whose canonical JSON differs between
+    the record a certificate states and the one rebuilt from its inputs, so
+    1 is not true and 2 is not 2.0, as they are under ==."""
+    rebuilt = fresh.to_dict()
+    for field, value in stated.to_dict().items():
+        if json.dumps(value, sort_keys=True) != json.dumps(rebuilt[field], sort_keys=True):
+            raise ValueError(f"certificate states {field.replace('_', ' ')} {value!r:.80}, "
+                             f"recomputed {rebuilt[field]!r:.80}")
 
 
 def search_ske(sig, group, mode="first", dedup=False):

@@ -450,7 +450,7 @@ class TestGenusCertificateTampering:
         cert = certify_genus(5)
         bad = GenusCertificate(cert.genus, cert.bound + 4, cert.witnesses,
                                cert.attained, cert.discharge)
-        with pytest.raises(ValueError, match="best witness"):
+        with pytest.raises(ValueError, match="states bound"):
             verify_genus_certificate(bad)
 
     def test_wrong_genus_rejected(self):
@@ -492,19 +492,19 @@ class TestGenusCertificateTampering:
             entry["ok"] = False
         ledger["bounds"] = [1]
         ledger["complete"] = False
-        with pytest.raises(ValueError, match="discharge report differs"):
+        with pytest.raises(ValueError, match="states discharge"):
             verify_genus_certificate(GenusCertificate.from_dict(data))
 
     def test_ledger_of_another_genus_rejected(self):
         data = certify_genus(24).to_dict()
         data["discharge"] = certify_genus(48).to_dict()["discharge"]
-        with pytest.raises(ValueError, match="discharge report differs"):
+        with pytest.raises(ValueError, match="states discharge"):
             verify_genus_certificate(GenusCertificate.from_dict(data))
 
     def test_ledger_at_non_attained_genus_rejected(self):
         data = certify_genus(16).to_dict()
         data["discharge"] = certify_genus(24).to_dict()["discharge"]
-        with pytest.raises(ValueError, match="not attained"):
+        with pytest.raises(ValueError, match="states discharge"):
             verify_genus_certificate(GenusCertificate.from_dict(data))
 
     @pytest.mark.parametrize("deep", [False, True])

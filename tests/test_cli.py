@@ -414,6 +414,38 @@ class TestSkeVerify:
         assert code == 2
         assert "genus must be an integer" in err
 
+    # genus, path to the tampered field, value, named defect; the parent
+    # read each of these loosely and printed "certificate ok"
+    HOSTILE_GENUS = {
+        "route-int": (22, ("witnesses", 1, "route"), 1, "unknown witness route 1"),
+        "route-empty": (22, ("witnesses", 1, "route"), "", "unknown witness route ''"),
+        "route-search": (22, ("witnesses", 1, "route"), "search",
+                         "unknown witness route 'search'"),
+        "route-object": (22, ("witnesses", 1, "route"), {}, "unknown witness route {}"),
+        "discharge-zero": (22, ("discharge",), 0, "malformed certificate"),
+        "discharge-false": (22, ("discharge",), False, "malformed certificate"),
+        "discharge-object": (22, ("discharge",), {}, "malformed certificate"),
+        "covered-empty-string": (24, ("discharge", "entries", 0, "bounds_covered"), "",
+                                 "bounds_covered must be a list"),
+        "covered-object": (24, ("discharge", "entries", 0, "bounds_covered"), {},
+                           "bounds_covered must be a list"),
+    }
+
+    @pytest.mark.parametrize("variant", sorted(HOSTILE_GENUS))
+    def test_hostile_genus_field_exits_2(self, capsys, tmp_path, variant):
+        genus, keys, value, defect = self.HOSTILE_GENUS[variant]
+        _, data, _ = run_json(capsys, "certify", "--genus", str(genus), "--json")
+        doc = node = data["certificate"]
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+        path = tmp_path / "genus.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "ske", "verify", str(path))
+        assert code == 2
+        assert defect in err
+        assert "Traceback" not in err and out == ""
+
     def test_non_permutation_product_certificate_exits_2(self, capsys, tmp_path):
         path = tmp_path / "product.json"
         path.write_text(json.dumps({
@@ -685,6 +717,30 @@ class TestResourceCaps:
         code, out, err = run(capsys, "ske", "verify", str(path))
         assert code == 3
         assert "resource cap" in err
+        assert "Traceback" not in err and out == ""
+
+    SEARCH_S7 = ("ske", "search", "--signature", "2,3,7", "--group", "S7")
+    # variable, its value or None to set it by flag, command; each exited 3
+    # with "exceeds order cap -1", ended in a traceback, or blamed the group
+    BAD_CAPS = {
+        "order-cap-certify": ("SURFBOUND_ORDER_CAP", "abc", ("certify", "--genus", "16")),
+        "order-cap-cover": ("SURFBOUND_ORDER_CAP", "abc",
+                            ("cover", "--case", "a", "--prime", "17")),
+        "order-cap-catalog": ("SURFBOUND_ORDER_CAP", "abc", ("catalog", "--genera", "3")),
+        "order-cap-search": ("SURFBOUND_ORDER_CAP", "abc", SEARCH_S7),
+        "node-budget-float": ("SURFBOUND_NODE_BUDGET", "1e9", SEARCH_S7),
+        "order-cap-flag": ("SURFBOUND_ORDER_CAP", None, ("--order-cap", "-1") + SEARCH_S7),
+        "node-budget-flag": ("SURFBOUND_NODE_BUDGET", None, ("--node-budget", "-1") + SEARCH_S7),
+    }
+
+    @pytest.mark.parametrize("variant", sorted(BAD_CAPS))
+    def test_malformed_cap_exits_2_naming_the_variable(self, capsys, monkeypatch, variant):
+        name, value, argv = self.BAD_CAPS[variant]
+        if value is not None:
+            monkeypatch.setenv(name, value)
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith(f"error: {name} must be a positive decimal integer")
         assert "Traceback" not in err and out == ""
 
     def test_env_restored_after_flag(self, capsys):

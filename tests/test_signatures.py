@@ -11,7 +11,6 @@ from surfbound.signatures import (
     Signature,
     TableCorrupt,
     abelianization,
-    enumerate_signatures,
     kernel_genus,
     measure,
     measure_class,
@@ -60,10 +59,6 @@ class TestSignature:
         assert str(Signature(1, (2,))) == "(1;2)"
         assert str(Signature(2, ())) == "(2;)"
 
-    def test_generator_count(self):
-        assert Signature(1, (2,)).generator_count == 3
-        assert Signature(0, (2, 2, 2, 2, 2)).generator_count == 5
-
     def test_ordering_is_deterministic(self):
         sigs = [Signature(0, (2, 3, 8)), Signature(0, (2, 3, 7)), Signature(1, (2,))]
         assert sorted(sigs)[0] == Signature(0, (2, 3, 7))
@@ -87,7 +82,6 @@ class TestMeasure:
 
     def test_not_admissible_sphere(self):
         assert measure(Signature(0, (2, 2))) < 0
-        assert not Signature(0, (2, 2)).is_admissible()
 
     def test_matches_independent_accumulation(self):
         rng = random.Random(7)
@@ -98,7 +92,7 @@ class TestMeasure:
             assert measure(Signature(g, periods)) == brute_measure(g, periods)
 
     def test_matches_fraction_sum_on_enumerated_signatures(self):
-        sigs = enumerate_signatures(Fraction(4), 2, 5, 12)
+        sigs = oracle_enumerate(Fraction(4), 2, 5, 12)
         assert len(sigs) > 1000
         for sig in sigs:
             assert measure(sig) == fraction_sum_measure(sig)
@@ -244,24 +238,6 @@ def oracle_enumerate(mu_bound, max_genus, max_periods, max_period):
     for g in range(max_genus + 1):
         rec(g, [], 2)
     return sorted(out, key=lambda s: (s.genus, s.periods))
-
-
-class TestEnumeration:
-    def test_matches_oracle(self):
-        got = enumerate_signatures(Fraction(1), 2, 4, 12)
-        assert got == oracle_enumerate(Fraction(1), 2, 4, 12)
-
-    def test_strict_bound(self):
-        # (2,2,2,2,2) has measure exactly 1: excluded at bound 1
-        sigs = enumerate_signatures(Fraction(1), 0, 5, 2)
-        assert Signature(0, (2, 2, 2, 2, 2)) not in sigs
-
-    def test_sorted_no_duplicates(self):
-        sigs = enumerate_signatures(Fraction(2), 1, 4, 10)
-        assert sigs == sorted(set(sigs), key=lambda s: (s.genus, s.periods))
-
-    def test_empty_bound(self):
-        assert enumerate_signatures(Fraction(0), 3, 3, 10) == []
 
 
 class TestSignatureTable:
