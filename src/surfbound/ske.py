@@ -12,7 +12,8 @@ verify_ske checks these three conditions exactly and packages the result as
 a certificate carrying the kernel genus 1 + |G| * q.  search_ske enumerates
 image tuples by backtracking over conjugacy-class and centralizer-orbit
 representatives, solving the last elliptic generator from the long relation
-instead of searching it.
+instead of searching it.  The backtracking is one stream of weighted
+solutions in canonical order; each search mode consumes that stream.
 
 Image tuples are always ordered hyperbolic generators first (a_1, b_1, ...,
 a_g, b_g), then elliptic generators in signature order.
@@ -90,6 +91,8 @@ class SkeCertificate(NamedTuple):
         if data.get("type") != "ske":
             raise ValueError(f"not an ske certificate: {data.get('type')!r}")
         sig = Signature(data["signature"]["genus"], list_field(data["signature"], "periods"))
+        if list(sig.periods) != data["signature"]["periods"]:
+            raise ValueError(f"periods must be sorted, got {data['signature']['periods']!r:.60}")
         if not isinstance(data["group"], str):
             raise TypeError(f"group must be a descriptor string, got {data['group']!r:.60}")
         if not isinstance(data["verifier_version"], str):
@@ -184,14 +187,26 @@ def verify_certificate(cert):
 
 
 def check_recorded(stated, fresh):
-    """ValueError naming the first field whose canonical JSON differs between
-    the record a certificate states and the one rebuilt from its inputs, so
-    1 is not true and 2 is not 2.0, as they are under ==."""
+    """ValueError naming the first value whose canonical JSON differs between
+    the record a certificate states and the one rebuilt from its inputs (1 is
+    not true, 2 not 2.0), by its path through objects with the same keys and
+    lists of the same length."""
     rebuilt = fresh.to_dict()
-    for field, value in stated.to_dict().items():
-        if json.dumps(value, sort_keys=True) != json.dumps(rebuilt[field], sort_keys=True):
-            raise ValueError(f"certificate states {field.replace('_', ' ')} {value!r:.80}, "
-                             f"recomputed {rebuilt[field]!r:.80}")
+    path, value, other = "", stated.to_dict(), rebuilt
+    while _canonical(value) != _canonical(other):
+        if isinstance(value, dict) and isinstance(other, dict) and value.keys() == other.keys():
+            steps = [(f"{path}.{key}" if path else key, value[key], other[key]) for key in value]
+        elif isinstance(value, list) and isinstance(other, list) and len(value) == len(other):
+            steps = [(f"{path}[{i}]", a, b) for i, (a, b) in enumerate(zip(value, other))]
+        else:
+            name, show = (path.replace("_", " "), repr) if path in rebuilt else (path, _canonical)
+            raise ValueError(f"certificate states {name} {show(value):.80}, "
+                             f"recomputed {show(other):.80}")
+        path, value, other = next(s for s in steps if _canonical(s[1]) != _canonical(s[2]))
+
+
+def _canonical(value):
+    return json.dumps(value, sort_keys=True)
 
 
 def search_ske(sig, group, mode="first", dedup=False):
@@ -215,11 +230,13 @@ def search_ske(sig, group, mode="first", dedup=False):
     representative is the least-index member of its class or orbit.  A
     solution found there stands for |class| * |orbit| solutions, and the
     canonical-first member of every conjugacy orbit of solutions is one of
-    those found.  'count' adds that weight and, with dedup, divides by
-    |G : Z(G)|; 'all' conjugates each found solution whose orbit is not yet
-    in by one element per coset of Z(G), then returns those solutions in
-    search order (dedup) or their orbits in canonical order; 'first' needs
-    nothing more.  So dedup costs nothing in 'first' and 'all', and at most
+    those found.  The search is one stream of (images, weight) pairs, in
+    canonical order, and each mode consumes it: 'first' takes its head,
+    which stops the search there; 'count' adds the weights and, with dedup,
+    divides by |G : Z(G)|; 'all' conjugates each found solution whose orbit
+    is not yet in by one element per coset of Z(G), then returns those
+    solutions in search order (dedup) or their orbits in canonical order.
+    So dedup costs nothing in 'first' and 'all', and at most
     |G| (2 len(generators) + 1) products for Z(G) in 'count'.
 
     Each element's order is computed once, |G| element_order calls in one
@@ -249,7 +266,7 @@ def search_ske(sig, group, mode="first", dedup=False):
         raise ValueError(f"unknown search mode {mode!r}")
     kernel_genus(sig, group.order)
     budget = _node_budget()
-    elements = tuple(group.elements)
+    elements, index = tuple(group.elements), group.index
     orders = [group.element_order(e) for e in elements]
     g, periods = sig.genus, sig.periods
     k = len(periods)
@@ -259,101 +276,27 @@ def search_ske(sig, group, mode="first", dedup=False):
                           key=lambda j: (len(by_order[periods[j]]), j))
     # an admissible signature always leaves at least two searched slots
     slots = [("e", j) for j in searched_ell] + [("h", i) for i in range(2 * g)]
-    slot_candidates = [
-        by_order[periods[j]] if kind == "e" else elements for kind, j in slots
-    ]
+    candidates = [by_order[periods[j]] if kind == "e" else elements for kind, j in slots]
+    # the last elliptic image is solved at each leaf, never stored
+    ell, hyp = [None] * max(k - 1, 0), [None] * (2 * g)
+    nodes = 0
 
-    state = _SearchState(sig, group, elements, orders, periods, slots,
-                         slot_candidates, mode, dedup, budget)
-    state.run()
-    return state.result()
-
-
-class _SearchState:
-    def __init__(self, sig, group, elements, orders, periods, slots,
-                 slot_candidates, mode, dedup, budget):
-        self.sig = sig
-        self.group = group
-        self.elements = elements
-        self.orders = orders
-        self.index = group.index
-        self.periods = periods
-        self.slots = slots
-        self.slot_candidates = slot_candidates
-        self.mode = mode
-        self.dedup = dedup
-        self.budget = budget
-        self.nodes = 0
-        self.count = 0
-        self.solutions = []
-        # the last elliptic image is solved at each leaf, never stored
-        self.ell = [None] * max(len(periods) - 1, 0)
-        self.hyp = [None] * (2 * sig.genus)
-
-    def _orbits(self, candidates, gens):
-        # (least-index member, size) of each orbit among the candidates of
-        # the subgroup the gens generate, acting by conjugation, in index
-        # order; an orbit is found by BFS under the gens, so every candidate
-        # costs len(gens) conjugations
-        group, index, elements = self.group, self.index, self.elements
-        gens = [(x, group.inv(x)) for x in gens]
-        seen = bytearray(len(elements))
-        for r in candidates:
-            if seen[index[r]]:
-                continue
-            seen[index[r]] = 1
-            members = [r]
-            for y in members:
-                for x, xinv in gens:
-                    i = index[group.mul(group.mul(x, y), xinv)]
-                    if not seen[i]:
-                        seen[i] = 1
-                        members.append(elements[i])
-            yield r, len(members)
-
-    def _centralizer_generators(self, r, class_size):
-        # at most log2 |C(r)| generators of the centralizer of r, whose order
-        # is |G| / class_size: an element of C(r) outside the subgroup the
-        # earlier ones generate at least doubles it; the subgroup is
-        # rebuilt by BFS after each, and the scan stops once it is all of
-        # C(r), so the cost is at most 2|G| + 2|C(r)| log2 |C(r)| products
-        group, index, elements = self.group, self.index, self.elements
-        order = len(elements) // class_size
-        gens = []
-        inside = bytearray(len(elements))
-        members = [elements[index[group.identity]]]
-        inside[index[members[0]]] = 1
-        for h in elements:
-            if len(members) == order:
-                break
-            if inside[index[h]] or group.mul(h, r) != group.mul(r, h):
-                continue
-            gens.append(h)
-            for y in members:
-                for x in gens:
-                    i = index[group.mul(y, x)]
-                    if not inside[i]:
-                        inside[i] = 1
-                        members.append(elements[i])
-        return gens
-
-    def _assign(self, pos, cand):
-        self.nodes += 1
-        if self.nodes > self.budget:
+    def assign(pos, cand):
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget:
             raise SearchSpaceTooLarge(
-                f"node budget {self.budget} exhausted searching "
-                f"{self.sig} -> {self.group.descriptor}"
+                f"node budget {budget} exhausted searching {sig} -> {group.descriptor}"
             )
-        kind, j = self.slots[pos]
-        (self.ell if kind == "e" else self.hyp)[j] = cand
+        kind, j = slots[pos]
+        (ell if kind == "e" else hyp)[j] = cand
 
-    def _leaf(self):
-        group, periods = self.group, self.periods
-        searched = tuple(self.hyp) + tuple(self.ell)
-        w = _relation_product(group, self.sig.genus, self.hyp, self.ell)
+    def leaf():
+        searched = tuple(hyp) + tuple(ell)
+        w = _relation_product(group, g, hyp, ell)
         if periods:
             last = group.inv(w)
-            if self.orders[self.index[last]] != periods[-1]:
+            if orders[index[last]] != periods[-1]:
                 return None
         elif w != group.identity:
             return None
@@ -363,80 +306,119 @@ class _SearchState:
             return None
         return searched + (last,) if periods else searched
 
-    def _record(self, images, weight):
-        if self.mode == "count":
-            self.count += weight
-            return False
-        self.solutions.append(images)
-        return self.mode == "first"
-
-    def _dfs(self, pos, weight):
-        if pos == len(self.slots):
-            images = self._leaf()
+    def below(pos):
+        if pos == len(slots):
+            images = leaf()
             if images is not None:
-                return self._record(images, weight)
-            return False
-        for cand in self.slot_candidates[pos]:
-            self._assign(pos, cand)
-            if self._dfs(pos + 1, weight):
-                return True
-        return False
+                yield images
+            return
+        for cand in candidates[pos]:
+            assign(pos, cand)
+            yield from below(pos + 1)
 
-    def run(self):
+    def stream():
         # a central representative (class of size 1) has C(r) = G, whose
         # orbits are the conjugacy classes: found once and shared
-        candidates, central = self.slot_candidates, None
-        for r, class_size in self._orbits(candidates[0], self.group.generators):
-            self._assign(0, r)
+        central = None
+        for r, class_size in _orbits(group, candidates[0], group.generators):
+            assign(0, r)
             if class_size == 1:
                 if central is None:
-                    central = list(self._orbits(candidates[1], self.group.generators))
+                    central = list(_orbits(group, candidates[1], group.generators))
                 orbits = central
             else:
-                orbits = self._orbits(candidates[1],
-                                      self._centralizer_generators(r, class_size))
+                orbits = _orbits(group, candidates[1],
+                                 _centralizer_generators(group, r, class_size))
             for s, orbit_size in orbits:
-                self._assign(1, s)
-                if self._dfs(2, class_size * orbit_size):
-                    return
+                assign(1, s)
+                for images in below(2):
+                    yield images, class_size * orbit_size
 
-    def _central_cosets(self):
-        # one element per coset of the centre Z(G), the elements that
-        # commute with the generators: |G| (2 len(generators) + 1) products
-        group, index, elements = self.group, self.index, self.elements
-        centre = [z for z in elements
-                  if all(group.mul(z, x) == group.mul(x, z) for x in group.generators)]
-        covered = bytearray(len(elements))
-        cosets = []
-        for h in elements:
-            if not covered[index[h]]:
-                cosets.append(h)
-                for z in centre:
-                    covered[index[group.mul(h, z)]] = 1
-        return cosets
+    if mode == "first":
+        return next(stream(), (None,))[0]
+    if mode == "count":
+        count = sum(weight for _, weight in stream())
+        return count // len(_central_cosets(group)) if dedup else count
+    # only Z(G) fixes a solution, whose images generate G, so one
+    # conjugate per coset of Z(G) gives each member of its orbit once;
+    # firsts are the solutions found that open a new orbit
+    cosets = [(h, group.inv(h)) for h in _central_cosets(group)]
+    firsts, found = [], set()
+    for images, _ in stream():
+        if images in found:
+            continue  # its whole orbit is already in
+        firsts.append(images)
+        found.update(tuple(group.mul(group.mul(h, y), hinv) for y in images)
+                     for h, hinv in cosets)
+    if dedup:
+        return firsts
+    where = [2 * g + j if kind == "e" else j for kind, j in slots]
+    return sorted(found, key=lambda images: [index[images[p]] for p in where])
 
-    def result(self):
-        if self.mode == "count":
-            return self.count // len(self._central_cosets()) if self.dedup else self.count
-        if self.mode == "first":
-            return self.solutions[0] if self.solutions else None
-        # only Z(G) fixes a solution, whose images generate G, so one
-        # conjugate per coset of Z(G) gives each member of its orbit once;
-        # firsts are the solutions found that open a new orbit
-        group = self.group
-        cosets = [(h, group.inv(h)) for h in self._central_cosets()]
-        firsts, found = [], set()
-        for images in self.solutions:
-            if images in found:
-                continue  # its whole orbit is already in
-            firsts.append(images)
-            found.update(tuple(group.mul(group.mul(h, y), hinv) for y in images)
-                         for h, hinv in cosets)
-        if self.dedup:
-            return firsts
-        g, index = self.sig.genus, self.index
-        where = [2 * g + j if kind == "e" else j for kind, j in self.slots]
-        return sorted(found, key=lambda images: [index[images[p]] for p in where])
+
+def _orbits(group, candidates, gens):
+    # (least-index member, size) of each orbit among the candidates of
+    # the subgroup the gens generate, acting by conjugation, in index
+    # order; an orbit is found by BFS under the gens, so every candidate
+    # costs len(gens) conjugations
+    index, elements = group.index, group.elements
+    gens = [(x, group.inv(x)) for x in gens]
+    seen = bytearray(len(elements))
+    for r in candidates:
+        if seen[index[r]]:
+            continue
+        seen[index[r]] = 1
+        members = [r]
+        for y in members:
+            for x, xinv in gens:
+                i = index[group.mul(group.mul(x, y), xinv)]
+                if not seen[i]:
+                    seen[i] = 1
+                    members.append(elements[i])
+        yield r, len(members)
+
+
+def _centralizer_generators(group, r, class_size):
+    # at most log2 |C(r)| generators of the centralizer of r, whose order
+    # is |G| / class_size: an element of C(r) outside the subgroup the
+    # earlier ones generate at least doubles it; the subgroup is
+    # rebuilt by BFS after each, and the scan stops once it is all of
+    # C(r), so the cost is at most 2|G| + 2|C(r)| log2 |C(r)| products
+    index, elements = group.index, group.elements
+    order = len(elements) // class_size
+    gens = []
+    inside = bytearray(len(elements))
+    members = [elements[index[group.identity]]]
+    inside[index[members[0]]] = 1
+    for h in elements:
+        if len(members) == order:
+            break
+        if inside[index[h]] or group.mul(h, r) != group.mul(r, h):
+            continue
+        gens.append(h)
+        for y in members:
+            for x in gens:
+                i = index[group.mul(y, x)]
+                if not inside[i]:
+                    inside[i] = 1
+                    members.append(elements[i])
+    return gens
+
+
+def _central_cosets(group):
+    # one element per coset of the centre Z(G), the elements that
+    # commute with the generators: |G| (2 len(generators) + 1) products
+    index, elements = group.index, group.elements
+    centre = [z for z in elements
+              if all(group.mul(z, x) == group.mul(x, z) for x in group.generators)]
+    covered = bytearray(len(elements))
+    cosets = []
+    for h in elements:
+        if not covered[index[h]]:
+            cosets.append(h)
+            for z in centre:
+                covered[index[group.mul(h, z)]] = 1
+    return cosets
 
 
 def dihedral_witness_ske(g):

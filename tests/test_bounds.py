@@ -507,6 +507,29 @@ class TestGenusCertificateTampering:
         with pytest.raises(ValueError, match="states discharge"):
             verify_genus_certificate(GenusCertificate.from_dict(data))
 
+    # path to the tampered value, value, message: a value inside the ledger
+    # is named by its path and shown as JSON, a top-level field as before
+    NAMED_DIFFERENCES = [
+        (("discharge", "complete"), 1,
+         "certificate states discharge.complete 1, recomputed true"),
+        (("discharge", "entries", 0, "facts", "denominators", 4), 11,
+         "certificate states discharge.entries[0].facts.denominators[4] 11, recomputed 7"),
+        (("discharge", "entries", 1, "facts", "case_a_lifts"), 0,
+         "certificate states discharge.entries[1].facts.case_a_lifts 0, recomputed false"),
+        (("attained",), 1, "certificate states attained 1, recomputed True"),
+    ]
+
+    @pytest.mark.parametrize("keys,value,message", NAMED_DIFFERENCES,
+                             ids=["complete", "facts-list", "facts-bool", "top-level"])
+    def test_difference_named_by_path(self, keys, value, message):
+        data = node = certify_genus(24).to_dict()
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+        with pytest.raises(ValueError) as err:
+            verify_genus_certificate(GenusCertificate.from_dict(data))
+        assert str(err.value) == message
+
     @pytest.mark.parametrize("deep", [False, True])
     def test_honest_ledger_verifies(self, deep):
         cert = certify_genus(24, deep=deep)

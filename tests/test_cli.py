@@ -394,6 +394,28 @@ class TestSkeVerify:
         assert defect in (out if expected == 1 else err)
         assert "Traceback" not in err
 
+    # a command printing an ske certificate with distinct periods, and the
+    # keys that lead to it in the command's JSON output
+    @pytest.mark.parametrize("argv,keys", [
+        (("ske", "search", "--signature", "2,3,8", "--group", "GL23"), ("certificate",)),
+        (("cover", "--case", "a", "--prime", "2"), ("cover", "base")),
+        (("certify", "--genus", "2"), ("certificate", "witnesses", 1, "certificate")),
+    ], ids=["ske", "cover-base", "genus-witness"])
+    def test_periods_out_of_order_exit_2(self, capsys, tmp_path, argv, keys):
+        # the images follow the periods in their stated order, so periods
+        # read in another order would check each image against another period
+        _, data, _ = run_json(capsys, *argv, "--json")
+        node = data
+        for key in keys:
+            node = node[key]
+        node["signature"]["periods"].reverse()
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(data[keys[0]]))
+        code, out, err = run(capsys, "ske", "verify", str(path))
+        assert code == 2
+        assert "malformed certificate" in err and "periods must be sorted" in err
+        assert "Traceback" not in err and out == ""
+
     def test_cover_base_with_unknown_version_exits_1(self, capsys, tmp_path):
         _, data, _ = run_json(capsys, "cover", "--case", "d", "--prime", "5", "--json")
         doc = data["cover"]

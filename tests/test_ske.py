@@ -350,14 +350,18 @@ class TestSearchControls:
         with pytest.raises(SearchSpaceTooLarge):
             search_ske(Signature(0, (2, 2, 2, 2, 2)), klein_four())
 
-    @pytest.mark.parametrize("sig,build", [
+    BUDGET_CASES = [
         (Signature(0, (2, 2, 2, 3)), lambda: dihedral_perm(6)),
         (Signature(1, (2,)), quaternion8),
-    ])
-    def test_budget_is_exact(self, monkeypatch, sig, build):
+    ]
+
+    @pytest.mark.parametrize("mode", ["count", "all"])
+    @pytest.mark.parametrize("sig,build", BUDGET_CASES)
+    def test_budget_is_exact(self, monkeypatch, sig, build, mode):
         # nodes: slot-0 class representatives, slot-1 centralizer-orbit
         # representatives, then every candidate of every deeper slot;
-        # classes and orbits are counted here by conjugating with all of G
+        # classes and orbits are counted here by conjugating with all of G;
+        # 'count' and 'all' both visit the whole tree
         group = build()
         elements = group.elements
 
@@ -380,14 +384,43 @@ class TestSearchControls:
             below += width
         nodes = len(reps) + pairs * below
 
-        expected = search_ske(sig, group, mode="count")
+        expected = search_ske(sig, group, mode=mode)
         monkeypatch.setenv("SURFBOUND_NODE_BUDGET", str(nodes))
-        assert search_ske(sig, group, mode="count") == expected
+        assert search_ske(sig, group, mode=mode) == expected
         monkeypatch.setenv("SURFBOUND_NODE_BUDGET", str(nodes - 1))
         with pytest.raises(SearchSpaceTooLarge) as err:
-            search_ske(sig, group, mode="count")
+            search_ske(sig, group, mode=mode)
         assert str(err.value) == (f"node budget {nodes - 1} exhausted searching "
                                   f"{sig} -> {group.descriptor}")
+
+    @pytest.mark.parametrize("sig,build", BUDGET_CASES + [
+        (Signature(0, (2, 3, 8)), gl2_3),
+    ])
+    def test_first_stops_at_its_solution(self, monkeypatch, sig, build):
+        # the least budget that 'first' completes within, found by
+        # bisection, is too small for 'count': the search stops at the
+        # first solution instead of walking the rest of the tree
+        group = build()
+        expected = search_ske(sig, group, mode="first")
+        assert expected is not None
+
+        def first_completes(budget):
+            monkeypatch.setenv("SURFBOUND_NODE_BUDGET", str(budget))
+            try:
+                return search_ske(sig, group, mode="first") == expected
+            except SearchSpaceTooLarge:
+                return False
+
+        low, high = 0, 1
+        while not first_completes(high):
+            low, high = high, 2 * high
+        while high - low > 1:
+            mid = (low + high) // 2
+            low, high = (low, mid) if first_completes(mid) else (mid, high)
+        assert first_completes(high) and not first_completes(high - 1)
+        monkeypatch.setenv("SURFBOUND_NODE_BUDGET", str(high))
+        with pytest.raises(SearchSpaceTooLarge):
+            search_ske(sig, group, mode="count")
 
     @pytest.mark.parametrize("descriptor", ["cyclic:100", "C10*D4"])
     def test_products_bounded_on_a_large_centre(self, descriptor):
