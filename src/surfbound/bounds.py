@@ -15,24 +15,16 @@ Three layers:
 * certify_genus / small_genus_catalog: per-genus certificates bundling the
   dihedral witness with the strongest known explicit action (direct searches
   and homology covers), all replayable.
+
+bound_constants reads only the signature table; the groups and ske layers
+are imported by the witness, certificate and verify functions that use them,
+so `constants` loads neither.
 """
 
 from math import factorial, lcm
 from typing import NamedTuple
 
-from .groups import construct
-from .linalg import is_prime
-from .signatures import Signature, abelianization, signature_table
-from .ske import (
-    SkeCertificate,
-    check_recorded,
-    dihedral_witness_ske,
-    int_field,
-    list_field,
-    search_ske,
-    verify_certificate,
-    verify_ske,
-)
+from .signatures import Signature, abelianization, is_prime, signature_table
 
 ATTAINED_RESIDUES = (23, 47, 59)
 
@@ -53,10 +45,8 @@ class BoundConstants(NamedTuple):
 
 def bound_constants():
     table = signature_table()
-    integer_bounds = [int(e.s_over_r) for e in table if e.s_over_r.denominator == 1]
-    r_lcm = 1
-    for e in table:
-        r_lcm = lcm(r_lcm, e.s_over_r.denominator)
+    integer_bounds = [s for s, r in (e.sr_pair for e in table) if r == 1]
+    r_lcm = lcm(*(e.sr_pair[1] for e in table))
     primes = tuple(p for p in range(2, r_lcm + 1) if is_prime(p) and r_lcm % p == 0)
     return BoundConstants(
         s_max=max(integer_bounds),
@@ -126,8 +116,7 @@ def frobenius_obstruction(p, s):
     """
     table = signature_table()
     exceptions = [d for d in _divisors(s) if d % p == 1 and d > 1]
-    sigs = [e.signature for e in table
-            if e.s_over_r.denominator == 1 and int(e.s_over_r) == s]
+    sigs = [e.signature for e in table if e.sr_pair == (s, 1)]
     epi_counts = {str(sig): abelianization(sig).epi_count_to_cyclic(p) for sig in sigs}
     facts = {
         "sylow_count_options": exceptions,
@@ -198,6 +187,8 @@ class DischargeEntry(NamedTuple):
 
     @staticmethod
     def from_dict(data):
+        from .ske import list_field
+
         return DischargeEntry(
             prime=data["prime"],
             method=data["method"],
@@ -223,6 +214,8 @@ class DischargeReport(NamedTuple):
 
     @staticmethod
     def from_dict(data):
+        from .ske import list_field
+
         return DischargeReport(
             prime=data["prime"],
             bounds=list_field(data, "bounds"),
@@ -257,7 +250,7 @@ def discharge_prime(p, deep=False):
     table = signature_table()
     entries = []
 
-    r_values = sorted({e.s_over_r.denominator for e in table})
+    r_values = sorted({e.sr_pair[1] for e in table})
     denom_facts = {"denominators": r_values, "max_denominator": max(r_values),
                    "all_below_p": max(r_values) < p}
     entries.append(DischargeEntry(p, "denominator-exclusion", (),
@@ -274,8 +267,8 @@ def discharge_prime(p, deep=False):
         shield_ok = shield_ok and shield["computed_lift_sets_empty"]
     entries.append(DischargeEntry(p, "cover-congruence-shield", (), shield, shield_ok))
 
-    svals = sorted({int(e.s_over_r) for e in table
-                    if e.s_over_r.denominator == 1 and e.s_over_r > 4}, reverse=True)
+    svals = sorted({s for s, r in (e.sr_pair for e in table) if r == 1 and s > 4},
+                   reverse=True)
     forced = tuple(s for s in svals if sylow_forces_normal(p, s))
     entries.append(DischargeEntry(p, "sylow-normal", forced,
                                   {"bound_values": list(forced)}, True))
@@ -328,7 +321,7 @@ class GenusWitness(NamedTuple):
     """
 
     route: str
-    certificate: SkeCertificate
+    certificate: "SkeCertificate"
 
     def to_dict(self):
         return {
@@ -338,6 +331,8 @@ class GenusWitness(NamedTuple):
 
     @staticmethod
     def from_dict(data):
+        from .ske import SkeCertificate
+
         if data["route"] not in ("dihedral-family", "ske-search", "homology-cover"):
             raise ValueError(f"unknown witness route {data['route']!r:.60}")
         return GenusWitness(
@@ -367,6 +362,8 @@ class GenusCertificate(NamedTuple):
 
     @staticmethod
     def from_dict(data):
+        from .ske import int_field, list_field
+
         if data.get("type") != "genus":
             raise ValueError(f"not a genus certificate: {data.get('type')!r}")
         return GenusCertificate(
@@ -410,6 +407,9 @@ CATALOG_RANGE = range(2, 24)
 
 
 def _search_witness(sig, descriptor):
+    from .groups import construct
+    from .ske import search_ske, verify_ske
+
     group = construct(descriptor)
     images = search_ske(sig, group, mode="first")
     if images is None:
@@ -450,6 +450,8 @@ def certify_genus(g, deep=False):
     add the stronger explicit action.  For attained genera the discharge
     report documents exactness of 4(g-1).
     """
+    from .ske import dihedral_witness_ske
+
     if g < 2:
         raise ValueError(f"need genus >= 2, got {g}")
     witnesses = [GenusWitness(route="dihedral-family", certificate=dihedral_witness_ske(g))]
@@ -470,6 +472,8 @@ def certify_genus(g, deep=False):
 def verify_genus_certificate(cert):
     """Replay every witness of a genus certificate, rebuild what it records
     from them and from the genus, and compare."""
+    from .ske import check_recorded, dihedral_witness_ske, verify_certificate
+
     if not cert.witnesses:
         raise ValueError("certificate has no witnesses")
     routes = [w.route for w in cert.witnesses]

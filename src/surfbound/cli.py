@@ -4,8 +4,12 @@ Subcommands expose the library layers one by one: the signature table and
 its measure arithmetic, epimorphism search and certificate verification,
 homology covers, and the per-genus bound certificates.  Every --json output
 is canonical: keys sorted, compact separators, schema_version tagged, no
-timestamps, so identical invocations are byte-identical.  A command imports
-the covers, bounds and linalg layers only if it uses them.
+timestamps, so identical invocations are byte-identical.  The module imports
+no surfbound layer at load time: each command imports the layers it runs, so
+`table` and `constants` load only signatures (and bounds), a search loads
+signatures, groups and ske, and only the cover commands and the genus
+certificates that need a cover witness or a discharge ledger load covers and
+linalg.
 
 Exit codes: 0 success, 1 failed verification of a claimed certificate or
 table row, 2 usage error (unparseable or out-of-domain input), 3 resource
@@ -17,26 +21,6 @@ import argparse
 import json
 import os
 import sys
-
-from .groups import OrderCapExceeded, construct, element_data
-from .signatures import (
-    NonIntegralGenus,
-    NotAdmissible,
-    kernel_genus,
-    abelianization,
-    measure_class,
-    parse_signature,
-    render_pi,
-    render_ratio,
-    signature_table,
-)
-from .ske import (
-    SearchSpaceTooLarge,
-    SkeCertificate,
-    search_ske,
-    verify_certificate,
-    verify_ske,
-)
 
 SCHEMA_VERSION = "1"
 
@@ -56,6 +40,8 @@ def _emit(args, payload, lines):
 
 
 def _parse_sig(text):
+    from .signatures import parse_signature
+
     try:
         return parse_signature(text)
     except ValueError as exc:
@@ -63,6 +49,8 @@ def _parse_sig(text):
 
 
 def _construct(descriptor):
+    from .groups import construct
+
     try:
         return construct(descriptor)
     except ValueError as exc:
@@ -75,6 +63,8 @@ def _abelian_text(inv):
 
 
 def cmd_table(args):
+    from .signatures import _ratio_text, signature_table
+
     try:
         entries = signature_table(path=args.data)
     except OSError as exc:
@@ -85,7 +75,7 @@ def cmd_table(args):
     rows = []
     lines = []
     for entry in entries:
-        ratio = render_ratio(entry.s_over_r)
+        ratio = _ratio_text(*entry.sr_pair)
         rows.append({
             "signature": str(entry.signature),
             "genus": entry.signature.genus,
@@ -106,6 +96,16 @@ def cmd_table(args):
 
 
 def cmd_measure(args):
+    from .signatures import (
+        NonIntegralGenus,
+        NotAdmissible,
+        abelianization,
+        kernel_genus,
+        measure_class,
+        render_pi,
+        render_ratio,
+    )
+
     sig = _parse_sig(args.signature)
     if args.order is not None and args.order < 1:
         raise UsageError(f"--order must be at least 1, got {args.order}")
@@ -169,6 +169,10 @@ def cmd_constants(args):
 
 
 def cmd_ske_search(args):
+    from .groups import element_data
+    from .signatures import NonIntegralGenus, NotAdmissible
+    from .ske import search_ske, verify_ske
+
     sig = _parse_sig(args.signature)
     group = _construct(args.group)
     payload = {"command": "ske-search", "signature": str(sig),
@@ -236,7 +240,7 @@ def cmd_ske_verify(args):
     kind = data.get("type")
     # only the module that defines the certificate type is imported
     if kind == "ske":
-        record, verify = SkeCertificate, verify_certificate
+        from .ske import SkeCertificate as record, verify_certificate as verify
     elif kind == "cover":
         from .covers import CoverCertificate as record, verify_cover_certificate as verify
     elif kind == "genus":
@@ -289,7 +293,7 @@ def _cover_build(args):
         kernel_presentation,
         quotient_ske_from_cover,
     )
-    from .linalg import is_prime
+    from .signatures import is_prime
 
     try:
         case = case_by_label(args.case)
@@ -325,7 +329,7 @@ def _cover_build(args):
 
 def _cover_check(args):
     from .covers import check_cover_cases
-    from .linalg import is_prime
+    from .signatures import is_prime
 
     labels = tuple(args.labels) if args.labels else None
     primes = None
@@ -515,11 +519,20 @@ def build_parser():
 
 
 def _usage_errors():
-    # the linalg layer is loaded only by the commands that use it; an except
-    # clause evaluates this only once an exception reaches it
-    from .linalg import BeyondWitnessRange
+    # a command loads only the layers it runs; an except clause evaluates
+    # this only once an exception reaches it
+    from .signatures import BeyondWitnessRange
 
     return UsageError, BeyondWitnessRange
+
+
+def _cap_errors():
+    # evaluated only once an exception other than a usage error reaches
+    # main; these two come only from commands that already loaded both layers
+    from .groups import OrderCapExceeded
+    from .ske import SearchSpaceTooLarge
+
+    return OrderCapExceeded, SearchSpaceTooLarge
 
 
 _ENV_FLAGS = (("order_cap", "SURFBOUND_ORDER_CAP"),
@@ -551,7 +564,7 @@ def main(argv=None):
     except _usage_errors() as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OrderCapExceeded, SearchSpaceTooLarge) as exc:
+    except _cap_errors() as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return 3
     finally:

@@ -26,8 +26,8 @@ from math import gcd
 from typing import NamedTuple
 
 from .groups import PermutationGroup, _check_order, construct
-from .linalg import is_prime, nullspace_mod, rref_mod, vec_mat_mod
-from .signatures import Signature, kernel_genus
+from .linalg import nullspace_mod, rref_mod, vec_mat_mod
+from .signatures import Signature, is_prime, kernel_genus
 from .ske import (SkeCertificate, check_recorded, int_field, list_field, verify_certificate,
                   verify_ske)
 

@@ -3,7 +3,10 @@
 Everything here works on plain Python ints (arbitrary precision), lists of
 lists for matrices.  No floating point anywhere: these routines back the
 homology computations, where a single rounding error would silently corrupt
-a certificate.
+a certificate.  Only abelianization and the covers layer load this module,
+so a command that runs neither (table, constants, a search, a genus
+certificate without a cover witness or a discharge ledger) never compiles it.
+The primality test is in signatures.
 """
 
 
@@ -184,38 +187,3 @@ def invert_mod(matrix, p):
         return None
     return [list(row[n:]) for row in red]
 
-
-class BeyondWitnessRange(ValueError):
-    """is_prime cannot decide a number this large."""
-
-
-# smallest composite not caught by these witnesses is > 3.3 * 10^24
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_MR_LIMIT = 3317044064679887385961981
-
-
-def is_prime(n):
-    """Deterministic Miller-Rabin, exact for every n below 3.3 * 10^24."""
-    if n < 2:
-        return False
-    for small in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % small == 0:
-            return n == small
-    if n >= _MR_LIMIT:
-        raise BeyondWitnessRange(f"{n} is past the Miller-Rabin witness range (< {_MR_LIMIT})")
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _MR_WITNESSES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True

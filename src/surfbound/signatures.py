@@ -10,11 +10,13 @@ All invariants here are exact: the normalized measure lives in units of pi
 as a Fraction, genus bookkeeping is integer arithmetic, abelianizations come
 from an integer Smith normal form.  No floating point is used anywhere.
 fractions and the linalg layer are imported by the functions that use them,
-so kernel_genus, and with it an epimorphism search, loads neither.
+so kernel_genus, and with it an epimorphism search, loads neither.  The
+primality test is_prime lives here too, beside the Moebius function.
 
 The module also ships a plain-text table of the arithmetic signatures with
-measure below pi; the loader re-verifies every row on load and refuses to
-serve a table that does not reproduce its own stated invariants.
+measure below pi; the loader re-verifies every row on load, cross-multiplying
+in integers, and refuses to serve a table that does not reproduce its own
+stated invariants.  Reading the table loads neither fractions nor linalg.
 """
 
 from functools import cache
@@ -77,10 +79,15 @@ def _measure_terms(sig):
     return 2 * total, den
 
 
+def _reduced(num, den):
+    """(num, den) divided by their gcd; lowest terms when den > 0."""
+    d = gcd(num, den)
+    return num // d, den // d
+
+
 def _ratio_text(num, den):
     """str(Fraction(num, den)) for den > 0, without building the Fraction."""
-    d = gcd(num, den)
-    num, den = num // d, den // d
+    num, den = _reduced(num, den)
     return str(num) if den == 1 else f"{num}/{den}"
 
 
@@ -191,6 +198,42 @@ def _moebius(n):
     return result
 
 
+class BeyondWitnessRange(ValueError):
+    """is_prime cannot decide a number this large."""
+
+
+# smallest composite not caught by these witnesses is > 3.3 * 10^24
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_LIMIT = 3317044064679887385961981
+
+
+def is_prime(n):
+    """Deterministic Miller-Rabin, exact for every n below 3.3 * 10^24."""
+    if n < 2:
+        return False
+    for small in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        if n % small == 0:
+            return n == small
+    if n >= _MR_LIMIT:
+        raise BeyondWitnessRange(f"{n} is past the Miller-Rabin witness range (< {_MR_LIMIT})")
+    d = n - 1
+    r = 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in _MR_WITNESSES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def abelianization(sig):
     """Abelianization of the signature group via integer Smith normal form.
 
@@ -213,10 +256,28 @@ def abelianization(sig):
 
 
 class SignatureTableEntry(NamedTuple):
+    """One verified table row.
+
+    The two rational columns are kept as reduced (numerator, denominator)
+    pairs of integers; mu_over_pi and s_over_r build their Fractions when
+    read.
+    """
     signature: Signature
-    mu_over_pi: "Fraction"
-    s_over_r: "Fraction"
+    mu_pair: tuple
+    sr_pair: tuple
     arithmeticity_flag: str
+
+    @property
+    def mu_over_pi(self):
+        from fractions import Fraction
+
+        return Fraction(*self.mu_pair)
+
+    @property
+    def s_over_r(self):
+        from fractions import Fraction
+
+        return Fraction(*self.sr_pair)
 
 
 _ROW_RE = re.compile(
@@ -225,33 +286,51 @@ _ROW_RE = re.compile(
 )
 
 
-def _parse_table(text, origin):
-    from fractions import Fraction
+def _cell(text):
+    """A table cell 'n/d' or 'n' as the integer pair (n, d)."""
+    num, _, den = text.partition("/")
+    return int(num), int(den or 1)
 
+
+def _parse_table(text, origin):
+    """Parse and verify every row in integers: the stated measure/pi equals
+    _measure_terms by cross-multiplication, the measure is positive, and the
+    stated s/r equals 4/(measure/pi)."""
     entries = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
+        where = f"{origin}:{lineno}"
         m = _ROW_RE.match(line)
         if m is None:
-            raise TableCorrupt(f"{origin}:{lineno}: malformed row {raw!r}")
+            raise TableCorrupt(f"{where}: malformed row {raw!r}")
         periods = tuple(int(t) for t in m.group("periods").split())
-        mu = Fraction(m.group("mu"))
-        sr = Fraction(m.group("sr"))
+        mu_num, mu_den = _cell(m.group("mu"))
+        sr_num, sr_den = _cell(m.group("sr"))
         sig = Signature(0, periods)
-        entry = SignatureTableEntry(sig, mu, sr, m.group("flag"))
-        actual_mu = measure(sig)
-        if actual_mu != mu:
+        if mu_den == 0:
+            raise TableCorrupt(f"{where}: row {sig} states measure {m.group('mu')}*pi,"
+                               " a zero denominator")
+        if sr_den == 0:
+            raise TableCorrupt(f"{where}: row {sig} states s/r = {m.group('sr')},"
+                               " a zero denominator")
+        num, den = _measure_terms(sig)
+        if mu_num * den != num * mu_den:
             raise TableCorrupt(
-                f"{origin}:{lineno}: row {sig} states measure {mu}*pi, recomputed {actual_mu}*pi"
+                f"{where}: row {sig} states measure {_ratio_text(mu_num, mu_den)}*pi,"
+                f" recomputed {_ratio_text(num, den)}*pi"
             )
-        actual_sr = measure_class(sig).s_over_r
-        if actual_sr != sr:
+        if num <= 0:
+            raise TableCorrupt(f"{where}: row {sig} has measure {_ratio_text(num, den)}*pi <= 0")
+        # s/r = 1/q = 4/(measure/pi) = 4*den/num
+        if sr_num * num != 4 * den * sr_den:
             raise TableCorrupt(
-                f"{origin}:{lineno}: row {sig} states s/r = {sr}, recomputed {actual_sr}"
+                f"{where}: row {sig} states s/r = {_ratio_text(sr_num, sr_den)},"
+                f" recomputed {_ratio_text(4 * den, num)}"
             )
-        entries.append(entry)
+        entries.append(SignatureTableEntry(sig, _reduced(num, den), _reduced(4 * den, num),
+                                           m.group("flag")))
     if not entries:
         raise TableCorrupt(f"{origin}: no rows")
     return tuple(entries)

@@ -20,11 +20,11 @@ from surfbound.covers import (
 from surfbound.linalg import (
     cokernel_invariants,
     identity_matrix,
-    is_prime,
     mat_mul_mod,
     nullspace_mod,
     vec_mat_mod,
 )
+from surfbound.signatures import is_prime
 from surfbound.ske import dihedral_witness_ske, verify_certificate
 
 CASES = {case.label: case for case in GENUS2_COVER_CASES}

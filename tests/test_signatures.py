@@ -1,15 +1,21 @@
 import random
 from fractions import Fraction
+from importlib import resources
 from itertools import product
+from math import gcd
 
 import pytest
 
+from surfbound.cli import main
 from surfbound.signatures import (
     AbelianInvariants,
     NonIntegralGenus,
     NotAdmissible,
     Signature,
+    SignatureTableEntry,
     TableCorrupt,
+    _ROW_RE,
+    _parse_table,
     abelianization,
     kernel_genus,
     measure,
@@ -306,6 +312,121 @@ class TestSignatureTable:
         bad.write_text("# nothing here\n")
         with pytest.raises(TableCorrupt, match="no rows"):
             signature_table(bad)
+
+
+def fraction_parse_table(text, origin):
+    # the former Fraction-based row check, kept as the oracle for the
+    # integer one in _parse_table
+    entries = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        m = _ROW_RE.match(line)
+        if m is None:
+            raise TableCorrupt(f"{origin}:{lineno}: malformed row {raw!r}")
+        periods = tuple(int(t) for t in m.group("periods").split())
+        mu = Fraction(m.group("mu"))
+        sr = Fraction(m.group("sr"))
+        sig = Signature(0, periods)
+        actual_mu = measure(sig)
+        if actual_mu != mu:
+            raise TableCorrupt(
+                f"{origin}:{lineno}: row {sig} states measure {mu}*pi, recomputed {actual_mu}*pi"
+            )
+        actual_sr = measure_class(sig).s_over_r
+        if actual_sr != sr:
+            raise TableCorrupt(
+                f"{origin}:{lineno}: row {sig} states s/r = {sr}, recomputed {actual_sr}"
+            )
+        entries.append((sig, mu, sr, m.group("flag")))
+    if not entries:
+        raise TableCorrupt(f"{origin}: no rows")
+    return tuple(entries)
+
+
+def integer_parse_table(text, origin):
+    return tuple((e.signature, e.mu_over_pi, e.s_over_r, e.arithmeticity_flag)
+                 for e in _parse_table(text, origin))
+
+
+def outcome(parse, text):
+    try:
+        return parse(text, "t.txt")
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def packaged_rows():
+    text = resources.files("surfbound.data").joinpath("signature_table.txt").read_text("utf-8")
+    return [line for line in text.splitlines() if line and not line.startswith("#")]
+
+
+def mutated_rows(row):
+    periods, mu, sr, flag = (cell.strip() for cell in row.split("|"))
+    mu_num, mu_den = map(int, mu.split("/"))
+    sr_num, _, sr_den = sr.partition("/")
+    sr_num, sr_den = int(sr_num), int(sr_den or 1)
+    cells = [(f"{2 * mu_num}/{2 * mu_den}", sr), (mu, f"{2 * sr_num}/{2 * sr_den}"), (sr, mu)]
+    # off by one; a zero denominator is the one intended difference, tested
+    # in TestIntegerTableCheck
+    for dn, dd in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+        if mu_den + dd:
+            cells.append((f"{mu_num + dn}/{mu_den + dd}", sr))
+        if sr_den + dd:
+            cells.append((mu, f"{sr_num + dn}/{sr_den + dd}"))
+    return [f"{periods} | {m} | {s} | {flag}" for m, s in cells]
+
+
+class TestIntegerTableCheck:
+    def test_packaged_rows_match_fraction_check(self):
+        rows = packaged_rows()
+        assert len(rows) == 74
+        for row in rows:
+            assert outcome(integer_parse_table, row) == outcome(fraction_parse_table, row)
+        text = "\n".join(rows)
+        assert outcome(integer_parse_table, text) == outcome(fraction_parse_table, text)
+
+    def test_mutated_rows_match_fraction_check(self):
+        accepted = rejected = 0
+        for row in packaged_rows():
+            for bad in mutated_rows(row):
+                expected = outcome(fraction_parse_table, bad)
+                assert outcome(integer_parse_table, bad) == expected, bad
+                if expected[0] is TableCorrupt:
+                    rejected += 1
+                else:
+                    assert isinstance(expected[0], tuple), expected
+                    accepted += 1
+        # every row's two unreduced mutations pass, and nothing else does
+        assert accepted == 2 * 74
+        assert rejected >= 8 * 74
+
+    def test_columns_stored_as_reduced_pairs(self):
+        (entry,) = _parse_table("2 3 11 | 10/66 | 264/10 | verified-by-literature", "t.txt")
+        assert entry == SignatureTableEntry(Signature(0, (2, 3, 11)), (5, 33), (132, 5),
+                                            "verified-by-literature")
+        assert (entry.mu_over_pi, entry.s_over_r) == (Fraction(5, 33), Fraction(132, 5))
+        for e in signature_table():
+            assert gcd(*e.mu_pair) == gcd(*e.sr_pair) == 1
+            assert (e.mu_over_pi, e.s_over_r) == (Fraction(*e.mu_pair), Fraction(*e.sr_pair))
+
+    # the rows the Fraction check ends in a traceback or an unnamed defect on
+    @pytest.mark.parametrize("row, defect", [
+        ("2 3 7 | 1/0 | 84", "row (2,3,7) states measure 1/0*pi, a zero denominator"),
+        ("2 3 7 | 1/21 | 84/0", "row (2,3,7) states s/r = 84/0, a zero denominator"),
+        ("2 2 2 2 | 0/1 | 1", "row (2,2,2,2) has measure 0*pi <= 0"),
+    ], ids=["zero-measure-denominator", "zero-ratio-denominator", "measure-zero"])
+    def test_defect_names_origin_and_line(self, tmp_path, capsys, row, defect):
+        path = tmp_path / "t.txt"
+        path.write_text(f"# header\n{row} | verified-by-literature\n")
+        with pytest.raises(TableCorrupt) as info:
+            signature_table(path)
+        assert str(info.value) == f"{path}:2: {defect}"
+        assert main(["table", "--check", "--data", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"table data corrupt: {path}:2: {defect}\n"
 
 
 class TestParsing:

@@ -34,3 +34,31 @@ def test_stdlib_only_and_no_floating_point():
                 floats.append(f"{name}:{node.lineno}")
     assert outside == []
     assert floats == []
+
+
+def _module_level(tree):
+    # every node that runs when the module is imported: function bodies are
+    # skipped, class bodies and module-level if/try blocks are not
+    todo = list(tree.body)
+    while todo:
+        node = todo.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def test_cli_imports_no_layer_at_module_level():
+    # the start-up contract for every command, including those the
+    # sys.modules matrix in test_startup.py does not run
+    path = os.path.join(os.path.dirname(os.path.abspath(surfbound.__file__)), "cli.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename="cli.py")
+    sibling = []
+    for node in _module_level(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level > 0 or node.module == "surfbound"
+                                                 or node.module.startswith("surfbound.")):
+            sibling.append(f"cli.py:{node.lineno}")
+        elif isinstance(node, ast.Import) and any(
+                alias.name.split(".")[0] == "surfbound" for alias in node.names):
+            sibling.append(f"cli.py:{node.lineno}")
+    assert sibling == []

@@ -3,7 +3,11 @@
 Every command runs in a fresh `python -S` child (no site hooks), which
 records sys.modules after main() returns.  No command may pull in
 dataclasses, and a command loads the covers and bounds layers only when it
-uses them.  A search loads neither the linalg layer nor fractions.
+uses them.  A search loads neither the linalg layer nor fractions; the table
+commands load no layer but signatures (and bounds for constants), and a
+genus certificate without a cover witness or a discharge ledger loads
+neither linalg nor covers, to certify or to verify.  Importing the CLI loads
+no layer at all.
 """
 
 import json
@@ -47,7 +51,8 @@ def modules_after(tmp_path, *argv):
 def certificate_files(tmp_path_factory):
     root = tmp_path_factory.mktemp("certs")
     certs = {"cover": build_cover(case_certificate(case_by_label("d")), 5),
-             "genus": certify_genus(24)}
+             "genus": certify_genus(24),
+             "genus5": certify_genus(5)}
     paths = {}
     for kind, cert in certs.items():
         paths[kind] = root / f"{kind}.json"
@@ -56,21 +61,25 @@ def certificate_files(tmp_path_factory):
 
 
 COVERS, BOUNDS = "surfbound.covers", "surfbound.bounds"
+GROUPS, SKE = "surfbound.groups", "surfbound.ske"
 LINALG, FRACTIONS = "surfbound.linalg", "fractions"
 RESOURCES = "importlib.resources"
+TABLE_ONLY = (GROUPS, SKE, LINALG, COVERS, FRACTIONS)
 
 
 @pytest.mark.parametrize("argv, loaded, absent", [
-    (("table", "--check"), (), (COVERS, BOUNDS)),
+    (("table", "--check"), (), (BOUNDS,) + TABLE_ONLY),
     (("measure", "2,3,7"), (), (COVERS, BOUNDS, RESOURCES)),
     (SEARCH, (), (COVERS, BOUNDS, RESOURCES, LINALG, FRACTIONS)),
-    (("constants",), (BOUNDS,), (COVERS,)),
+    (("constants",), (BOUNDS,), TABLE_ONLY),
     (("cover", "--case", "d", "--prime", "5"), (COVERS,), (BOUNDS,)),
     (("ske", "verify", "{cover}"), (COVERS,), (BOUNDS,)),
     (("certify", "--genus", "22"), (COVERS, BOUNDS), ()),
     (("ske", "verify", "{genus}"), (COVERS, BOUNDS), ()),
+    (("certify", "--genus", "5"), (BOUNDS, SKE), (LINALG, COVERS, FRACTIONS)),
+    (("ske", "verify", "{genus5}"), (BOUNDS, SKE), (LINALG, COVERS, FRACTIONS)),
 ], ids=["table", "measure", "search", "constants", "cover", "verify-cover",
-        "certify", "verify-genus"])
+        "certify", "verify-genus", "certify-search", "verify-genus-search"])
 def test_command_loads_only_what_it_uses(tmp_path, certificate_files, argv, loaded, absent):
     modules = modules_after(tmp_path, *(a.format(**certificate_files) for a in argv))
     assert "surfbound.cli" in modules
@@ -79,3 +88,13 @@ def test_command_loads_only_what_it_uses(tmp_path, certificate_files, argv, load
         assert name in modules
     for name in absent:
         assert name not in modules
+
+
+def test_importing_the_cli_loads_no_layer(tmp_path):
+    out = tmp_path / "modules.json"
+    child = ("import json, sys\nfrom surfbound.cli import main\n"
+             "json.dump(sorted(sys.modules), open(sys.argv[1], 'w'))\n")
+    subprocess.run([sys.executable, "-S", "-c", child, str(out)], check=True,
+                   env=dict(os.environ, PYTHONPATH=SRC), timeout=120)
+    loaded = {m for m in json.loads(out.read_text()) if m.split(".")[0] == "surfbound"}
+    assert loaded == {"surfbound", "surfbound.cli"}
