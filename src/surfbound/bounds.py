@@ -9,9 +9,10 @@ Three layers:
   dihedral witness meets 4(g-1) and a discharge report shows, bound value by
   bound value, why nothing larger can act: Sylow counting, Frobenius
   complements against abelianizations, or the degree-24 orbit embedding.
-  The one non-computational input is the classification fact that every
-  group action on a genus-2 surface restricts to one of the seven catalogued
-  cover cases; everything downstream of it is recomputed here.
+  The cover-congruence shield checks that none of the seven catalogued
+  genus-2 cover cases lifts mod p.  They are not every genus-2 action: D4 on
+  (2,2,2,4) and S3 on (2,2,3,3) contain none of the seven groups and go
+  unchecked, so the ledger also assumes no omitted action lifts at p.
 * certify_genus / small_genus_catalog: per-genus certificates bundling the
   dihedral witness with the strongest known explicit action (direct searches
   and homology covers), all replayable.
@@ -232,20 +233,18 @@ def _jsonable(value):
     return value
 
 
-def discharge_prime(p, deep=False):
+def discharge_prime(p):
     """Why no group larger than 4p acts at genus p + 1, bound value by value.
 
     Candidate orders are p times an integer bound value s > 4 from the table
     (fractional multipliers are excluded because their denominators are below
     p).  Every s is discharged by one of: forced normal Sylow subgroup plus
     the cover-congruence shield, the Frobenius complement argument, or the
-    degree-24 orbit embedding.  deep=True additionally recomputes the seven
-    cover cases mod p instead of trusting their congruence conditions.
+    degree-24 orbit embedding.
     """
-    from .covers import GENUS2_COVER_CASES, check_cover_cases
+    from .covers import GENUS2_COVER_CASES
 
-    cond = prime_conditions(p)
-    if not cond.attained:
+    if not prime_conditions(p).attained:
         raise ValueError(f"{p} is not an attained prime")
     table = signature_table()
     entries = []
@@ -258,14 +257,8 @@ def discharge_prime(p, deep=False):
 
     shield = {f"case_{case.label}_lifts": case.condition_holds(p)
               for case in GENUS2_COVER_CASES}
-    shield_ok = not any(shield.values())
-    if deep:
-        reports = check_cover_cases(primes=(p,))
-        shield["computed_lift_sets_empty"] = all(
-            not r["with_hyperplane"] for r in reports
-        )
-        shield_ok = shield_ok and shield["computed_lift_sets_empty"]
-    entries.append(DischargeEntry(p, "cover-congruence-shield", (), shield, shield_ok))
+    entries.append(DischargeEntry(p, "cover-congruence-shield", (), shield,
+                                  not any(shield.values())))
 
     svals = sorted({s for s, r in (e.sr_pair for e in table) if r == 1 and s > 4},
                    reverse=True)
@@ -302,14 +295,14 @@ class AttainedGenus(NamedTuple):
         return self.discharge.complete
 
 
-def attained_genera(limit, deep=False):
+def attained_genera(limit):
     """All genera g <= limit where the bound 4(g-1) is met exactly."""
     out = []
     for g in range(2, limit + 1):
         p = g - 1
         if prime_conditions(p).attained:
             out.append(AttainedGenus(genus=g, prime=p, bound=4 * p,
-                                     discharge=discharge_prime(p, deep=deep)))
+                                     discharge=discharge_prime(p)))
     return out
 
 
@@ -443,7 +436,7 @@ def _build_route(spec):
     raise ValueError(f"unknown witness route {spec[0]!r}")
 
 
-def certify_genus(g, deep=False):
+def certify_genus(g):
     """Certificate for the best known automorphism count at genus g.
 
     Always contains the dihedral witness of order 4(g-1); catalogued genera
@@ -458,7 +451,7 @@ def certify_genus(g, deep=False):
     for spec in CATALOG_ROUTES.get(g, ()):
         witnesses.append(_build_route(spec))
     cond = prime_conditions(g - 1)
-    discharge = discharge_prime(g - 1, deep=deep) if cond.attained else None
+    discharge = discharge_prime(g - 1) if cond.attained else None
     bound = max(w.certificate.group_order for w in witnesses)
     return GenusCertificate(
         genus=g,
@@ -492,7 +485,7 @@ def verify_genus_certificate(cert):
     if attained:
         if bound != 4 * (cert.genus - 1):
             raise ValueError("attained genus must have bound exactly 4(g-1)")
-        discharge = discharge_prime(cert.genus - 1, deep=_recorded_deep(cert.discharge))
+        discharge = discharge_prime(cert.genus - 1)
         if not discharge.complete:
             raise ValueError("attained genus lacks a complete discharge report")
     dihedral = GenusWitness("dihedral-family", dihedral_witness_ske(cert.genus))
@@ -503,14 +496,7 @@ def verify_genus_certificate(cert):
     return cert
 
 
-def _recorded_deep(report):
-    # a deep ledger records the recomputed cover lift sets in its shield facts
-    return report is not None and any(
-        e.method == "cover-congruence-shield" and isinstance(e.facts, dict)
-        and "computed_lift_sets_empty" in e.facts for e in report.entries)
-
-
-def small_genus_catalog(genera=None, deep=False):
+def small_genus_catalog(genera=None):
     """Certificates for every catalogued small genus, keyed by genus."""
     genera = CATALOG_RANGE if genera is None else genera
-    return {g: certify_genus(g, deep=deep) for g in genera}
+    return {g: certify_genus(g) for g in genera}

@@ -363,7 +363,7 @@ def cmd_certify(args):
     if args.genus < 2:
         raise UsageError("genus must be at least 2")
     try:
-        cert = certify_genus(args.genus, deep=args.deep)
+        cert = certify_genus(args.genus)
     except WitnessSearchFailed as exc:
         print(f"witness search failed: {exc}", file=sys.stderr)
         return 1
@@ -387,7 +387,7 @@ def cmd_certify(args):
 def cmd_attained(args):
     from .bounds import attained_genera
 
-    genera = attained_genera(args.max, deep=args.deep)
+    genera = attained_genera(args.max)
     rows = []
     lines = []
     for a in genera:
@@ -426,7 +426,7 @@ def cmd_catalog(args):
     for g in genera:
         if g < 2:
             raise UsageError("genus must be at least 2")
-        cert = certify_genus(g, deep=args.deep)
+        cert = certify_genus(g)
         certs.append(cert.to_dict())
         best = max(cert.witnesses, key=lambda w: w.certificate.group_order)
         lines.append(
@@ -498,20 +498,16 @@ def build_parser():
 
     p = sub.add_parser("certify", help="bound certificate for one genus")
     p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--deep", action="store_true",
-                   help="recompute cover cases in the discharge report")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("attained", help="genera where 4(g-1) is exact")
     p.add_argument("--max", type=int, required=True)
-    p.add_argument("--deep", action="store_true")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_attained)
 
     p = sub.add_parser("catalog", help="certificates for the catalogued genera")
     p.add_argument("--genera", default=None, help="comma separated, default 2..23")
-    p.add_argument("--deep", action="store_true")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_catalog)
 

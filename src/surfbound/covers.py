@@ -371,46 +371,52 @@ def quotient_ske_from_cover(cover, presentation=None):
     return quotient
 
 
+# A case lifts mod p (has a Q-invariant hyperplane in H_1(K; F_p)) exactly
+# when p = lift_prime or p = 1 (mod modulus).  Among the primes dividing |Q|
+# only lift_prime lifts.  For p not dividing |Q|, by Chevalley-Weil (Abh.
+# Math. Sem. Hamburg 10, 1934) a genus-0 case lifts exactly when a linear
+# character of Q of order dividing p - 1 is non-trivial on all three
+# elliptic images; modulus is None when no character is.  The tests derive
+# both integers from the images and check them against the homology.
 class CoverCase(NamedTuple):
-    """A genus-2 epimorphism with its predicted liftable primes."""
+    """A genus-2 epimorphism and the two integers saying where it lifts."""
 
     label: str
     signature: Signature
     group_descriptor: str
     image_exponents: tuple
     tested_primes: tuple
-    expected_primes: tuple
-    condition: str
+    lift_prime: int
+    modulus: int | None
 
     def condition_holds(self, p):
-        return _CASE_PREDICATES[self.label](p)
+        return p == self.lift_prime or self.modulus is not None and p % self.modulus == 1
 
+    @property
+    def condition(self):
+        text = f"p = {self.lift_prime}"
+        return text if self.modulus is None else f"{text} or p = 1 (mod {self.modulus})"
 
-_CASE_PREDICATES = {
-    "a": lambda p: p == 2 or p % 8 == 1,
-    "b": lambda p: p == 2,
-    "c": lambda p: p == 2,
-    "d": lambda p: p == 5 or p % 5 == 1,
-    "e": lambda p: p == 5 or p % 10 == 1,
-    "f": lambda p: p == 3 or p % 6 == 1,
-    "g": lambda p: p == 3 or p % 6 == 1,
-}
+    @property
+    def expected_primes(self):
+        return tuple(p for p in self.tested_primes if self.condition_holds(p))
+
 
 GENUS2_COVER_CASES = (
     CoverCase("a", Signature(0, (2, 8, 8)), "cyclic:8", ((4,), (1,), (3,)),
-              (2, 3, 5, 7, 11, 13, 17), (2, 17), "p = 2 or p = 1 (mod 8)"),
+              (2, 3, 5, 7, 11, 13, 17), 2, 8),
     CoverCase("b", Signature(0, (4, 4, 4)), "Q8", ((1, 0), (0, 1), (3, 1)),
-              (2, 3, 5, 7, 11, 13, 17), (2,), "p = 2"),
+              (2, 3, 5, 7, 11, 13, 17), 2, None),
     CoverCase("c", Signature(0, (2, 4, 8)), "SD16", ((0, 1), (1, 1), (5, 0)),
-              (2, 3, 5, 7, 11, 13, 17), (2,), "p = 2"),
+              (2, 3, 5, 7, 11, 13, 17), 2, None),
     CoverCase("d", Signature(0, (5, 5, 5)), "cyclic:5", ((1,), (1,), (3,)),
-              (2, 3, 5, 7, 11, 13), (5, 11), "p = 5 or p = 1 (mod 5)"),
+              (2, 3, 5, 7, 11, 13), 5, 5),
     CoverCase("e", Signature(0, (2, 5, 10)), "cyclic:10", ((5,), (2,), (3,)),
-              (3, 5, 7, 11), (5, 11), "p = 5 or p = 1 (mod 10)"),
+              (3, 5, 7, 11), 5, 10),
     CoverCase("f", Signature(0, (3, 6, 6)), "cyclic:6", ((2,), (5,), (5,)),
-              (2, 3, 5, 7, 11, 13), (3, 7, 13), "p = 3 or p = 1 (mod 6)"),
+              (2, 3, 5, 7, 11, 13), 3, 6),
     CoverCase("g", Signature(0, (2, 6, 6)), "C6*C2", ((3, 1), (1, 0), (2, 1)),
-              (3, 5, 7, 13), (3, 7, 13), "p = 3 or p = 1 (mod 6)"),
+              (3, 5, 7, 13), 3, 6),
 )
 
 

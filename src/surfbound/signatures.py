@@ -308,6 +308,9 @@ def _parse_table(text, origin):
         periods = tuple(int(t) for t in m.group("periods").split())
         mu_num, mu_den = _cell(m.group("mu"))
         sr_num, sr_den = _cell(m.group("sr"))
+        if min(periods) < 2:
+            raise TableCorrupt(f"{where}: row ({','.join(map(str, periods))})"
+                               " has a period below 2")
         sig = Signature(0, periods)
         if mu_den == 0:
             raise TableCorrupt(f"{where}: row {sig} states measure {m.group('mu')}*pi,"

@@ -24,6 +24,7 @@ from surfbound.bounds import (
     sylow_forces_normal,
     verify_genus_certificate,
 )
+from surfbound.covers import check_cover_cases
 from surfbound.signatures import Signature, signature_table
 
 
@@ -234,13 +235,12 @@ class TestDischarge:
         assert not any(shield.facts.values())
 
     def test_deep_recomputes_cover_cases(self):
-        for p in (23, 47):
-            rep = discharge_prime(p, deep=True)
-            assert rep.complete
-            shield = next(
-                e for e in rep.entries if e.method == "cover-congruence-shield"
-            )
-            assert shield.facts["computed_lift_sets_empty"] is True
+        # the shield's facts come from each case's two integers; the homology
+        # (cover --check --primes p) finds no invariant hyperplane either
+        primes = [p for p in range(1000) if prime_conditions(p).attained]
+        assert len(primes) == 32
+        for report in check_cover_cases(primes=primes):
+            assert report["with_hyperplane"] == [], report
 
     def test_report_round_trip(self):
         rep = discharge_prime(47)
@@ -398,10 +398,15 @@ class TestCertifyGenus:
         assert cert.discharge.complete
 
     def test_attained_genus_48_deep(self):
-        cert = certify_genus(48, deep=True)
+        cert = certify_genus(48)
         verify_genus_certificate(cert)
         assert cert.bound == 188
         assert cert.attained
+        # the shield agrees with the homology recomputed at p = 47
+        shield = next(e for e in cert.discharge.entries
+                      if e.method == "cover-congruence-shield")
+        assert shield.ok and not any(shield.facts.values())
+        assert all(r["with_hyperplane"] == [] for r in check_cover_cases(primes=(47,)))
 
     def test_plain_genus_has_no_discharge(self):
         cert = certify_genus(100)
@@ -530,11 +535,19 @@ class TestGenusCertificateTampering:
             verify_genus_certificate(GenusCertificate.from_dict(data))
         assert str(err.value) == message
 
-    @pytest.mark.parametrize("deep", [False, True])
-    def test_honest_ledger_verifies(self, deep):
-        cert = certify_genus(24, deep=deep)
+    def test_honest_ledger_verifies(self):
+        cert = certify_genus(24)
         back = GenusCertificate.from_dict(json.loads(json.dumps(cert.to_dict())))
         assert verify_genus_certificate(back) is back
+
+    def test_deep_ledger_rejected(self):
+        # ledgers printed with the former --deep flag carry one more shield fact
+        data = certify_genus(24).to_dict()
+        data["discharge"]["entries"][1]["facts"]["computed_lift_sets_empty"] = True
+        with pytest.raises(ValueError) as err:
+            verify_genus_certificate(GenusCertificate.from_dict(json.loads(json.dumps(data))))
+        assert str(err.value).startswith(
+            "certificate states discharge.entries[1].facts {")
 
     def test_empty_witnesses_rejected(self):
         cert = certify_genus(5)

@@ -621,9 +621,9 @@ class TestCertify:
 
     @pytest.mark.parametrize("argv", [
         ("certify", "--genus", "22"),
-        ("certify", "--genus", "24", "--deep"),
+        ("certify", "--genus", "24"),
         ("catalog", "--genera", "3,22"),
-    ], ids=["certify-22", "certify-24-deep", "catalog-3-22"])
+    ], ids=["certify-22", "certify-24", "catalog-3-22"])
     def test_prints_without_replaying(self, capsys, monkeypatch, argv):
         # the command does not replay what it built; ske verify does
         def refuse(cert):
@@ -639,6 +639,27 @@ class TestCertify:
             code, out, _ = run(capsys, "ske", "verify", "-")
             assert code == 0
             assert out.startswith(f"certificate ok: genus {cert['genus']}")
+
+    def test_deep_ledger_fails_replay(self, capsys, monkeypatch):
+        # the shape the former certify --genus 24 --deep --json printed
+        _, data, _ = run_json(capsys, "certify", "--genus", "24", "--json")
+        data["certificate"]["discharge"]["entries"][1]["facts"]["computed_lift_sets_empty"] = True
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(data)))
+        code, out, _ = run(capsys, "ske", "verify", "-")
+        assert code == 1
+        assert out.startswith("verification failed: certificate states"
+                              " discharge.entries[1].facts {")
+
+    @pytest.mark.parametrize("argv", [
+        ("certify", "--genus", "24"),
+        ("attained", "--max", "100"),
+        ("catalog", "--genera", "24"),
+    ], ids=["certify", "attained", "catalog"])
+    def test_deep_flag_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--deep"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --deep" in capsys.readouterr().err
 
 
 class TestAttained:

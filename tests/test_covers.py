@@ -1,5 +1,6 @@
 import json
 from itertools import product
+from math import gcd
 
 import pytest
 
@@ -17,6 +18,7 @@ from surfbound.covers import (
     quotient_ske_from_cover,
     verify_cover_certificate,
 )
+from surfbound.groups import construct
 from surfbound.linalg import (
     cokernel_invariants,
     identity_matrix,
@@ -337,12 +339,6 @@ class TestCoverCases:
             assert cert.kernel_genus == 2
             verify_certificate(cert)
 
-    def test_expected_primes_match_conditions(self):
-        for case in GENUS2_COVER_CASES:
-            assert case.expected_primes == tuple(
-                p for p in case.tested_primes if case.condition_holds(p)
-            )
-
     def test_full_report_matches_predictions(self):
         reports = check_cover_cases()
         assert len(reports) == 7
@@ -363,6 +359,81 @@ class TestCoverCases:
         reports = check_cover_cases(labels={"f"}, primes=(7, 11, 19))
         assert reports[0]["with_hyperplane"] == [7, 19]
         assert reports[0]["expected"] == [7, 19]
+
+
+def linear_characters(group):
+    """Every homomorphism Q -> Z/|Q|, as its values on group.generators.
+
+    A candidate is walked over the Cayley graph from the identity and kept
+    when every edge x -> x*g adds the value of g consistently."""
+    n = group.order
+    out = []
+    for values in product(range(n), repeat=len(group.generators)):
+        chi = {group.identity: 0}
+        queue = [group.identity]
+        consistent = True
+        for x in queue:
+            for g, v in zip(group.generators, values):
+                y, w = group.mul(x, g), (chi[x] + v) % n
+                if y not in chi:
+                    chi[y] = w
+                    queue.append(y)
+                elif chi[y] != w:
+                    consistent = False
+        if consistent:
+            out.append(values)
+    return out
+
+
+def lifting_orders(case):
+    """Orders of the linear characters of Q that are non-trivial on all
+    three elliptic images: by Chevalley-Weil each occurs once in
+    H_1(K; C), so for p not dividing |Q| the case lifts mod p exactly when
+    one of these orders divides p - 1."""
+    group = construct(case.group_descriptor)
+    n = group.order
+    return {n // gcd(n, *values) for values in linear_characters(group)
+            if all(sum(e * v for e, v in zip(exps, values)) % n
+                   for exps in case.image_exponents)}
+
+
+class TestChevalleyWeil:
+    def test_lifting_character_orders(self):
+        orders = {case.label: lifting_orders(case) for case in GENUS2_COVER_CASES}
+        assert orders == {"a": {8}, "b": set(), "c": set(), "d": {5}, "e": {10},
+                          "f": {3, 6}, "g": {6}}
+
+    def test_congruences_match_characters(self):
+        pairs = 0
+        for case in GENUS2_COVER_CASES:
+            orders = lifting_orders(case)
+            order = construct(case.group_descriptor).order
+            assert order % case.lift_prime == 0
+            assert (case.modulus is None) == (not orders)
+            for p in filter(is_prime, range(2000)):
+                if order % p:
+                    pairs += 1
+                    assert case.condition_holds(p) == any((p - 1) % d == 0 for d in orders), \
+                        (case.label, p)
+        assert pairs == 2111
+
+    def test_homology_matches_congruences_below_300(self):
+        # every prime dividing some |Q| (2, 3, 5) is below 300
+        primes = list(filter(is_prime, range(300)))
+        reports = check_cover_cases(primes=primes)
+        for report in reports:
+            case = CASES[report["case"]]
+            assert report["with_hyperplane"] == [p for p in primes if case.condition_holds(p)]
+        lifted = {r["case"]: r["with_hyperplane"] for r in reports}
+        # no tested_primes reaches these: e (|Q| = 10) and g (|Q| = 12) do not lift at 2
+        assert 2 not in lifted["e"] and 2 not in lifted["g"]
+
+    def test_expected_primes(self):
+        # the condition texts are pinned by tests/golden/cover-check.txt
+        assert {c.label: c.expected_primes for c in GENUS2_COVER_CASES} == {
+            "a": (2, 17), "b": (2,), "c": (2,), "d": (5, 11), "e": (5, 11),
+            "f": (3, 7, 13), "g": (3, 7, 13),
+        }
 
 
 class TestBuildCover:

@@ -416,7 +416,9 @@ class TestIntegerTableCheck:
         ("2 3 7 | 1/0 | 84", "row (2,3,7) states measure 1/0*pi, a zero denominator"),
         ("2 3 7 | 1/21 | 84/0", "row (2,3,7) states s/r = 84/0, a zero denominator"),
         ("2 2 2 2 | 0/1 | 1", "row (2,2,2,2) has measure 0*pi <= 0"),
-    ], ids=["zero-measure-denominator", "zero-ratio-denominator", "measure-zero"])
+        ("1 3 7 | 1/21 | 84", "row (1,3,7) has a period below 2"),
+    ], ids=["zero-measure-denominator", "zero-ratio-denominator", "measure-zero",
+            "period-below-2"])
     def test_defect_names_origin_and_line(self, tmp_path, capsys, row, defect):
         path = tmp_path / "t.txt"
         path.write_text(f"# header\n{row} | verified-by-literature\n")
