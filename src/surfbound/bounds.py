@@ -25,7 +25,7 @@ so `constants` loads neither.
 from math import factorial, lcm
 from typing import NamedTuple
 
-from .signatures import Signature, abelianization, is_prime, signature_table
+from .signatures import Signature, _divisors, _factor, abelianization, is_prime, signature_table
 
 ATTAINED_RESIDUES = (23, 47, 59)
 
@@ -48,11 +48,10 @@ def bound_constants():
     table = signature_table()
     integer_bounds = [s for s, r in (e.sr_pair for e in table) if r == 1]
     r_lcm = lcm(*(e.sr_pair[1] for e in table))
-    primes = tuple(p for p in range(2, r_lcm + 1) if is_prime(p) and r_lcm % p == 0)
     return BoundConstants(
         s_max=max(integer_bounds),
         r_lcm=r_lcm,
-        primes=primes,
+        primes=tuple(_factor(r_lcm)),
         s_ranking=tuple(sorted(integer_bounds, reverse=True)),
         table_size=len(table),
     )
@@ -72,18 +71,6 @@ def prime_conditions(p):
     return PrimeConditions(p, prime, p % 60, prime and p % 60 in ATTAINED_RESIDUES)
 
 
-def _divisors(n):
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
-
-
 def sylow_forces_normal(p, ratio):
     """Whether a group of order p*ratio must have a normal Sylow p-subgroup.
 
@@ -91,20 +78,6 @@ def sylow_forces_normal(p, ratio):
     such divisor.
     """
     return all(d == 1 for d in _divisors(ratio) if d % p == 1)
-
-
-def _is_prime_power(n):
-    for q in range(2, n + 1):
-        if not is_prime(q):
-            continue
-        m = n
-        while m % q == 0:
-            m //= q
-        if m == 1:
-            return True
-        if q * q > n:
-            break
-    return False
 
 
 def frobenius_obstruction(p, s):
@@ -154,7 +127,7 @@ def degree24_obstruction(p, s):
         "sylow_count": p + 1,
         "group_order": order,
         "degree_is_p_plus_1": exceptions == [p + 1],
-        "degree_not_prime_power": not _is_prime_power(p + 1),
+        "degree_not_prime_power": len(_factor(p + 1)) > 1,
         "p_cycle_fixed_points": 1,
         "fixed_point_margin_ok": 2 < (p + 1 - 2) // 2,
         "overgroup_orders": dict(DEGREE24_OVERGROUPS),

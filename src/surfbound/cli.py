@@ -58,7 +58,7 @@ def _construct(descriptor):
 
 
 def _abelian_text(inv):
-    parts = ["Z"] * inv.free_rank + [f"C{d}" for d in inv.torsion]
+    parts = ([f"Z^{inv.free_rank}"] if inv.free_rank else []) + [f"C{d}" for d in inv.torsion]
     return " x ".join(parts) if parts else "trivial"
 
 

@@ -3,10 +3,11 @@
 Everything here works on plain Python ints (arbitrary precision), lists of
 lists for matrices.  No floating point anywhere: these routines back the
 homology computations, where a single rounding error would silently corrupt
-a certificate.  Only abelianization and the covers layer load this module,
-so a command that runs neither (table, constants, a search, a genus
-certificate without a cover witness or a discharge ledger) never compiles it.
-The primality test is in signatures.
+a certificate.  At runtime only the covers layer calls it (rref_mod,
+nullspace_mod, vec_mat_mod), so a command without a cover or a discharge
+ledger never compiles it.  smith_normal_form, cokernel_invariants,
+mat_mul_mod, invert_mod and identity_matrix have no runtime caller: they
+are test oracles, and the benchmark's tracer names the first four.
 """
 
 

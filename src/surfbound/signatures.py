@@ -7,16 +7,16 @@ periods m_j >= 2 of a cocompact Fuchsian group, presented as
       c_j^{m_j} = 1,  [a_1,b_1]...[a_g,b_g] c_1 ... c_k = 1 >.
 
 All invariants here are exact: the normalized measure lives in units of pi
-as a Fraction, genus bookkeeping is integer arithmetic, abelianizations come
-from an integer Smith normal form.  No floating point is used anywhere.
-fractions and the linalg layer are imported by the functions that use them,
-so kernel_genus, and with it an epimorphism search, loads neither.  The
-primality test is_prime lives here too, beside the Moebius function.
+as a Fraction, genus bookkeeping is integer arithmetic, the abelianization
+is in closed form.  No floating point is used anywhere.  This leaf layer
+imports no other surfbound module, and fractions only where a Fraction is
+built, so kernel_genus, and with it an epimorphism search, does not load
+it.  Small integers are factored here, and is_prime lives here too.
 
 The module also ships a plain-text table of the arithmetic signatures with
 measure below pi; the loader re-verifies every row on load, cross-multiplying
 in integers, and refuses to serve a table that does not reproduce its own
-stated invariants.  Reading the table loads neither fractions nor linalg.
+stated invariants.  Reading the table does not load fractions.
 """
 
 from functools import cache
@@ -173,29 +173,33 @@ class AbelianInvariants(NamedTuple):
 
     def epi_count_to_cyclic(self, n):
         """Number of epimorphisms onto a cyclic group of order n (Moebius over divisors)."""
-        total = 0
-        for d in range(1, n + 1):
-            if n % d:
-                continue
-            total += _moebius(n // d) * self.hom_count_to_cyclic(d)
-        return total
+        return sum(_moebius(n // d) * self.hom_count_to_cyclic(d) for d in _divisors(n))
+
+
+def _factor(n):
+    """{prime: exponent} for n >= 1, by trial division, primes ascending."""
+    factors, d = {}, 2
+    while d * d <= n:
+        while n % d == 0:
+            factors[d] = factors.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        factors[n] = 1
+    return factors
+
+
+def _divisors(n):
+    """The divisors of n >= 1, ascending."""
+    divisors = [1]
+    for q, e in _factor(n).items():
+        divisors = [d * q ** i for d in divisors for i in range(e + 1)]
+    return sorted(divisors)
 
 
 def _moebius(n):
-    if n == 1:
-        return 1
-    result = 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            n //= d
-            if n % d == 0:
-                return 0
-            result = -result
-        d += 1
-    if n > 1:
-        result = -result
-    return result
+    exponents = _factor(n).values()
+    return 0 if any(e > 1 for e in exponents) else (-1) ** len(exponents)
 
 
 class BeyondWitnessRange(ValueError):
@@ -211,7 +215,7 @@ def is_prime(n):
     """Deterministic Miller-Rabin, exact for every n below 3.3 * 10^24."""
     if n < 2:
         return False
-    for small in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for small in _MR_WITNESSES:
         if n % small == 0:
             return n == small
     if n >= _MR_LIMIT:
@@ -235,24 +239,20 @@ def is_prime(n):
 
 
 def abelianization(sig):
-    """Abelianization of the signature group via integer Smith normal form.
+    """Abelianization of the signature group, in closed form.
 
-    Generators: 2g hyperbolic + k elliptic images; relations: m_j * c_j = 0
-    and sum_j c_j = 0 (the commutators vanish).
+    Free rank 2g.  The torsion is Z/m_1 + ... + Z/m_k modulo the diagonal,
+    an element of the largest order, which spans a cyclic summand of it.
+    Putting gcd and lcm in place of each pair of periods keeps the sum and
+    sorts every prime's q-parts at once, leaving the invariant factors; the
+    torsion is all but the last, so for each q the largest q-part is
+    dropped.  Only gcds are taken: no period is factored.
     """
-    from .linalg import cokernel_invariants
-
-    g, k = sig.genus, len(sig.periods)
-    ncols = 2 * g + k
-    rows = []
-    for j, m in enumerate(sig.periods):
-        row = [0] * ncols
-        row[2 * g + j] = m
-        rows.append(row)
-    long_row = [0] * (2 * g) + [1] * k
-    rows.append(long_row)
-    free_rank, torsion = cokernel_invariants(rows, ncols)
-    return AbelianInvariants(free_rank=free_rank, torsion=torsion)
+    chain = list(sig.periods)
+    for i in range(len(chain)):
+        for j in range(i + 1, len(chain)):
+            chain[i], chain[j] = gcd(chain[i], chain[j]), lcm(chain[i], chain[j])
+    return AbelianInvariants(2 * sig.genus, tuple(d for d in chain[:-1] if d > 1))
 
 
 class SignatureTableEntry(NamedTuple):

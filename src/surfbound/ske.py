@@ -190,7 +190,7 @@ def check_recorded(stated, fresh):
     """ValueError naming the first value whose canonical JSON differs between
     the record a certificate states and the one rebuilt from its inputs (1 is
     not true, 2 not 2.0), by its path through objects with the same keys and
-    lists of the same length."""
+    lists of the same length; else the first key only one object has."""
     rebuilt = fresh.to_dict()
     path, value, other = "", stated.to_dict(), rebuilt
     while _canonical(value) != _canonical(other):
@@ -198,6 +198,12 @@ def check_recorded(stated, fresh):
             steps = [(f"{path}.{key}" if path else key, value[key], other[key]) for key in value]
         elif isinstance(value, list) and isinstance(other, list) and len(value) == len(other):
             steps = [(f"{path}[{i}]", a, b) for i, (a, b) in enumerate(zip(value, other))]
+        elif isinstance(value, dict) and isinstance(other, dict):
+            key = min(value.keys() ^ other.keys(), key=str)
+            path = f"{path}.{key}" if path else key
+            shown = [_canonical(v[key]) if key in v else "absent" for v in (value, other)]
+            raise ValueError(f"certificate states {path} {shown[0]:.80}, "
+                             f"recomputed {shown[1]:.80}")
         else:
             name, show = (path.replace("_", " "), repr) if path in rebuilt else (path, _canonical)
             raise ValueError(f"certificate states {name} {show(value):.80}, "

@@ -7,6 +7,7 @@ from math import gcd
 import pytest
 
 from surfbound.cli import main
+from surfbound.linalg import cokernel_invariants
 from surfbound.signatures import (
     AbelianInvariants,
     NonIntegralGenus,
@@ -15,6 +16,9 @@ from surfbound.signatures import (
     SignatureTableEntry,
     TableCorrupt,
     _ROW_RE,
+    _divisors,
+    _factor,
+    _moebius,
     _parse_table,
     abelianization,
     kernel_genus,
@@ -227,6 +231,61 @@ class TestAbelianization:
         assert inv.epi_count_to_cyclic(6) == 2
         assert inv.epi_count_to_cyclic(4) == 0
         assert inv.epi_count_to_cyclic(12) == 0
+
+    @staticmethod
+    def smith_oracle(sig):
+        # the former runtime code: Smith normal form of the relation matrix,
+        # generators 2g hyperbolic + k elliptic, rows m_j * c_j and sum_j c_j
+        g, k = sig.genus, len(sig.periods)
+        rows = [[0] * (2 * g + j) + [m] + [0] * (k - j - 1)
+                for j, m in enumerate(sig.periods)]
+        rows.append([0] * (2 * g) + [1] * k)
+        return cokernel_invariants(rows, 2 * g + k)
+
+    def test_closed_form_matches_smith_on_the_table(self):
+        for entry in signature_table():
+            assert tuple(abelianization(entry.signature)) == self.smith_oracle(entry.signature)
+
+    def test_closed_form_matches_smith_on_random_signatures(self):
+        rng = random.Random(19)
+        for _ in range(3000):
+            sig = Signature(rng.randrange(3),
+                            tuple(rng.randrange(2, 40) for _ in range(rng.randrange(6))))
+            assert tuple(abelianization(sig)) == self.smith_oracle(sig)
+
+    def test_huge_periods_are_not_factored(self):
+        # p = 10^18 + 3 is prime: trial division would need 10^9 steps
+        p = 10**18 + 3
+        sig = Signature(1, (2, p, p, 6 * p))
+        assert abelianization(sig) == (2, (p, 2 * p))
+        assert tuple(abelianization(sig)) == self.smith_oracle(sig)
+
+
+class TestSmallIntegers:
+    @staticmethod
+    def brute_factor(n):
+        factors = {}
+        for q in range(2, n + 1):
+            if n % q == 0 and all(q % d for d in range(2, q)):
+                factors[q] = max(e for e in range(1, n.bit_length()) if n % q**e == 0)
+        return factors
+
+    def test_factor(self):
+        for n in range(1, 2001):
+            factors = _factor(n)
+            assert factors == self.brute_factor(n)
+            assert list(factors) == sorted(factors)
+
+    def test_divisors(self):
+        for n in range(1, 2001):
+            assert _divisors(n) == [d for d in range(1, n + 1) if n % d == 0]
+
+    def test_moebius(self):
+        # mu is fixed by mu(1) = 1 and, for n > 1, sum over d | n of mu(d) = 0
+        mu = {}
+        for n in range(1, 2001):
+            mu[n] = (n == 1) - sum(mu[d] for d in range(1, n) if n % d == 0)
+            assert _moebius(n) == mu[n]
 
 
 def oracle_enumerate(mu_bound, max_genus, max_periods, max_period):

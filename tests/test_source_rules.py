@@ -47,18 +47,32 @@ def _module_level(tree):
             todo.extend(ast.iter_child_nodes(node))
 
 
+def _sibling_imports(nodes, name):
+    # the lines among nodes that import a surfbound module, relatively or by name
+    found = []
+    for node in nodes:
+        if isinstance(node, ast.ImportFrom) and (node.level > 0 or node.module == "surfbound"
+                                                 or node.module.startswith("surfbound.")):
+            found.append(f"{name}:{node.lineno}")
+        elif isinstance(node, ast.Import) and any(
+                alias.name.split(".")[0] == "surfbound" for alias in node.names):
+            found.append(f"{name}:{node.lineno}")
+    return found
+
+
+def _parse(name):
+    path = os.path.join(os.path.dirname(os.path.abspath(surfbound.__file__)), name)
+    with open(path, encoding="utf-8") as fh:
+        return ast.parse(fh.read(), filename=name)
+
+
 def test_cli_imports_no_layer_at_module_level():
     # the start-up contract for every command, including those the
     # sys.modules matrix in test_startup.py does not run
-    path = os.path.join(os.path.dirname(os.path.abspath(surfbound.__file__)), "cli.py")
-    with open(path, encoding="utf-8") as fh:
-        tree = ast.parse(fh.read(), filename="cli.py")
-    sibling = []
-    for node in _module_level(tree):
-        if isinstance(node, ast.ImportFrom) and (node.level > 0 or node.module == "surfbound"
-                                                 or node.module.startswith("surfbound.")):
-            sibling.append(f"cli.py:{node.lineno}")
-        elif isinstance(node, ast.Import) and any(
-                alias.name.split(".")[0] == "surfbound" for alias in node.names):
-            sibling.append(f"cli.py:{node.lineno}")
-    assert sibling == []
+    assert _sibling_imports(_module_level(_parse("cli.py")), "cli.py") == []
+
+
+def test_signatures_is_the_leaf_layer():
+    # every other layer builds on signatures, which imports none of them,
+    # neither at module level nor inside a function
+    assert _sibling_imports(ast.walk(_parse("signatures.py")), "signatures.py") == []

@@ -4,10 +4,10 @@ Every command runs in a fresh `python -S` child (no site hooks), which
 records sys.modules after main() returns.  No command may pull in
 dataclasses, and a command loads the covers and bounds layers only when it
 uses them.  A search loads neither the linalg layer nor fractions; the table
-commands load no layer but signatures (and bounds for constants), and a
-genus certificate without a cover witness or a discharge ledger loads
-neither linalg nor covers, to certify or to verify.  Importing the CLI loads
-no layer at all.
+commands and measure load no layer but signatures (and bounds for
+constants), and a genus certificate without a cover witness or a discharge
+ledger loads neither linalg nor covers, to certify or to verify.  Importing
+the CLI loads no layer at all.
 """
 
 import json
@@ -69,7 +69,7 @@ TABLE_ONLY = (GROUPS, SKE, LINALG, COVERS, FRACTIONS)
 
 @pytest.mark.parametrize("argv, loaded, absent", [
     (("table", "--check"), (), (BOUNDS,) + TABLE_ONLY),
-    (("measure", "2,3,7"), (), (COVERS, BOUNDS, RESOURCES)),
+    (("measure", "2,3,7"), (), (COVERS, BOUNDS, RESOURCES, LINALG)),
     (SEARCH, (), (COVERS, BOUNDS, RESOURCES, LINALG, FRACTIONS)),
     (("constants",), (BOUNDS,), TABLE_ONLY),
     (("cover", "--case", "d", "--prime", "5"), (COVERS,), (BOUNDS,)),
