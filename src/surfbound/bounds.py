@@ -1,10 +1,7 @@
 """Automorphism-count bounds for arithmetic surface kernels.
 
-Three layers:
+Two layers:
 
-* bound_constants: exact invariants of the embedded signature table (largest
-  integer bound multiplier, lcm of the bound denominators, its prime support,
-  and the ranked integer bound values).
 * attained genera: for g - 1 = p prime with p = 23, 47 or 59 (mod 60) the
   dihedral witness meets 4(g-1) and a discharge report shows, bound value by
   bound value, why nothing larger can act: Sylow counting, Frobenius
@@ -17,44 +14,29 @@ Three layers:
   dihedral witness with the strongest known explicit action (direct searches
   and homology covers), all replayable.
 
-bound_constants reads only the signature table; the groups and ske layers
-are imported by the witness, certificate and verify functions that use them,
-so `constants` loads neither.
+The table's own invariants (bound_constants) live in signatures.  Every
+command that loads this module also runs the groups and ske layers, so they
+are imported here once; covers (and with it linalg) is imported only by the
+discharge ledger and the cover witnesses, so the genera whose witnesses come
+from a search load neither.
 """
 
-from math import factorial, lcm
+from math import factorial
 from typing import NamedTuple
 
-from .signatures import Signature, _divisors, _factor, abelianization, is_prime, signature_table
+from .groups import construct
+# bound_constants is re-exported: the acceptance tests and the benchmark's
+# crosscheck and tracer import it from this module
+from .signatures import (Signature, _divisors, _factor, abelianization, bound_constants,
+                         is_prime, signature_table)
+from .ske import (SkeCertificate, check_recorded, dihedral_witness_ske, int_field, list_field,
+                  search_ske, verify_certificate, verify_ske)
 
 ATTAINED_RESIDUES = (23, 47, 59)
 
 
 class WitnessSearchFailed(RuntimeError):
     """A catalogued witness search came back empty."""
-
-
-class BoundConstants(NamedTuple):
-    """Invariants of the signature table driving every bound argument."""
-
-    s_max: int
-    r_lcm: int
-    primes: tuple
-    s_ranking: tuple
-    table_size: int
-
-
-def bound_constants():
-    table = signature_table()
-    integer_bounds = [s for s, r in (e.sr_pair for e in table) if r == 1]
-    r_lcm = lcm(*(e.sr_pair[1] for e in table))
-    return BoundConstants(
-        s_max=max(integer_bounds),
-        r_lcm=r_lcm,
-        primes=tuple(_factor(r_lcm)),
-        s_ranking=tuple(sorted(integer_bounds, reverse=True)),
-        table_size=len(table),
-    )
 
 
 class PrimeConditions(NamedTuple):
@@ -155,14 +137,12 @@ class DischargeEntry(NamedTuple):
             "prime": self.prime,
             "method": self.method,
             "bounds_covered": list(self.bounds_covered),
-            "facts": _jsonable(self.facts),
+            "facts": self.facts,
             "ok": self.ok,
         }
 
     @staticmethod
     def from_dict(data):
-        from .ske import list_field
-
         return DischargeEntry(
             prime=data["prime"],
             method=data["method"],
@@ -188,22 +168,12 @@ class DischargeReport(NamedTuple):
 
     @staticmethod
     def from_dict(data):
-        from .ske import list_field
-
         return DischargeReport(
             prime=data["prime"],
             bounds=list_field(data, "bounds"),
             entries=tuple(DischargeEntry.from_dict(e) for e in list_field(data, "entries")),
             complete=data["complete"],
         )
-
-
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
 
 
 def discharge_prime(p):
@@ -287,7 +257,7 @@ class GenusWitness(NamedTuple):
     """
 
     route: str
-    certificate: "SkeCertificate"
+    certificate: SkeCertificate
 
     def to_dict(self):
         return {
@@ -297,8 +267,6 @@ class GenusWitness(NamedTuple):
 
     @staticmethod
     def from_dict(data):
-        from .ske import SkeCertificate
-
         if data["route"] not in ("dihedral-family", "ske-search", "homology-cover"):
             raise ValueError(f"unknown witness route {data['route']!r:.60}")
         return GenusWitness(
@@ -328,8 +296,6 @@ class GenusCertificate(NamedTuple):
 
     @staticmethod
     def from_dict(data):
-        from .ske import int_field, list_field
-
         if data.get("type") != "genus":
             raise ValueError(f"not a genus certificate: {data.get('type')!r}")
         return GenusCertificate(
@@ -342,40 +308,10 @@ class GenusCertificate(NamedTuple):
         )
 
 
-# catalogued strongest witnesses for small genera; every entry is replayed,
-# never trusted
-CATALOG_ROUTES = {
-    2: (("search", Signature(0, (2, 3, 8)), "GL23"),),
-    3: (("search", Signature(0, (2, 2, 2, 6)), "S3*C2"), ("cover", "c", (2,))),
-    4: (("cover", "g", (3,)),),
-    5: (("search", Signature(0, (2, 2, 2, 6)), "S3*V4"),),
-    6: (("cover", "e", (5,)),),
-    7: (("search", Signature(0, (2, 2, 2, 6)), "S3*D3"),),
-    8: (("cover", "g", (7,)),),
-    9: (("search", Signature(0, (2, 2, 2, 6)), "S3*D4"),),
-    10: (("search", Signature(0, (2, 2, 2, 4)), "aff9:0,1,2,0:0,1,1,0"),),
-    11: (("search", Signature(0, (2, 2, 2, 6)), "S3*D5"),),
-    12: (("cover", "e", (11,)),),
-    13: (("search", Signature(0, (2, 2, 2, 6)), "S3*D6"),),
-    14: (("cover", "g", (13,)),),
-    15: (("search", Signature(0, (2, 2, 2, 6)), "S3*D7"),),
-    16: (("search", Signature(0, (3, 3, 4)), "A6"),),
-    17: (("search", Signature(0, (2, 2, 2, 6)), "S3*D8"),),
-    18: (("cover", "a", (17,)),),
-    19: (("search", Signature(0, (2, 2, 2, 6)), "S3*D9"),),
-    20: (("cover", "g", (19,)),),
-    21: (("search", Signature(0, (2, 2, 2, 6)), "S3*D10"),),
-    22: (("cover", "g", (3, 7)),),
-    23: (("search", Signature(0, (2, 2, 2, 6)), "S3*D11"),),
-}
-
 CATALOG_RANGE = range(2, 24)
 
 
 def _search_witness(sig, descriptor):
-    from .groups import construct
-    from .ske import search_ske, verify_ske
-
     group = construct(descriptor)
     images = search_ske(sig, group, mode="first")
     if images is None:
@@ -401,12 +337,32 @@ def _cover_witness(label, primes):
     return GenusWitness(route="homology-cover", certificate=cert)
 
 
-def _build_route(spec):
-    if spec[0] == "search":
-        return _search_witness(spec[1], spec[2])
-    if spec[0] == "cover":
-        return _cover_witness(spec[1], spec[2])
-    raise ValueError(f"unknown witness route {spec[0]!r}")
+# catalogued strongest witnesses for small genera, each entry its builder
+# and the builder's arguments; every entry is replayed, never trusted
+CATALOG_ROUTES = {
+    2: ((_search_witness, Signature(0, (2, 3, 8)), "GL23"),),
+    3: ((_search_witness, Signature(0, (2, 2, 2, 6)), "S3*C2"), (_cover_witness, "c", (2,))),
+    4: ((_cover_witness, "g", (3,)),),
+    5: ((_search_witness, Signature(0, (2, 2, 2, 6)), "S3*V4"),),
+    6: ((_cover_witness, "e", (5,)),),
+    7: ((_search_witness, Signature(0, (2, 2, 2, 6)), "S3*D3"),),
+    8: ((_cover_witness, "g", (7,)),),
+    9: ((_search_witness, Signature(0, (2, 2, 2, 6)), "S3*D4"),),
+    10: ((_search_witness, Signature(0, (2, 2, 2, 4)), "aff9:0,1,2,0:0,1,1,0"),),
+    11: ((_search_witness, Signature(0, (2, 2, 2, 6)), "S3*D5"),),
+    12: ((_cover_witness, "e", (11,)),),
+    13: ((_search_witness, Signature(0, (2, 2, 2, 6)), "S3*D6"),),
+    14: ((_cover_witness, "g", (13,)),),
+    15: ((_search_witness, Signature(0, (2, 2, 2, 6)), "S3*D7"),),
+    16: ((_search_witness, Signature(0, (3, 3, 4)), "A6"),),
+    17: ((_search_witness, Signature(0, (2, 2, 2, 6)), "S3*D8"),),
+    18: ((_cover_witness, "a", (17,)),),
+    19: ((_search_witness, Signature(0, (2, 2, 2, 6)), "S3*D9"),),
+    20: ((_cover_witness, "g", (19,)),),
+    21: ((_search_witness, Signature(0, (2, 2, 2, 6)), "S3*D10"),),
+    22: ((_cover_witness, "g", (3, 7)),),
+    23: ((_search_witness, Signature(0, (2, 2, 2, 6)), "S3*D11"),),
+}
 
 
 def certify_genus(g):
@@ -416,13 +372,11 @@ def certify_genus(g):
     add the stronger explicit action.  For attained genera the discharge
     report documents exactness of 4(g-1).
     """
-    from .ske import dihedral_witness_ske
-
     if g < 2:
         raise ValueError(f"need genus >= 2, got {g}")
     witnesses = [GenusWitness(route="dihedral-family", certificate=dihedral_witness_ske(g))]
-    for spec in CATALOG_ROUTES.get(g, ()):
-        witnesses.append(_build_route(spec))
+    for build, *args in CATALOG_ROUTES.get(g, ()):
+        witnesses.append(build(*args))
     cond = prime_conditions(g - 1)
     discharge = discharge_prime(g - 1) if cond.attained else None
     bound = max(w.certificate.group_order for w in witnesses)
@@ -438,8 +392,6 @@ def certify_genus(g):
 def verify_genus_certificate(cert):
     """Replay every witness of a genus certificate, rebuild what it records
     from them and from the genus, and compare."""
-    from .ske import check_recorded, dihedral_witness_ske, verify_certificate
-
     if not cert.witnesses:
         raise ValueError("certificate has no witnesses")
     routes = [w.route for w in cert.witnesses]

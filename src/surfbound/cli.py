@@ -6,7 +6,7 @@ homology covers, and the per-genus bound certificates.  Every --json output
 is canonical: keys sorted, compact separators, schema_version tagged, no
 timestamps, so identical invocations are byte-identical.  The module imports
 no surfbound layer at load time: each command imports the layers it runs, so
-`table` and `constants` load only signatures (and bounds), a search loads
+`table`, `measure` and `constants` load only signatures, a search loads
 signatures, groups and ske, and only the cover commands and the genus
 certificates that need a cover witness or a discharge ledger load covers and
 linalg.
@@ -146,7 +146,7 @@ def cmd_measure(args):
 
 
 def cmd_constants(args):
-    from .bounds import bound_constants
+    from .signatures import bound_constants
 
     c = bound_constants()
     payload = {
@@ -233,10 +233,10 @@ def _load_json(path):
 
 def cmd_ske_verify(args):
     data = _load_json(args.file)
+    if isinstance(data, dict) and "certificate" in data and "type" not in data:
+        data = data["certificate"]
     if not isinstance(data, dict):
         raise UsageError("certificate must be a JSON object")
-    if "certificate" in data and "type" not in data:
-        data = data["certificate"]
     kind = data.get("type")
     # only the module that defines the certificate type is imported
     if kind == "ske":

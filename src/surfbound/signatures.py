@@ -16,7 +16,8 @@ it.  Small integers are factored here, and is_prime lives here too.
 The module also ships a plain-text table of the arithmetic signatures with
 measure below pi; the loader re-verifies every row on load, cross-multiplying
 in integers, and refuses to serve a table that does not reproduce its own
-stated invariants.  Reading the table does not load fractions.
+stated invariants.  Reading the table does not load fractions.  The
+table's invariants (bound_constants) live beside it.
 """
 
 from functools import cache
@@ -360,6 +361,29 @@ def _packaged_table():
 
     text = resources.files("surfbound.data").joinpath("signature_table.txt").read_text("utf-8")
     return _parse_table(text, "signature_table.txt")
+
+
+class BoundConstants(NamedTuple):
+    """Invariants of the signature table driving every bound argument."""
+
+    s_max: int
+    r_lcm: int
+    primes: tuple
+    s_ranking: tuple
+    table_size: int
+
+
+def bound_constants():
+    table = signature_table()
+    integer_bounds = [s for s, r in (e.sr_pair for e in table) if r == 1]
+    r_lcm = lcm(*(e.sr_pair[1] for e in table))
+    return BoundConstants(
+        s_max=max(integer_bounds),
+        r_lcm=r_lcm,
+        primes=tuple(_factor(r_lcm)),
+        s_ranking=tuple(sorted(integer_bounds, reverse=True)),
+        table_size=len(table),
+    )
 
 
 def render_pi(frac):

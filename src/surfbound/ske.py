@@ -278,6 +278,14 @@ def search_ske(sig, group, mode="first", dedup=False):
     k = len(periods)
     by_order = {m: tuple(e for e, o in zip(elements, orders) if o == m)
                 for m in set(periods)}
+    exhausted = f"node budget {budget} exhausted searching {sig} -> {group.descriptor}"
+    # both known before the O(g) slot lists exist: a searched period with
+    # no element of its order sorts first and leaves the walk no node, and
+    # the first path assigns every slot before its leaf
+    if any(not by_order[m] for m in periods[:-1]):
+        return None if mode == "first" else [] if mode == "all" else 0
+    if max(k - 1, 0) + 2 * g > budget:
+        raise SearchSpaceTooLarge(exhausted)
     searched_ell = sorted(range(k - 1) if k else [],
                           key=lambda j: (len(by_order[periods[j]]), j))
     # an admissible signature always leaves at least two searched slots
@@ -291,9 +299,7 @@ def search_ske(sig, group, mode="first", dedup=False):
         nonlocal nodes
         nodes += 1
         if nodes > budget:
-            raise SearchSpaceTooLarge(
-                f"node budget {budget} exhausted searching {sig} -> {group.descriptor}"
-            )
+            raise SearchSpaceTooLarge(exhausted)
         kind, j = slots[pos]
         (ell if kind == "e" else hyp)[j] = cand
 
@@ -312,15 +318,25 @@ def search_ske(sig, group, mode="first", dedup=False):
             return None
         return searched + (last,) if periods else searched
 
-    def below(pos):
-        if pos == len(slots):
-            images = leaf()
-            if images is not None:
-                yield images
-            return
-        for cand in candidates[pos]:
-            assign(pos, cand)
-            yield from below(pos + 1)
+    def below(top):
+        # depth first over the slots from top on, one iterator of candidates
+        # per slot on a stack: a generator frame per slot would pass the
+        # recursion limit near a thousand slots
+        stack, pos = [], top
+        while True:
+            if pos == len(slots):
+                images = leaf()
+                if images is not None:
+                    yield images
+            else:
+                stack.append(iter(candidates[pos]))
+            cand = _END
+            while stack and (cand := next(stack[-1], _END)) is _END:
+                stack.pop()
+            if cand is _END:
+                return
+            pos = top + len(stack)
+            assign(pos - 1, cand)
 
     def stream():
         # a central representative (class of size 1) has C(r) = G, whose
@@ -360,6 +376,9 @@ def search_ske(sig, group, mode="first", dedup=False):
         return firsts
     where = [2 * g + j if kind == "e" else j for kind, j in slots]
     return sorted(found, key=lambda images: [index[images[p]] for p in where])
+
+
+_END = object()
 
 
 def _orbits(group, candidates, gens):

@@ -253,6 +253,23 @@ class TestDischarge:
         assert back.bounds == rep.bounds
         assert [e.method for e in back.entries] == [e.method for e in rep.entries]
 
+    def test_ledger_is_plain_json(self):
+        # to_dict writes every fact as it is, so each must already be a JSON
+        # value that survives a round trip unchanged (no tuple, no set)
+        def plain(value):
+            if isinstance(value, dict):
+                return all(isinstance(k, str) and plain(v) for k, v in value.items())
+            if isinstance(value, list):
+                return all(plain(v) for v in value)
+            return value is None or type(value) in (str, int, bool)
+
+        primes = [p for p in range(1000) if prime_conditions(p).attained]
+        assert len(primes) == 32
+        for p in primes:
+            data = discharge_prime(p).to_dict()
+            assert plain(data), p
+            assert json.loads(json.dumps(data)) == data, p
+
 
 class TestAttainedGenera:
     def test_up_to_300(self):

@@ -1,11 +1,14 @@
 import io
 import json
 import os
+import resource
+import subprocess
 import sys
 import time
 
 import pytest
 
+import surfbound
 from surfbound.cli import build_parser, main
 
 
@@ -309,6 +312,14 @@ class TestSkeVerify:
         path.write_text("{nope")
         code, _, err = run(capsys, "ske", "verify", str(path))
         assert code == 2
+
+    @pytest.mark.parametrize("inner", [[1], 5, None], ids=["list", "int", "null"])
+    def test_wrapped_non_object_exits_2(self, capsys, tmp_path, inner):
+        path = tmp_path / "wrapped.json"
+        path.write_text(json.dumps({"certificate": inner}))
+        code, out, err = run(capsys, "ske", "verify", str(path))
+        assert code == 2
+        assert out == "" and err == "error: certificate must be a JSON object\n"
 
     def test_unknown_type_exits_2(self, capsys, tmp_path):
         path = tmp_path / "odd.json"
@@ -780,6 +791,32 @@ class TestResourceCaps:
         assert code == 3
         assert "resource cap" in err
         assert "Traceback" not in err and out == ""
+
+    # signature, group, mode, exit code, expected text; the first ended in a
+    # RecursionError, the other two in a MemoryError under the limit below
+    DEEP_SEARCHES = {
+        "g600": ("g600", "C2", "first", 0, "kernel genus 1199"),
+        "huge-genus": ("g99999999999999999", "C2", "count", 3,
+                       "node budget 1000000000 exhausted searching (99999999999999999;) -> C2"),
+        "huge-genus-no-order-2": ("g99999999999999999p2,2,2,2,5,5", "C5", "count", 0, "none"),
+    }
+
+    @pytest.mark.parametrize("variant", sorted(DEEP_SEARCHES))
+    def test_deep_search_answers(self, variant):
+        sig, group, mode, code, text = self.DEEP_SEARCHES[variant]
+        limit = 800 * 2 ** 20
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(surfbound.__file__)))
+        env.pop("SURFBOUND_ORDER_CAP", None)
+        env.pop("SURFBOUND_NODE_BUDGET", None)
+        proc = subprocess.run(
+            [sys.executable, "-m", "surfbound.cli", "ske", "search", "--signature", sig,
+             "--group", group, "--mode", mode],
+            capture_output=True, text=True, env=env, timeout=30,
+            # bounds the child alone, so a search that builds O(g) lists fails fast
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+        assert proc.returncode == code, proc.stderr
+        assert text in proc.stdout + proc.stderr
+        assert "Traceback" not in proc.stderr
 
     SEARCH_S7 = ("ske", "search", "--signature", "2,3,7", "--group", "S7")
     # variable, its value or None to set it by flag, command; each exited 3

@@ -16,6 +16,7 @@ from surfbound.cli import main
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
 GOLDEN = {
+    "constants.txt": ("constants",),
     "constants.json": ("constants", "--json"),
     "table-check.json": ("table", "--check", "--json"),
     "cover-check.txt": ("cover", "--check"),

@@ -350,6 +350,13 @@ class TestSearchControls:
         with pytest.raises(SearchSpaceTooLarge):
             search_ske(Signature(0, (2, 2, 2, 2, 2)), klein_four())
 
+    @pytest.mark.parametrize("mode, empty", [("first", None), ("all", []), ("count", 0)])
+    def test_missing_period_is_an_answer_within_any_budget(self, monkeypatch, mode, empty):
+        # C5 has no element of order 2, so the walk has no node: the empty
+        # answer, although the eleven searched slots outnumber the budget
+        monkeypatch.setenv("SURFBOUND_NODE_BUDGET", "1")
+        assert search_ske(Signature(3, (2, 2, 2, 2, 5, 5)), cyclic_perm(5), mode=mode) == empty
+
     BUDGET_CASES = [
         (Signature(0, (2, 2, 2, 3)), lambda: dihedral_perm(6)),
         (Signature(1, (2,)), quaternion8),

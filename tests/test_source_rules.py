@@ -76,3 +76,18 @@ def test_signatures_is_the_leaf_layer():
     # every other layer builds on signatures, which imports none of them,
     # neither at module level nor inside a function
     assert _sibling_imports(ast.walk(_parse("signatures.py")), "signatures.py") == []
+
+
+def test_bounds_imports_only_covers_late():
+    # bounds imports groups, ske and signatures once, at module level; only
+    # the discharge ledger and the cover witnesses import covers (and with it
+    # linalg), so the genera whose witnesses come from a search load neither
+    late = set()
+    for fn in ast.walk(_parse("bounds.py")):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Import):
+                    late.update((fn.name, alias.name) for alias in node.names)
+                elif isinstance(node, ast.ImportFrom):
+                    late.add((fn.name, "." * node.level + (node.module or "")))
+    assert late == {("discharge_prime", ".covers"), ("_cover_witness", ".covers")}

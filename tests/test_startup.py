@@ -4,10 +4,11 @@ Every command runs in a fresh `python -S` child (no site hooks), which
 records sys.modules after main() returns.  No command may pull in
 dataclasses, and a command loads the covers and bounds layers only when it
 uses them.  A search loads neither the linalg layer nor fractions; the table
-commands and measure load no layer but signatures (and bounds for
-constants), and a genus certificate without a cover witness or a discharge
-ledger loads neither linalg nor covers, to certify or to verify.  Importing
-the CLI loads no layer at all.
+commands, constants and measure load no layer but signatures, and a genus
+certificate without a cover witness or a discharge ledger loads neither
+linalg nor covers, to certify or to verify.  The attained genera load covers
+for the discharge ledger's cover-congruence shield.  Importing the CLI loads
+no layer at all.
 """
 
 import json
@@ -71,15 +72,16 @@ TABLE_ONLY = (GROUPS, SKE, LINALG, COVERS, FRACTIONS)
     (("table", "--check"), (), (BOUNDS,) + TABLE_ONLY),
     (("measure", "2,3,7"), (), (COVERS, BOUNDS, RESOURCES, LINALG)),
     (SEARCH, (), (COVERS, BOUNDS, RESOURCES, LINALG, FRACTIONS)),
-    (("constants",), (BOUNDS,), TABLE_ONLY),
+    (("constants",), (), (BOUNDS,) + TABLE_ONLY),
     (("cover", "--case", "d", "--prime", "5"), (COVERS,), (BOUNDS,)),
     (("ske", "verify", "{cover}"), (COVERS,), (BOUNDS,)),
     (("certify", "--genus", "22"), (COVERS, BOUNDS), ()),
     (("ske", "verify", "{genus}"), (COVERS, BOUNDS), ()),
     (("certify", "--genus", "5"), (BOUNDS, SKE), (LINALG, COVERS, FRACTIONS)),
     (("ske", "verify", "{genus5}"), (BOUNDS, SKE), (LINALG, COVERS, FRACTIONS)),
+    (("attained", "--max", "30"), (BOUNDS, COVERS), ()),
 ], ids=["table", "measure", "search", "constants", "cover", "verify-cover",
-        "certify", "verify-genus", "certify-search", "verify-genus-search"])
+        "certify", "verify-genus", "certify-search", "verify-genus-search", "attained"])
 def test_command_loads_only_what_it_uses(tmp_path, certificate_files, argv, loaded, absent):
     modules = modules_after(tmp_path, *(a.format(**certificate_files) for a in argv))
     assert "surfbound.cli" in modules
