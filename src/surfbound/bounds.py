@@ -14,6 +14,10 @@ Two layers:
   dihedral witness with the strongest known explicit action (direct searches
   and homology covers), all replayable.
 
+Two inputs are taken as given: the table's rows are the arithmetic
+signatures of measure below pi, and the dihedral family's (2,2,2,2,2), of
+measure pi and so no row, is arithmetic.  A witness must be on one of them.
+
 The table's own invariants (bound_constants) live in signatures.  Every
 command that loads this module also runs the groups and ske layers, so they
 are imported here once; covers (and with it linalg) is imported only by the
@@ -29,8 +33,8 @@ from .groups import construct
 # crosscheck and tracer import it from this module
 from .signatures import (Signature, _divisors, _factor, abelianization, bound_constants,
                          is_prime, signature_table)
-from .ske import (SkeCertificate, check_recorded, dihedral_witness_ske, int_field, list_field,
-                  search_ske, verify_certificate, verify_ske)
+from .ske import (DIHEDRAL_SIGNATURE, SkeCertificate, check_recorded, dihedral_witness_ske,
+                  int_field, list_field, search_ske, verify_certificate, verify_ske)
 
 ATTAINED_RESIDUES = (23, 47, 59)
 
@@ -321,13 +325,8 @@ def _search_witness(sig, descriptor):
 
 
 def _cover_witness(label, primes):
-    from .covers import (
-        build_cover,
-        case_by_label,
-        case_certificate,
-        kernel_presentation,
-        quotient_ske_from_cover,
-    )
+    from .covers import (build_cover, case_by_label, case_certificate, kernel_presentation,
+                         quotient_ske_from_cover)
 
     cert = case_certificate(case_by_label(label))
     for p in primes:
@@ -397,7 +396,11 @@ def verify_genus_certificate(cert):
     routes = [w.route for w in cert.witnesses]
     if "dihedral-family" not in routes:
         raise ValueError("certificate is missing the dihedral witness")
+    arithmetic = {row.signature for row in signature_table()}
     for w in cert.witnesses:
+        sig = w.certificate.signature
+        if sig not in arithmetic and (w.route, sig) != ("dihedral-family", DIHEDRAL_SIGNATURE):
+            raise ValueError(f"witness {w.route} has signature {sig}, not an arithmetic one")
         fresh = verify_certificate(w.certificate)
         if fresh.kernel_genus != cert.genus:
             raise ValueError(

@@ -6,10 +6,10 @@ the fundamental group of the |Q|-sheeted cover X of Gamma's presentation
 2-complex.  X has the vertices c in Q, the edges (c, s) from c to c*a_s, and
 the faces (c, r), each defining relator r read from c.  Following Fox's free
 differential calculus (Ann. of Math. 57, 1953), H^1(K; F_p) is the space of
-1-cocycles of X that vanish on a spanning tree: the nullspace of the face
-rows plus one unit row per tree edge.  Its basis is dual to 2*genus(K)
-non-tree ("free") edges, which also fixes the coordinates of H_1(K; F_p),
-and Q acts on both by the deck transformations c -> q*c of X.
+1-cocycles of X that vanish on a spanning tree: the nullspace of the distinct
+face rows with the tree columns zeroed, less those columns' unit vectors.
+Its basis is dual to 2*genus(K) non-tree ("free") edges, which also fixes the
+coordinates of H_1(K; F_p); Q acts on both by the deck maps c -> q*c of X.
 
 A Q-invariant hyperplane W = ker(f) < H_1(K; F_p) yields an index-p subgroup
 M < K that is normal in Gamma, i.e. a degree-p unramified cover of the
@@ -44,7 +44,7 @@ class KernelPresentation(NamedTuple):
     """Cells of the cover X whose fundamental group is the kernel.
 
     Vertex c is group.elements[c]; edge column c*nslots + s runs from c to
-    act[s][c].  relation_rows are the faces, then one unit row per tree edge.
+    act[s][c].  relation_rows holds each distinct face once, tree columns 0.
     tree lists a BFS spanning tree of forward edges as (vertex, parent,
     column), the edge running from parent to vertex.  homology_dim is
     2*kernel_genus, the dimension H_1(K; F_p) must have at every prime p.
@@ -119,14 +119,12 @@ def kernel_presentation(cert):
         tree=tuple(tree), relation_rows=[], ncols=ncols,
         homology_dim=2 * cert.kernel_genus,
     )
-    for rel in relators:
-        for start in range(n):
-            pres.relation_rows.append(pres.rewrite(rel, start)[0])
-    for _, _, col in tree:
-        unit = [0] * ncols
-        unit[col] = 1
-        pres.relation_rows.append(unit)
-    return pres
+    # reading c_j^m from each vertex of one cycle gives the same face m times
+    faces = dict.fromkeys(tuple(pres.rewrite(rel, start)[0])
+                          for rel in relators for start in range(n))
+    tree_cols = {col for _, _, col in tree}
+    rows = [[0 if col in tree_cols else v for col, v in enumerate(face)] for face in faces]
+    return pres._replace(relation_rows=rows)
 
 
 class HomologyAction(NamedTuple):
@@ -154,7 +152,9 @@ def homology_action(pres, p):
     elements, index = group.elements, group.index
     nslots, act = pres.nslots, pres.act
 
-    cocycles = nullspace_mod(pres.relation_rows, pres.ncols, p)
+    # the rows are zero on the tree columns: drop their unit vectors
+    cocycles = [phi for phi in nullspace_mod(pres.relation_rows, pres.ncols, p)
+                if not any(phi[col] for _, _, col in pres.tree)]
     dim = len(cocycles)
     if dim != pres.homology_dim:
         raise NotSurfaceKernel(

@@ -446,6 +446,10 @@ def _central_cosets(group):
     return cosets
 
 
+# the dihedral family's signature: measure pi, so not a table row
+DIHEDRAL_SIGNATURE = Signature(0, (2, 2, 2, 2, 2))
+
+
 def dihedral_witness_ske(g):
     """Certified epimorphism from the quintuple-involution signature onto the
     dihedral group of order 4(g-1), with surface kernel of genus exactly g.
@@ -464,5 +468,4 @@ def dihedral_witness_ske(g):
         (0, 1),
         ((g - 1) % n, 0),
     )
-    sig = Signature(0, (2, 2, 2, 2, 2))
-    return verify_ske(sig, group, images)
+    return verify_ske(DIHEDRAL_SIGNATURE, group, images)

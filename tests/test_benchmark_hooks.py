@@ -1,14 +1,16 @@
 """The benchmark in perfbench/ reaches into the package by name: its tracer
 resolves TARGETS with getattr, its search workload checks the counts it
 records, and its cover workload builds a ladder of certificates through the
-covers API.  A rename, a signature change or a wrong count under src/ would
-otherwise first show as failed benchmark operations."""
+covers API, whose bytes data/cover-ladder.jsonl pins.  A rename, a signature
+change or a wrong count under src/ would otherwise first show as failed
+benchmark operations."""
 
 import importlib
 import importlib.util
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+LADDER_FILE = Path(__file__).resolve().parent / "data" / "cover-ladder.jsonl"
 
 
 def load(name):
@@ -37,6 +39,8 @@ def test_search_counts_as_recorded():
 
 
 def test_cover_ladder_builds():
+    # the certificates the cover workload replays, one per rung, byte for byte
     workloads = load("workloads")
     certificates = workloads.build_ladder()
     assert len(certificates) == len(workloads.LADDER)
+    assert certificates == LADDER_FILE.read_bytes().splitlines()

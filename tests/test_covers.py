@@ -26,8 +26,8 @@ from surfbound.linalg import (
     nullspace_mod,
     vec_mat_mod,
 )
-from surfbound.signatures import is_prime
-from surfbound.ske import dihedral_witness_ske, verify_certificate
+from surfbound.signatures import is_prime, parse_signature
+from surfbound.ske import dihedral_witness_ske, search_ske, verify_certificate, verify_ske
 
 CASES = {case.label: case for case in GENUS2_COVER_CASES}
 
@@ -41,11 +41,21 @@ def case_g_quotient_at_3():
     return quotient_ske_from_cover(build_cover(case_certificate(CASES["g"]), 3))
 
 
+def first_epimorphism(text, descriptor):
+    sig, group = parse_signature(text), construct(descriptor)
+    return verify_ske(sig, group, search_ske(sig, group, mode="first"))
+
+
 # the seven cases, the V4 and D8 dihedral witnesses, and the order-36 rung
 CERTIFICATES = sorted(CASES) + ["V4", "D8", "g-mod-3"]
+# bases of genus >= 1, whose long relation has commutators
+HIGHER_GENUS = {"(1;2)->Q8": ("g1p2", "Q8"), "(1;2,2)->D4": ("g1p2,2", "D4"),
+                "(2;)->C2": ("g2", "C2")}
 
 
 def certificate(name):
+    if name in HIGHER_GENUS:
+        return first_epimorphism(*HIGHER_GENUS[name])
     return {
         "V4": lambda: dihedral_witness_ske(2),
         "D8": lambda: dihedral_witness_ske(5),
@@ -62,6 +72,40 @@ def relators(sig):
     for i in range(g):
         long_word += [(2 * i, 1), (2 * i + 1, 1), (2 * i, -1), (2 * i + 1, -1)]
     return words + [tuple(long_word + [(2 * g + j, 1) for j in range(len(periods))])]
+
+
+def tree_columns(pres):
+    return {col for _, _, col in pres.tree}
+
+
+def distinct_faces(pres):
+    """Oracle: each face once, tree columns zeroed.  c_j^m read from any
+    vertex of one cycle of a_j is one face, kept at the cycle's least vertex;
+    the long relation gives a face at every vertex."""
+    sig = pres.certificate.signature
+    tree = tree_columns(pres)
+    faces = []
+    for j, word in enumerate(relators(sig)):
+        for start in range(pres.group.order):
+            if j < len(sig.periods):
+                cycle, c = [start], pres.act[2 * sig.genus + j][start]
+                while c != start:
+                    cycle.append(c)
+                    c = pres.act[2 * sig.genus + j][c]
+                if start != min(cycle):
+                    continue
+            vec = pres.rewrite(word, start)[0]
+            faces.append([0 if col in tree else v for col, v in enumerate(vec)])
+    return faces
+
+
+def unit_row_system(pres):
+    """The system kernel_presentation once built: every relator read from
+    every vertex, then one unit row per tree edge."""
+    rows = [pres.rewrite(word, start)[0] for word in relators(pres.certificate.signature)
+            for start in range(pres.group.order)]
+    units = [[int(col == t) for col in range(pres.ncols)] for t in sorted(tree_columns(pres))]
+    return rows + units
 
 
 def full_action(action):
@@ -144,8 +188,12 @@ def assert_least_of_scan(action):
 
 
 def assert_integer_homology_is_free(pres):
-    # integer oracle: the face rows plus tree rows present H_1(K; Z) itself
-    assert cokernel_invariants(pres.relation_rows, pres.ncols) == (pres.homology_dim, ())
+    # integer oracle: contracting the tree leaves one vertex, so the faces on
+    # the non-tree columns present H_1(K; Z) itself
+    tree = tree_columns(pres)
+    keep = [col for col in range(pres.ncols) if col not in tree]
+    rows = [[row[col] for col in keep] for row in pres.relation_rows]
+    assert cokernel_invariants(rows, len(keep)) == (pres.homology_dim, ())
 
 
 class TestKernelPresentation:
@@ -175,17 +223,13 @@ class TestKernelPresentation:
 
     @pytest.mark.parametrize("name", CERTIFICATES)
     def test_every_relator_closes_at_every_vertex(self, name):
-        # the face rows are the relators read from each vertex, and each
-        # such path ends where it starts
+        # each relator read from each vertex ends where it starts, and the
+        # rows are the distinct faces with the tree columns zeroed
         pres = kernel_presentation(certificate(name))
-        faces = []
         for word in relators(pres.certificate.signature):
             for start in range(pres.group.order):
-                vec, end = pres.rewrite(word, start)
-                assert end == start, (word, start)
-                faces.append(vec)
-        assert pres.relation_rows[:len(faces)] == faces
-        assert len(pres.relation_rows) == len(faces) + len(pres.tree)
+                assert pres.rewrite(word, start)[1] == start, (word, start)
+        assert pres.relation_rows == distinct_faces(pres)
 
     def test_all_cases_have_genus_two_homology(self):
         for case in GENUS2_COVER_CASES:
@@ -202,9 +246,8 @@ class TestKernelPresentation:
     def test_torsion_rejected(self):
         # 3-torsion in the integer homology shows up as extra dimension mod 3
         pres = v4_presentation()
-        faces = len(pres.relation_rows) - len(pres.tree)
-        rows = [[3 * v for v in row] for row in pres.relation_rows[:faces]]
-        torsion = pres._replace(relation_rows=rows + pres.relation_rows[faces:])
+        torsion = pres._replace(relation_rows=[[3 * v for v in row]
+                                               for row in pres.relation_rows])
         assert homology_action(torsion, 5).dim == 4
         with pytest.raises(NotSurfaceKernel, match="dimension"):
             homology_action(torsion, 3)
@@ -213,6 +256,27 @@ class TestKernelPresentation:
         altered = v4_presentation()._replace(homology_dim=6)
         with pytest.raises(NotSurfaceKernel, match="expected 6"):
             homology_action(altered, 7)
+
+
+class TestUnitRowOracle:
+    """The faces alone, tree columns zeroed, against the former system of
+    every face read from every vertex plus one unit row per tree edge: its
+    row space is the unit rows' span plus the new rows', so the free
+    columns, the cocycles, the matrices and the hyperplanes are the same."""
+
+    @pytest.mark.parametrize("name", CERTIFICATES + sorted(HIGHER_GENUS))
+    def test_same_homology_below_50(self, name):
+        pres = kernel_presentation(certificate(name))
+        sig, n, tree = pres.certificate.signature, pres.group.order, tree_columns(pres)
+        assert len(pres.relation_rows) == sum(n // m for m in sig.periods) + n
+        assert not any(row[col] for row in pres.relation_rows for col in tree)
+        old = pres._replace(relation_rows=unit_row_system(pres))
+        for p in filter(is_prime, range(50)):
+            new_action, old_action = homology_action(pres, p), homology_action(old, p)
+            assert new_action.cocycles == old_action.cocycles == nullspace_mod(
+                old.relation_rows, pres.ncols, p), (name, p)
+            assert new_action.matrices == old_action.matrices, (name, p)
+            assert invariant_hyperplanes(new_action) == invariant_hyperplanes(old_action)
 
 
 class TestHomologyAction:
@@ -240,11 +304,13 @@ class TestHomologyAction:
         # each cocycle is 1 on its own free (last nonzero) edge, 0 on the
         # other cocycles' free edges and on the tree, and kills every face
         pres = kernel_presentation(certificate(name))
+        tree = tree_columns(pres)
         for p in (2, 3, 5, 7, 11):
             cocycles = homology_action(pres, p).cocycles
             free = [max(j for j, v in enumerate(phi) if v) for phi in cocycles]
             assert [[phi[j] for j in free] for phi in cocycles] == identity_matrix(len(free))
             for phi in cocycles:
+                assert not any(phi[col] for col in tree), (name, p)
                 assert all(sum(r * v for r, v in zip(row, phi)) % p == 0
                            for row in pres.relation_rows), (name, p)
 

@@ -22,6 +22,7 @@ GOLDEN = {
     "cover-check.txt": ("cover", "--check"),
     "cover-check.json": ("cover", "--check", "--json"),
     "cover-check-primes.json": ("cover", "--check", "--primes", "2,3,5,23,47,59", "--json"),
+    "cover-g-7.json": ("cover", "--case", "g", "--prime", "7", "--json"),
     "certify-22.json": ("certify", "--genus", "22", "--json"),
     "certify-24.txt": ("certify", "--genus", "24"),
     "certify-24.json": ("certify", "--genus", "24", "--json"),

@@ -140,3 +140,26 @@ def test_formerly_accepted_change_refused(certificates, tmp_path, case):
     cert = certificates[source]
     assert canonical(tampered(cert, path, value)) != canonical(cert)
     assert refusal(tmp_path, cert, path, value) is None
+
+
+# PSL(2,13) on the projective line over F_13, generated by x -> x+1 and
+# x -> -1/x: an order-1092 action at genus 50 on (2,3,13), which is not an
+# arithmetic signature, against the honest bound 196
+PSL_2_13 = "perm:14:1,2,3,4,5,6,7,8,9,10,11,12,0,13:13,12,6,4,3,5,2,11,8,10,9,7,1,0"
+
+
+def test_non_arithmetic_witness_refused(tmp_path):
+    code, out, _ = run(("ske", "search", "--signature", "2,3,13", "--group", PSL_2_13, "--json"))
+    assert code == 0
+    witness = json.loads(out)["certificate"]
+    code, out, _ = run(("certify", "--genus", "50", "--json"))
+    assert code == 0
+    cert = json.loads(out)["certificate"]
+    assert cert["bound"] == 196
+    cert["witnesses"].append({"route": "ske-search", "certificate": witness})
+    cert["bound"] = 1092
+    file = tmp_path / "forged.json"
+    file.write_text(json.dumps(cert))
+    assert run(("ske", "verify", str(file))) == (
+        1, "verification failed: witness ske-search has signature (2,3,13),"
+           " not an arithmetic one\n", "")
