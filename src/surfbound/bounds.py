@@ -137,13 +137,7 @@ class DischargeEntry(NamedTuple):
     ok: bool
 
     def to_dict(self):
-        return {
-            "prime": self.prime,
-            "method": self.method,
-            "bounds_covered": list(self.bounds_covered),
-            "facts": self.facts,
-            "ok": self.ok,
-        }
+        return dict(self._asdict(), bounds_covered=list(self.bounds_covered))
 
     @staticmethod
     def from_dict(data):
@@ -163,12 +157,8 @@ class DischargeReport(NamedTuple):
     complete: bool
 
     def to_dict(self):
-        return {
-            "prime": self.prime,
-            "bounds": list(self.bounds),
-            "entries": [e.to_dict() for e in self.entries],
-            "complete": self.complete,
-        }
+        return dict(self._asdict(), bounds=list(self.bounds),
+                    entries=[e.to_dict() for e in self.entries])
 
     @staticmethod
     def from_dict(data):
@@ -264,10 +254,7 @@ class GenusWitness(NamedTuple):
     certificate: SkeCertificate
 
     def to_dict(self):
-        return {
-            "route": self.route,
-            "certificate": self.certificate.to_dict(),
-        }
+        return dict(self._asdict(), certificate=self.certificate.to_dict())
 
     @staticmethod
     def from_dict(data):
@@ -289,14 +276,9 @@ class GenusCertificate(NamedTuple):
     discharge: object
 
     def to_dict(self):
-        return {
-            "type": "genus",
-            "genus": self.genus,
-            "bound": self.bound,
-            "attained": self.attained,
-            "witnesses": [w.to_dict() for w in self.witnesses],
-            "discharge": self.discharge.to_dict() if self.discharge else None,
-        }
+        return dict(self._asdict(), type="genus",
+                    witnesses=[w.to_dict() for w in self.witnesses],
+                    discharge=self.discharge.to_dict() if self.discharge else None)
 
     @staticmethod
     def from_dict(data):
@@ -374,17 +356,20 @@ def certify_genus(g):
     if g < 2:
         raise ValueError(f"need genus >= 2, got {g}")
     witnesses = [GenusWitness(route="dihedral-family", certificate=dihedral_witness_ske(g))]
-    for build, *args in CATALOG_ROUTES.get(g, ()):
-        witnesses.append(build(*args))
-    cond = prime_conditions(g - 1)
-    discharge = discharge_prime(g - 1) if cond.attained else None
-    bound = max(w.certificate.group_order for w in witnesses)
+    witnesses += [build(*args) for build, *args in CATALOG_ROUTES.get(g, ())]
+    return _genus_certificate(g, witnesses)
+
+
+def _genus_certificate(genus, witnesses):
+    """What these witnesses certify at this genus: the bound is their largest
+    order, and an attained genus carries its discharge ledger."""
+    attained = prime_conditions(genus - 1).attained
     return GenusCertificate(
-        genus=g,
-        bound=bound,
+        genus=genus,
+        bound=max(w.certificate.group_order for w in witnesses),
         witnesses=tuple(witnesses),
-        attained=cond.attained,
-        discharge=discharge,
+        attained=attained,
+        discharge=discharge_prime(genus - 1) if attained else None,
     )
 
 
@@ -401,26 +386,24 @@ def verify_genus_certificate(cert):
         sig = w.certificate.signature
         if sig not in arithmetic and (w.route, sig) != ("dihedral-family", DIHEDRAL_SIGNATURE):
             raise ValueError(f"witness {w.route} has signature {sig}, not an arithmetic one")
-        fresh = verify_certificate(w.certificate)
-        if fresh.kernel_genus != cert.genus:
+        replayed = verify_certificate(w.certificate)
+        if replayed.kernel_genus != cert.genus:
             raise ValueError(
-                f"witness {w.route} has kernel genus {fresh.kernel_genus}, "
+                f"witness {w.route} has kernel genus {replayed.kernel_genus}, "
                 f"certificate claims genus {cert.genus}"
             )
-    bound = max(w.certificate.group_order for w in cert.witnesses)
-    attained = prime_conditions(cert.genus - 1).attained
-    discharge = None
-    if attained:
-        if bound != 4 * (cert.genus - 1):
+    # rebuilt from the certificate's own witnesses: they need not be the catalog's
+    fresh = _genus_certificate(cert.genus, cert.witnesses)
+    if fresh.attained:
+        if fresh.bound != 4 * (cert.genus - 1):
             raise ValueError("attained genus must have bound exactly 4(g-1)")
-        discharge = discharge_prime(cert.genus - 1)
-        if not discharge.complete:
+        if not fresh.discharge.complete:
             raise ValueError("attained genus lacks a complete discharge report")
     dihedral = GenusWitness("dihedral-family", dihedral_witness_ske(cert.genus))
     for w in cert.witnesses:
         if w.route == dihedral.route:
             check_recorded(w, dihedral)
-    check_recorded(cert, cert._replace(bound=bound, attained=attained, discharge=discharge))
+    check_recorded(cert, fresh)
     return cert
 
 

@@ -391,13 +391,7 @@ def cmd_attained(args):
     rows = []
     lines = []
     for a in genera:
-        rows.append({
-            "genus": a.genus,
-            "prime": a.prime,
-            "bound": a.bound,
-            "complete": a.complete,
-            "discharge": a.discharge.to_dict(),
-        })
+        rows.append(dict(a._asdict(), complete=a.complete, discharge=a.discharge.to_dict()))
         lines.append(f"genus {a.genus:>4}  prime {a.prime:>4}  bound {a.bound:>5}"
                      f"  discharge {'complete' if a.complete else 'INCOMPLETE'}")
     if not genera:

@@ -479,16 +479,19 @@ class TestGenusCertificateTampering:
         cert = certify_genus(5)
         bad = GenusCertificate(6, cert.bound, cert.witnesses,
                                cert.attained, cert.discharge)
-        with pytest.raises(ValueError, match="kernel genus"):
+        with pytest.raises(ValueError) as err:
             verify_genus_certificate(bad)
+        assert str(err.value) == ("witness dihedral-family has kernel genus 5, "
+                                  "certificate claims genus 6")
 
     def test_missing_dihedral_witness_rejected(self):
         cert = certify_genus(5)
         others = tuple(w for w in cert.witnesses if w.route != "dihedral-family")
         bad = GenusCertificate(cert.genus, cert.bound, others,
                                cert.attained, cert.discharge)
-        with pytest.raises(ValueError, match="dihedral"):
+        with pytest.raises(ValueError) as err:
             verify_genus_certificate(bad)
+        assert str(err.value) == "certificate is missing the dihedral witness"
 
     def test_attained_flag_tamper_rejected(self):
         cert = certify_genus(10)
@@ -576,6 +579,23 @@ class TestGenusCertificateTampering:
                                cert.attained, cert.discharge)
         with pytest.raises(ValueError, match="no witnesses"):
             verify_genus_certificate(bad)
+
+    def test_refusal_stated_bound(self):
+        bad = certify_genus(2)._replace(bound=49)
+        with pytest.raises(ValueError) as err:
+            verify_genus_certificate(bad)
+        assert str(err.value) == "certificate states bound 49, recomputed 48"
+
+    def test_refusal_incomplete_ledger(self, monkeypatch):
+        import surfbound.bounds as bounds
+
+        cert = certify_genus(24)
+        honest = bounds.discharge_prime
+        monkeypatch.setattr(bounds, "discharge_prime",
+                            lambda p: honest(p)._replace(complete=False))
+        with pytest.raises(ValueError) as err:
+            verify_genus_certificate(cert)
+        assert str(err.value) == "attained genus lacks a complete discharge report"
 
 
 class TestWitnessSerialization:

@@ -566,6 +566,12 @@ class TestCover:
         assert len(data["reports"]) == 1
         assert data["reports"][0]["with_hyperplane"] == [7, 19]
 
+    @pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
+    def test_check_repeated_primes(self, capsys, json_flag):
+        repeated = run(capsys, "cover", "--check", "--primes", "2,2,3", *json_flag)
+        assert repeated == run(capsys, "cover", "--check", "--primes", "2,3", *json_flag)
+        assert repeated[0] == 0 and "2,2" not in repeated[1]
+
     def test_check_with_case_exits_2(self, capsys):
         code, _, err = run(capsys, "cover", "--check", "--case", "a",
                            "--prime", "2")

@@ -426,6 +426,11 @@ class TestCoverCases:
         assert reports[0]["with_hyperplane"] == [7, 19]
         assert reports[0]["expected"] == [7, 19]
 
+    def test_repeated_primes_kept_once(self):
+        reports = check_cover_cases(labels={"a", "f"}, primes=(2, 2, 7, 3, 7))
+        assert reports == check_cover_cases(labels={"a", "f"}, primes=(2, 7, 3))
+        assert [r["primes"] for r in reports] == [[2, 7, 3], [2, 7, 3]]
+
 
 def linear_characters(group):
     """Every homomorphism Q -> Z/|Q|, as its values on group.generators.
@@ -575,6 +580,23 @@ class TestQuotient:
         assert quotient.group_order == 92
         assert quotient.kernel_genus == 24
         verify_certificate(quotient)
+
+    @pytest.mark.parametrize("label", sorted(CASES))
+    def test_extension_order_below_50(self, label):
+        cert = case_certificate(CASES[label])
+        pres = kernel_presentation(cert)
+        lifting = [p for p in range(50) if is_prime(p) and CASES[label].condition_holds(p)]
+        assert lifting
+        for p in lifting:
+            cover = build_cover(cert, p, presentation=pres)
+            quotient = quotient_ske_from_cover(cover, presentation=pres)
+            assert quotient.group_order == cover.cover_group_order == p * cert.group_order
+
+    def test_tampered_cover_genus_refused(self):
+        cover = build_cover(case_certificate(CASES["d"]), 5)
+        with pytest.raises(RuntimeError) as err:
+            quotient_ske_from_cover(cover._replace(cover_genus=cover.cover_genus + 1))
+        assert str(err.value) == "quotient kernel genus disagrees with the cover"
 
     def test_iterated_cover_presentation(self):
         # genus-4 kernel from case g at p = 3; its own presentation has rank 8

@@ -1,0 +1,121 @@
+"""Compare the CLI's stdout and exit codes between this tree and another.
+
+Usage: python3 tools/same_output.py OTHER_CHECKOUT
+
+Runs each command below as `python3 -m surfbound.cli ...` once against this
+tree's src/ and once against OTHER_CHECKOUT/src/, with SURFBOUND_ORDER_CAP
+and SURFBOUND_NODE_BUDGET removed from the environment.  Each
+`certify --genus g --json` output is piped into `ske verify - --json` of the
+same tree.  Prints every command whose exit code or stdout differs and exits
+1 if any does, else 0.  Commands run one at a time, each once per tree; the
+whole list takes about a minute on two CPUs.
+"""
+
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent.parent
+LADDER = HERE / "tests" / "data" / "cover-ladder.jsonl"
+CASES = "abcdefg"
+GENERA = [*range(2, 25), 48, 60, 84, 108]
+
+
+def primes_below(n):
+    return [p for p in range(2, n) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+
+
+# the commands whose stdout tests/test_golden.py pins (its GOLDEN table)
+GOLDEN = [
+    ("constants",),
+    ("constants", "--json"),
+    ("table", "--check", "--json"),
+    ("cover", "--check"),
+    ("cover", "--check", "--json"),
+    ("cover", "--check", "--primes", "2,3,5,23,47,59", "--json"),
+    ("cover", "--case", "g", "--prime", "7", "--json"),
+    ("certify", "--genus", "22", "--json"),
+    ("certify", "--genus", "24"),
+    ("certify", "--genus", "24", "--json"),
+    ("attained", "--max", "300", "--json"),
+    ("catalog", "--json"),
+]
+
+
+def commands():
+    """(argv, stdin) pairs; stdin is None, the number of a line of the ladder
+    file, or the argv whose stdout feeds this command in the same tree."""
+    out = [(argv, None) for argv in GOLDEN]
+    for g in GENERA:
+        certify = ("certify", "--genus", str(g), "--json")
+        out += [(certify[:-1], None), (certify, None), (("ske", "verify", "-", "--json"), certify)]
+    out += [(argv, None) for argv in [
+        ("catalog",),
+        ("catalog", "--json"),
+        ("catalog", "--genera", "3,22,24"),
+        ("attained", "--max", "1000", "--json"),
+        ("attained", "--max", "300"),
+        ("cover", "--check"),
+        ("cover", "--check", "--json"),
+        ("cover", "--check", "--primes", ",".join(map(str, primes_below(400))), "--json"),
+        ("table", "--check", "--json"),
+        ("constants",),
+        ("constants", "--json"),
+    ]]
+    out += [(("cover", "--case", c, "--prime", str(p), "--json"), None)
+            for c in CASES for p in primes_below(50)]
+    out += [(("ske", "verify", "-", "--json"), n)
+            for n in range(1, len(LADDER.read_text().splitlines()) + 1)]
+    return list(dict.fromkeys(out))
+
+
+class Tree:
+    """One checkout's CLI, each (argv, stdin) run once."""
+
+    def __init__(self, root):
+        self.root = root
+        self.env = {k: v for k, v in os.environ.items()
+                    if k not in ("SURFBOUND_ORDER_CAP", "SURFBOUND_NODE_BUDGET")}
+        self.env["PYTHONPATH"] = str(root / "src")
+        self.seen = {}
+
+    def run(self, argv, stdin=None):
+        if isinstance(stdin, tuple):
+            stdin = self.run(stdin)[1]
+        elif isinstance(stdin, int):
+            stdin = LADDER.read_bytes().splitlines()[stdin - 1]
+        key = (argv, stdin)
+        if key not in self.seen:
+            proc = subprocess.run([sys.executable, "-m", "surfbound.cli", *argv], input=stdin,
+                                  capture_output=True, env=self.env, cwd=self.root)
+            self.seen[key] = proc.returncode, proc.stdout
+        return self.seen[key]
+
+
+def shown(argv, stdin):
+    text = " ".join(argv)
+    if isinstance(stdin, tuple):
+        return f"{' '.join(stdin)} | {text}"
+    return text if stdin is None else f"{text} < ladder line {stdin}"
+
+
+def main(args):
+    if len(args) != 1 or not (Path(args[0]) / "src" / "surfbound").is_dir():
+        print("usage: python3 tools/same_output.py OTHER_CHECKOUT", file=sys.stderr)
+        return 2
+    here, there = Tree(HERE), Tree(Path(args[0]).resolve())
+    todo = commands()
+    differ = 0
+    for argv, stdin in todo:
+        mine, theirs = here.run(argv, stdin), there.run(argv, stdin)
+        if mine != theirs:
+            differ += 1
+            print(f"DIFFERS: {shown(argv, stdin)} (exit {mine[0]} here, {theirs[0]} there)")
+    print(f"{len(todo)} commands, {differ} differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
