@@ -408,6 +408,9 @@ def verify_genus_certificate(cert):
 
 
 def small_genus_catalog(genera=None):
-    """Certificates for every catalogued small genus, keyed by genus."""
-    genera = CATALOG_RANGE if genera is None else genera
+    """Certificates keyed by genus in the order given, default the catalog's:
+    every genus is checked before any is certified, and each certified once."""
+    genera = dict.fromkeys(CATALOG_RANGE if genera is None else genera)
+    if min(genera, default=2) < 2:
+        raise ValueError(f"need genus >= 2, got {min(genera)}")
     return {g: certify_genus(g) for g in genera}

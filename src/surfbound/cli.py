@@ -99,11 +99,11 @@ def cmd_measure(args):
     from .signatures import (
         NonIntegralGenus,
         NotAdmissible,
+        _ratio_text,
         abelianization,
         kernel_genus,
         measure_class,
         render_pi,
-        render_ratio,
     )
 
     sig = _parse_sig(args.signature)
@@ -114,19 +114,20 @@ def cmd_measure(args):
     except NotAdmissible as exc:
         raise UsageError(f"not admissible: {exc}")
     inv = abelianization(sig)
+    q, bound_ratio = (_ratio_text(*x.as_integer_ratio()) for x in (mc.q, mc.s_over_r))
     payload = {
         "command": "measure",
         "signature": str(sig),
         "measure": render_pi(mc.mu_over_pi),
-        "q": render_ratio(mc.q),
-        "bound_ratio": render_ratio(mc.s_over_r),
+        "q": q,
+        "bound_ratio": bound_ratio,
         "abelianization": {"free_rank": inv.free_rank, "torsion": list(inv.torsion)},
     }
     lines = [
         f"signature      {sig}",
         f"measure        {render_pi(mc.mu_over_pi)}",
-        f"genus ratio q  {render_ratio(mc.q)}",
-        f"bound          {render_ratio(mc.s_over_r)}(g-1)",
+        f"genus ratio q  {q}",
+        f"bound          {bound_ratio}(g-1)",
         f"abelianized    {_abelian_text(inv)}",
     ]
     if args.order is not None:
@@ -412,15 +413,14 @@ def _parse_int_list(text):
 
 
 def cmd_catalog(args):
-    from .bounds import CATALOG_RANGE, certify_genus
+    from .bounds import small_genus_catalog
 
-    genera = _parse_int_list(args.genera) if args.genera else list(CATALOG_RANGE)
+    genera = _parse_int_list(args.genera) if args.genera else None
+    if genera and min(genera) < 2:
+        raise UsageError("genus must be at least 2")
     certs = []
     lines = []
-    for g in genera:
-        if g < 2:
-            raise UsageError("genus must be at least 2")
-        cert = certify_genus(g)
+    for g, cert in small_genus_catalog(genera).items():
         certs.append(cert.to_dict())
         best = max(cert.witnesses, key=lambda w: w.certificate.group_order)
         lines.append(

@@ -279,6 +279,20 @@ class CoverCertificate(NamedTuple):
         )
 
 
+def _hyperplane(cert, p, covector, presentation):
+    """(action, covector): the homology action mod p, and the covector
+    normalized and checked invariant, or the least invariant one if None."""
+    pres = presentation if presentation is not None else kernel_presentation(cert)
+    action = homology_action(pres, p)
+    if covector is not None:
+        covector = _normalize_covector(covector, p)
+        _check_invariant(covector, action)
+    elif (covector := invariant_hyperplanes(action)) is None:
+        raise NotInvariant(f"no invariant hyperplane mod {p} for {cert.signature} -> "
+                           f"{cert.group_descriptor}")
+    return action, covector
+
+
 def build_cover(cert, p, covector=None, presentation=None):
     """Certify a degree-p cover from an invariant hyperplane.
 
@@ -286,18 +300,7 @@ def build_cover(cert, p, covector=None, presentation=None):
     which is then checked against the generator matrices before the
     certificate is issued.
     """
-    pres = presentation if presentation is not None else kernel_presentation(cert)
-    action = homology_action(pres, p)
-    if covector is None:
-        chosen = invariant_hyperplanes(action)
-        if chosen is None:
-            raise NotInvariant(
-                f"no invariant hyperplane mod {p} for {cert.signature} -> "
-                f"{cert.group_descriptor}"
-            )
-    else:
-        chosen = _normalize_covector(covector, p)
-        _check_invariant(chosen, action)
+    _, chosen = _hyperplane(cert, p, covector, presentation)
     return CoverCertificate(
         base=cert,
         prime=p,
@@ -332,11 +335,8 @@ def quotient_ske_from_cover(cover, presentation=None):
     """
     cert = cover.base
     p = cover.prime
-    pres = presentation if presentation is not None else kernel_presentation(cert)
-    action = homology_action(pres, p)
-    f = _normalize_covector(cover.covector, p)
-    _check_invariant(f, action)
-
+    action, f = _hyperplane(cert, p, cover.covector, presentation)
+    pres = action.presentation
     n, nslots = pres.group.order, pres.nslots
     # the extension has order n*p: refuse it before its point lists exist
     _check_order(f"extension of {cert.group_descriptor} by F_{p}", (n, p))

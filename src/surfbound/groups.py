@@ -142,14 +142,9 @@ class PermutationGroup:
     def order(self):
         return len(self.elements)
 
-    def mul(self, x, y):
-        return perm_mul(x, y)
-
-    def inv(self, x):
-        return perm_inv(x)
-
-    def element_order(self, x):
-        return perm_order(x)
+    mul = staticmethod(perm_mul)
+    inv = staticmethod(perm_inv)
+    element_order = staticmethod(perm_order)
 
     def contains(self, x):
         return x in self.index

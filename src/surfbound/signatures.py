@@ -6,12 +6,14 @@ periods m_j >= 2 of a cocompact Fuchsian group, presented as
     < a_1, b_1, ..., a_g, b_g, c_1, ..., c_k |
       c_j^{m_j} = 1,  [a_1,b_1]...[a_g,b_g] c_1 ... c_k = 1 >.
 
-All invariants here are exact: the normalized measure lives in units of pi
-as a Fraction, genus bookkeeping is integer arithmetic, the abelianization
-is in closed form.  No floating point is used anywhere.  This leaf layer
-imports no other surfbound module, and fractions only where a Fraction is
-built, so kernel_genus, and with it an epimorphism search, does not load
-it.  Small integers are factored here, and is_prime lives here too.
+All invariants here are exact: each rational, such as the normalized
+measure in units of pi, is a (numerator, denominator) pair of integers,
+genus bookkeeping is integer arithmetic, the abelianization is in closed
+form.  No floating point is used anywhere.  This leaf layer imports no
+other surfbound module, and fractions only in measure_class, the one place
+a Fraction is built, so kernel_genus, and with it an epimorphism search,
+does not load it.  Small integers are factored here, and is_prime lives
+here too.
 
 The module also ships a plain-text table of the arithmetic signatures with
 measure below pi; the loader re-verifies every row on load, cross-multiplying
@@ -24,9 +26,6 @@ from functools import cache
 from math import gcd, lcm
 import re
 from typing import NamedTuple
-
-FLAG_VERIFIED = "verified-by-literature"
-FLAG_UNVERIFIED = "included-unverified"
 
 
 class NotAdmissible(ValueError):
@@ -73,8 +72,10 @@ class Signature(_SignatureFields):
 
 
 def _measure_terms(sig):
-    """measure/pi as an unreduced (numerator, denominator) pair of integers,
-    summed over the common denominator lcm(m_j) > 0."""
+    """measure/pi = 2*(2g - 2 + sum_j (1 - 1/m_j)), positive iff a cocompact
+    Fuchsian group has the signature, as an unreduced (numerator,
+    denominator) pair of integers summed over the common denominator
+    lcm(m_j) > 0."""
     den = lcm(*sig.periods)
     total = (2 * sig.genus - 2) * den + sum(den - den // m for m in sig.periods)
     return 2 * total, den
@@ -100,46 +101,23 @@ def _admissible_terms(sig):
     return num, den
 
 
-def measure(sig):
-    """Normalized co-area of the signature, in units of pi (exact Fraction).
-
-    measure/pi = 2*(2g - 2 + sum_j (1 - 1/m_j)); positive iff the signature
-    is realized by a cocompact Fuchsian group.  Summed in integers over the
-    common denominator lcm(m_j) and reduced once.
-    """
-    from fractions import Fraction
-
-    return Fraction(*_measure_terms(sig))
-
-
 class MeasureClass(NamedTuple):
-    """The commensurability-invariant ratio q = measure/(4*pi) in lowest terms.
+    """measure/pi, q = measure/(4*pi) and s/r = 1/q, as reduced Fractions.
 
     For a surface kernel of index n the kernel genus is 1 + n*q, so the
-    automorphism bound carried by the signature is (genus' - 1)/q = s/r
-    where q = r/s reduced.
+    automorphism bound carried by the signature is (genus' - 1)/q = s/r.
     """
     mu_over_pi: "Fraction"
     q: "Fraction"
-
-    @property
-    def r(self):
-        return self.q.numerator
-
-    @property
-    def s(self):
-        return self.q.denominator
-
-    @property
-    def s_over_r(self):
-        return 1 / self.q
+    s_over_r: "Fraction"
 
 
 def measure_class(sig):
+    # the one place the module builds a Fraction
     from fractions import Fraction
 
     mu = Fraction(*_admissible_terms(sig))
-    return MeasureClass(mu_over_pi=mu, q=mu / 4)
+    return MeasureClass(mu_over_pi=mu, q=mu / 4, s_over_r=4 / mu)
 
 
 def kernel_genus(sig, index):
@@ -257,28 +235,12 @@ def abelianization(sig):
 
 
 class SignatureTableEntry(NamedTuple):
-    """One verified table row.
-
-    The two rational columns are kept as reduced (numerator, denominator)
-    pairs of integers; mu_over_pi and s_over_r build their Fractions when
-    read.
-    """
+    """One verified table row; the two rational columns, measure/pi and
+    s/r, are kept as reduced (numerator, denominator) pairs of integers."""
     signature: Signature
     mu_pair: tuple
     sr_pair: tuple
     arithmeticity_flag: str
-
-    @property
-    def mu_over_pi(self):
-        from fractions import Fraction
-
-        return Fraction(*self.mu_pair)
-
-    @property
-    def s_over_r(self):
-        from fractions import Fraction
-
-        return Fraction(*self.sr_pair)
 
 
 _ROW_RE = re.compile(
@@ -391,11 +353,6 @@ def render_pi(frac):
     n, d = frac.numerator, frac.denominator
     num = "pi" if n == 1 else f"{n}pi"
     return num if d == 1 else f"{num}/{d}"
-
-
-def render_ratio(frac):
-    n, d = frac.numerator, frac.denominator
-    return str(n) if d == 1 else f"{n}/{d}"
 
 
 def parse_signature(text):

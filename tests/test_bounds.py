@@ -395,6 +395,19 @@ class TestCatalog:
         assert cat[10].bound == 72
         assert cat[16].bound == 360
 
+    def test_small_genus_catalog_checks_first_and_certifies_once(self, monkeypatch):
+        import surfbound.bounds as bounds
+
+        calls = []
+        certify = bounds.certify_genus
+        monkeypatch.setattr(bounds, "certify_genus", lambda g: calls.append(g) or certify(g))
+        with pytest.raises(ValueError, match="need genus >= 2, got 1"):
+            small_genus_catalog(genera=(3, 3, 1))
+        assert calls == []
+        cat = small_genus_catalog(genera=(10, 3, 10, 3))
+        assert list(cat) == [10, 3]
+        assert calls == [10, 3]
+
     def test_genus_two_uses_gl23(self):
         cert = certify_genus(2)
         best = max(cert.witnesses, key=lambda w: w.certificate.group_order)

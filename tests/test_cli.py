@@ -741,6 +741,28 @@ class TestCatalog:
         code, _, err = run(capsys, "catalog", "--genera", "1")
         assert code == 2
 
+    def test_bad_genus_checked_before_any_certificate(self, capsys, monkeypatch):
+        import surfbound.bounds as bounds
+
+        calls = []
+        certify = bounds.certify_genus
+        monkeypatch.setattr(bounds, "certify_genus", lambda g: calls.append(g) or certify(g))
+        code, out, err = run(capsys, "catalog", "--genera", "3,3,1")
+        assert (code, out, err) == (2, "", "error: genus must be at least 2\n")
+        assert calls == []
+
+    @pytest.mark.parametrize("fmt", [(), ("--json",)], ids=["text", "json"])
+    def test_repeated_genus_certified_once(self, capsys, monkeypatch, fmt):
+        import surfbound.bounds as bounds
+
+        calls = []
+        certify = bounds.certify_genus
+        monkeypatch.setattr(bounds, "certify_genus", lambda g: calls.append(g) or certify(g))
+        once = run(capsys, "catalog", "--genera", "10,3", *fmt)
+        calls.clear()
+        assert run(capsys, "catalog", "--genera", "10,3,10,3", *fmt) == once
+        assert calls == [10, 3]
+
 
 class TestHostileArguments:
     # argv, named defect: each exits 2 with that defect and no traceback

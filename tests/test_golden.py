@@ -28,6 +28,8 @@ GOLDEN = {
     "certify-24.json": ("certify", "--genus", "24", "--json"),
     "attained-300.json": ("attained", "--max", "300", "--json"),
     "catalog.json": ("catalog", "--json"),
+    "measure-2-2-3-5-order-28.txt": ("measure", "2,2,3,5", "--order", "28"),
+    "measure-g1p2-2.json": ("measure", "g1p2,2", "--json"),
 }
 
 

@@ -70,6 +70,14 @@ def full_closure_generates(group, xs):
     return len(closure) == group.order
 
 
+class TestPermutationMethods:
+    def test_methods_are_the_module_functions(self):
+        # no wrapper frame between a search and the permutation kernel
+        group = symmetric(4)
+        assert (group.mul, group.inv, group.element_order) == (perm_mul, perm_inv, perm_order)
+        assert PermutationGroup.mul is perm_mul
+
+
 class TestPermutationKernel:
     def test_mul_matches_oracle(self):
         rng = random.Random(13)

@@ -18,17 +18,22 @@ from surfbound.signatures import (
     _ROW_RE,
     _divisors,
     _factor,
+    _measure_terms,
     _moebius,
     _parse_table,
+    _ratio_text,
     abelianization,
     kernel_genus,
-    measure,
     measure_class,
     parse_signature,
     render_pi,
-    render_ratio,
     signature_table,
 )
+
+
+def measure(sig):
+    # measure/pi of any signature, admissible or not, as one Fraction
+    return Fraction(*_measure_terms(sig))
 
 
 def fraction_sum_measure(sig):
@@ -112,7 +117,7 @@ class TestMeasure:
         assert len(table) == 74
         for entry in table:
             assert measure(entry.signature) == fraction_sum_measure(entry.signature)
-            assert measure(entry.signature) == entry.mu_over_pi
+            assert measure(entry.signature) == Fraction(*entry.mu_pair)
 
     def test_matches_fraction_sum_at_positive_genus(self):
         # admissible or not, with and without periods, including (2;)
@@ -129,7 +134,7 @@ class TestMeasureClass:
     def test_hurwitz(self):
         mc = measure_class(Signature(0, (2, 3, 7)))
         assert mc.q == Fraction(1, 84)
-        assert (mc.r, mc.s) == (1, 84)
+        assert (mc.q.numerator, mc.q.denominator) == (1, 84)
         assert mc.s_over_r == 84
 
     def test_quintuple_two(self):
@@ -313,10 +318,10 @@ class TestSignatureTable:
     def test_known_rows(self):
         table = {e.signature: e for e in signature_table()}
         e = table[Signature(0, (2, 3, 7))]
-        assert e.mu_over_pi == Fraction(1, 21)
-        assert e.s_over_r == 84
+        assert Fraction(*e.mu_pair) == Fraction(1, 21)
+        assert Fraction(*e.sr_pair) == 84
         e = table[Signature(0, (2, 3, 11))]
-        assert e.s_over_r == Fraction(132, 5)
+        assert Fraction(*e.sr_pair) == Fraction(132, 5)
 
     def test_flags(self):
         table = signature_table()
@@ -329,7 +334,7 @@ class TestSignatureTable:
 
     def test_all_measures_below_pi(self):
         for e in signature_table():
-            assert 0 < e.mu_over_pi < 1
+            assert 0 < Fraction(*e.mu_pair) < 1
 
     def test_packaged_table_loaded_once(self):
         table = signature_table()
@@ -405,7 +410,7 @@ def fraction_parse_table(text, origin):
 
 
 def integer_parse_table(text, origin):
-    return tuple((e.signature, e.mu_over_pi, e.s_over_r, e.arithmeticity_flag)
+    return tuple((e.signature, Fraction(*e.mu_pair), Fraction(*e.sr_pair), e.arithmeticity_flag)
                  for e in _parse_table(text, origin))
 
 
@@ -465,10 +470,10 @@ class TestIntegerTableCheck:
         (entry,) = _parse_table("2 3 11 | 10/66 | 264/10 | verified-by-literature", "t.txt")
         assert entry == SignatureTableEntry(Signature(0, (2, 3, 11)), (5, 33), (132, 5),
                                             "verified-by-literature")
-        assert (entry.mu_over_pi, entry.s_over_r) == (Fraction(5, 33), Fraction(132, 5))
         for e in signature_table():
             assert gcd(*e.mu_pair) == gcd(*e.sr_pair) == 1
-            assert (e.mu_over_pi, e.s_over_r) == (Fraction(*e.mu_pair), Fraction(*e.sr_pair))
+            mc = measure_class(e.signature)
+            assert (mc.mu_over_pi, mc.s_over_r) == (Fraction(*e.mu_pair), Fraction(*e.sr_pair))
 
     # the rows the Fraction check ends in a traceback or an unnamed defect on
     @pytest.mark.parametrize("row, defect", [
@@ -514,6 +519,9 @@ class TestRendering:
         assert render_pi(Fraction(2, 1)) == "2pi"
         assert render_pi(Fraction(1, 1)) == "pi"
 
-    def test_render_ratio(self):
-        assert render_ratio(Fraction(84)) == "84"
-        assert render_ratio(Fraction(132, 5)) == "132/5"
+    def test_ratio_text(self):
+        assert _ratio_text(84, 1) == "84"
+        assert _ratio_text(132, 5) == "132/5"
+        # reduced as str(Fraction) would be
+        assert _ratio_text(264, 10) == "132/5"
+        assert _ratio_text(-6, 4) == "-3/2"

@@ -91,3 +91,20 @@ def test_bounds_imports_only_covers_late():
                 elif isinstance(node, ast.ImportFrom):
                     late.add((fn.name, "." * node.level + (node.module or "")))
     assert late == {("discharge_prime", ".covers"), ("_cover_witness", ".covers")}
+
+
+
+def _fraction_imports(nodes):
+    return [node.lineno for node in nodes
+            if isinstance(node, ast.ImportFrom) and node.module == "fractions"
+            or isinstance(node, ast.Import)
+            and any(alias.name == "fractions" for alias in node.names)]
+
+
+def test_measure_class_alone_builds_fractions_in_signatures():
+    # every other rational in signatures is a (numerator, denominator) pair
+    # of integers: the one import of fractions is inside measure_class
+    tree = _parse("signatures.py")
+    measure_class = next(node for node in tree.body
+                         if isinstance(node, ast.FunctionDef) and node.name == "measure_class")
+    assert _fraction_imports(ast.walk(tree)) == _fraction_imports(ast.walk(measure_class)) != []

@@ -2,8 +2,10 @@
 
 Usage: python3 tools/same_output.py OTHER_CHECKOUT
 
-Runs each command below as `python3 -m surfbound.cli ...` once against this
-tree's src/ and once against OTHER_CHECKOUT/src/, with SURFBOUND_ORDER_CAP
+Runs each command below (the golden ones, certify piped into ske verify,
+catalog, attained, cover, table, constants, measure and ske search) as
+`python3 -m surfbound.cli ...` once against this tree's src/ and once
+against OTHER_CHECKOUT/src/, with SURFBOUND_ORDER_CAP
 and SURFBOUND_NODE_BUDGET removed from the environment.  Each
 `certify --genus g --json` output is piped into `ske verify - --json` of the
 same tree.  Prints every command whose exit code or stdout differs and exits
@@ -21,6 +23,20 @@ HERE = Path(__file__).resolve().parent.parent
 LADDER = HERE / "tests" / "data" / "cover-ladder.jsonl"
 CASES = "abcdefg"
 GENERA = [*range(2, 25), 48, 60, 84, 108]
+MEASURES = [("2,3,7", "--order", "84"), ("2,3,8",), ("g2",), ("g1p2,2",), ("2,2",)]
+# the six searches of the benchmark's search workload (perfbench/workloads.py),
+# then one in each other mode: (signature, group, options...)
+SEARCHES = [
+    ("2,3,7", "S7", "--mode", "count", "--json"),
+    ("3,3,4", "A6", "--mode", "count", "--json"),
+    ("2,2,2,6", "S3*D7", "--mode", "count", "--json"),
+    ("2,2,2,4", "aff9:0,1,2,0:0,1,1,0", "--mode", "count", "--json"),
+    ("2,3,7", "perm:7:0,5,6,3,4,1,2:3,0,4,1,5,2,6", "--mode", "count", "--json", "--dedup"),
+    ("g1p3", "A5", "--mode", "count", "--json"),
+    ("2,3,8", "GL23"),
+    ("2,2,2,3", "dihedral:6", "--mode", "all"),
+    ("2,2,3,3", "A4", "--mode", "all", "--dedup"),
+]
 
 
 def primes_below(n):
@@ -41,6 +57,8 @@ GOLDEN = [
     ("certify", "--genus", "24", "--json"),
     ("attained", "--max", "300", "--json"),
     ("catalog", "--json"),
+    ("measure", "2,2,3,5", "--order", "28"),
+    ("measure", "g1p2,2", "--json"),
 ]
 
 
@@ -64,6 +82,10 @@ def commands():
         ("constants",),
         ("constants", "--json"),
     ]]
+    out += [(("measure", *m, *fmt), None) for m in MEASURES for fmt in ((), ("--json",))]
+    out.append((("table",), None))
+    out += [(("ske", "search", "--signature", sig, "--group", group, *options), None)
+            for sig, group, *options in SEARCHES]
     out += [(("cover", "--case", c, "--prime", str(p), "--json"), None)
             for c in CASES for p in primes_below(50)]
     out += [(("ske", "verify", "-", "--json"), n)
