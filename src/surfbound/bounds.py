@@ -307,14 +307,11 @@ def _search_witness(sig, descriptor):
 
 
 def _cover_witness(label, primes):
-    from .covers import (build_cover, case_by_label, case_certificate, kernel_presentation,
-                         quotient_ske_from_cover)
+    from .covers import case_by_label, case_certificate, lift
 
     cert = case_certificate(case_by_label(label))
     for p in primes:
-        pres = kernel_presentation(cert)
-        cover = build_cover(cert, p, presentation=pres)
-        cert = quotient_ske_from_cover(cover, presentation=pres)
+        cert = lift(cert, p)[1]
     return GenusWitness(route="homology-cover", certificate=cert)
 
 
@@ -413,4 +410,6 @@ def small_genus_catalog(genera=None):
     genera = dict.fromkeys(CATALOG_RANGE if genera is None else genera)
     if min(genera, default=2) < 2:
         raise ValueError(f"need genus >= 2, got {min(genera)}")
+    for g in genera:
+        prime_conditions(g - 1)  # BeyondWitnessRange past the Miller-Rabin range
     return {g: certify_genus(g) for g in genera}

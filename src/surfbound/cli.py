@@ -12,7 +12,8 @@ certificates that need a cover witness or a discharge ledger load covers and
 linalg.
 
 Exit codes: 0 success, 1 failed verification of a claimed certificate or
-table row, 2 usage error (unparseable or out-of-domain input), 3 resource
+table row, or a stdout whose reader went away (this ends quietly, with no
+traceback), 2 usage error (unparseable or out-of-domain input), 3 resource
 cap hit.  Proven absence (no epimorphism, no invariant hyperplane) is a
 mathematical answer, not an error: it prints "none" and exits 0.
 """
@@ -286,14 +287,7 @@ def cmd_cover(args):
 
 
 def _cover_build(args):
-    from .covers import (
-        NotInvariant,
-        build_cover,
-        case_by_label,
-        case_certificate,
-        kernel_presentation,
-        quotient_ske_from_cover,
-    )
+    from .covers import NotInvariant, case_by_label, case_certificate, lift
     from .signatures import is_prime
 
     try:
@@ -302,11 +296,9 @@ def _cover_build(args):
         raise UsageError(str(exc))
     if not is_prime(args.prime):
         raise UsageError(f"--prime must be a prime number, got {args.prime}")
-    base = case_certificate(case)
-    pres = kernel_presentation(base)
     payload = {"command": "cover", "case": case.label, "prime": args.prime}
     try:
-        cover = build_cover(base, args.prime, presentation=pres)
+        cover, quotient = lift(case_certificate(case), args.prime)
     except NotInvariant as exc:
         # the congruence condition fails at this prime: no hyperplane is
         # fixed, the cover does not exist, and that is the certified answer
@@ -314,7 +306,6 @@ def _cover_build(args):
         payload["reason"] = str(exc)
         _emit(args, payload, ["no invariant hyperplane", f"({exc})"])
         return 0
-    quotient = quotient_ske_from_cover(cover, presentation=pres)
     payload["found"] = True
     payload["cover"] = cover.to_dict()
     payload["quotient"] = quotient.to_dict()
@@ -550,7 +541,14 @@ def main(argv=None):
             os.environ[name] = str(value)
     try:
         _check_caps()
-        return args.func(args)
+        code = args.func(args)
+        # a reader that went away shows here, not in the flush at exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # point stdout at devnull, so the flush at exit has nowhere to fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except _usage_errors() as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -19,7 +19,8 @@ matrix M_g, and M_g^ord(g) = I, so its eigenvalues are roots of unity: at
 most ord(g) candidates whatever p is.  Only the least such f is built.
 quotient_ske_from_cover builds the p*|Q| group as the monodromy of the p-fold
 cover of X on Q x F_p and re-verifies the induced epimorphism from scratch,
-so every cover claim is replayable.
+so every cover claim is replayable.  lift(cert, p) is one whole cover step,
+the cover and its quotient from one homology action.
 """
 
 from math import gcd
@@ -293,6 +294,24 @@ def _hyperplane(cert, p, covector, presentation):
     return action, covector
 
 
+def _cover_record(cert, p, covector):
+    order = p * cert.group_order
+    return CoverCertificate(base=cert, prime=p, covector=covector,
+                            cover_genus=kernel_genus(cert.signature, order), cover_group_order=order)
+
+
+def lift(cert, p):
+    """One cover step: (cover, quotient) for the least invariant hyperplane.
+
+    One presentation and one homology action mod p serve both the cover
+    record and its verified order p*|Q| quotient (quotient_ske_from_cover).
+    NotInvariant when no hyperplane is invariant mod p.
+    """
+    action, covector = _hyperplane(cert, p, None, None)
+    cover = _cover_record(cert, p, covector)
+    return cover, _extension(action, covector, cover.cover_genus)
+
+
 def build_cover(cert, p, covector=None, presentation=None):
     """Certify a degree-p cover from an invariant hyperplane.
 
@@ -300,14 +319,7 @@ def build_cover(cert, p, covector=None, presentation=None):
     which is then checked against the generator matrices before the
     certificate is issued.
     """
-    _, chosen = _hyperplane(cert, p, covector, presentation)
-    return CoverCertificate(
-        base=cert,
-        prime=p,
-        covector=chosen,
-        cover_genus=kernel_genus(cert.signature, p * cert.group_order),
-        cover_group_order=p * cert.group_order,
-    )
+    return _cover_record(cert, p, _hyperplane(cert, p, covector, presentation)[1])
 
 
 def verify_cover_certificate(cover):
@@ -333,10 +345,15 @@ def quotient_ske_from_cover(cover, presentation=None):
     cover genus computed at order p*|Q| that check also refuses an extension
     of any other order.
     """
-    cert = cover.base
-    p = cover.prime
-    action, f = _hyperplane(cert, p, cover.covector, presentation)
+    action, f = _hyperplane(cover.base, cover.prime, cover.covector, presentation)
+    return _extension(action, f, cover.cover_genus)
+
+
+def _extension(action, f, cover_genus):
+    """The verified monodromy quotient for the invariant covector f, whose
+    kernel genus must be the stated cover_genus."""
     pres = action.presentation
+    cert, p = pres.certificate, action.prime
     n, nslots = pres.group.order, pres.nslots
     # the extension has order n*p: refuse it before its point lists exist
     _check_order(f"extension of {cert.group_descriptor} by F_{p}", (n, p))
@@ -359,7 +376,7 @@ def quotient_ske_from_cover(cover, presentation=None):
     )
     extension = PermutationGroup(degree, images, descriptor)
     quotient = verify_ske(cert.signature, extension, tuple(images))
-    if quotient.kernel_genus != cover.cover_genus:
+    if quotient.kernel_genus != cover_genus:
         raise RuntimeError("quotient kernel genus disagrees with the cover")
     return quotient
 

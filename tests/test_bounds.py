@@ -25,7 +25,7 @@ from surfbound.bounds import (
     verify_genus_certificate,
 )
 from surfbound.covers import check_cover_cases
-from surfbound.signatures import Signature, signature_table
+from surfbound.signatures import BeyondWitnessRange, Signature, signature_table
 
 
 def brute_is_prime(n):
@@ -407,6 +407,18 @@ class TestCatalog:
         cat = small_genus_catalog(genera=(10, 3, 10, 3))
         assert list(cat) == [10, 3]
         assert calls == [10, 3]
+
+    def test_genus_past_prime_range_checked_before_any_certificate(self, monkeypatch):
+        # genus 22 comes first, and is cheap to certify: the range check on
+        # the second entry's g - 1 must come before it
+        import surfbound.bounds as bounds
+
+        calls = []
+        certify = bounds.certify_genus
+        monkeypatch.setattr(bounds, "certify_genus", lambda g: calls.append(g) or certify(g))
+        with pytest.raises(BeyondWitnessRange, match="past the Miller-Rabin witness range"):
+            small_genus_catalog(genera=(22, 10**25 + 8))
+        assert calls == []
 
     def test_genus_two_uses_gl23(self):
         cert = certify_genus(2)

@@ -750,6 +750,11 @@ class TestCatalog:
         code, out, err = run(capsys, "catalog", "--genera", "3,3,1")
         assert (code, out, err) == (2, "", "error: genus must be at least 2\n")
         assert calls == []
+        code, out, err = run(capsys, "catalog", "--genera", f"22,{10**25 + 8}")
+        assert (code, out) == (2, "")
+        assert err == (f"error: {10**25 + 7} is past the Miller-Rabin witness range"
+                       " (< 3317044064679887385961981)\n")
+        assert calls == []
 
     @pytest.mark.parametrize("fmt", [(), ("--json",)], ids=["text", "json"])
     def test_repeated_genus_certified_once(self, capsys, monkeypatch, fmt):
@@ -886,6 +891,26 @@ class TestResourceCaps:
             assert os.environ["SURFBOUND_ORDER_CAP"] == "999999"
         finally:
             del os.environ["SURFBOUND_ORDER_CAP"]
+
+
+class TestClosedStdout:
+    # the reader has gone before the child starts: constants meets it in the
+    # flush at exit, the A6 search (1440 lines) in print
+    @pytest.mark.parametrize("argv", [
+        ("constants",),
+        ("ske", "search", "--signature", "3,3,4", "--group", "A6", "--mode", "all"),
+    ], ids=["constants", "search-all"])
+    def test_reader_gone_exits_1_quietly(self, argv):
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(surfbound.__file__)))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "surfbound.cli", *argv],
+                                  stdout=write_end, stderr=subprocess.PIPE, text=True,
+                                  env=env, timeout=30)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (1, "")
 
 
 class TestParser:

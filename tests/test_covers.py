@@ -4,6 +4,7 @@ from math import gcd
 
 import pytest
 
+from surfbound.bounds import certify_genus, small_genus_catalog
 from surfbound.covers import (
     GENUS2_COVER_CASES,
     CoverCertificate,
@@ -15,6 +16,7 @@ from surfbound.covers import (
     homology_action,
     invariant_hyperplanes,
     kernel_presentation,
+    lift,
     quotient_ske_from_cover,
     verify_cover_certificate,
 )
@@ -607,3 +609,40 @@ class TestQuotient:
         assert pres.homology_dim == 8
         assert homology_action(pres, 3).dim == 8
         assert_integer_homology_is_free(pres)
+
+
+def dict_bytes(record):
+    return json.dumps(record.to_dict(), sort_keys=True).encode()
+
+
+class TestLift:
+    # every case at each lifting prime below 50, then the genus-22 chain:
+    # case g at 3, and its order-36 quotient at 7
+    STEPS = [(label, p) for label in sorted(CASES) for p in range(50)
+             if is_prime(p) and CASES[label].condition_holds(p)] + [("g-mod-3", 7)]
+
+    @pytest.mark.parametrize("label,p", STEPS, ids=[f"{c}-{p}" for c, p in STEPS])
+    def test_same_as_build_then_quotient(self, label, p):
+        cert = case_g_quotient_at_3() if label == "g-mod-3" else case_certificate(CASES[label])
+        cover, quotient = lift(cert, p)
+        two_step = build_cover(cert, p)
+        assert dict_bytes(cover) == dict_bytes(two_step)
+        assert dict_bytes(quotient) == dict_bytes(quotient_ske_from_cover(two_step))
+
+    def test_no_hyperplane_raises(self):
+        with pytest.raises(NotInvariant, match="no invariant hyperplane mod 3"):
+            lift(case_certificate(CASES["d"]), 3)
+
+    # genus 22 lifts case g at 3 then at 7; the catalog takes 10 cover steps
+    @pytest.mark.parametrize("run,calls", [(lambda: certify_genus(22), 2),
+                                           (small_genus_catalog, 10)],
+                             ids=["certify-22", "catalog"])
+    def test_one_homology_action_per_cover_step(self, monkeypatch, run, calls):
+        import surfbound.covers as covers
+
+        seen = []
+        action = covers.homology_action
+        monkeypatch.setattr(covers, "homology_action",
+                            lambda pres, p: seen.append(p) or action(pres, p))
+        run()
+        assert len(seen) == calls

@@ -108,3 +108,26 @@ def test_measure_class_alone_builds_fractions_in_signatures():
     measure_class = next(node for node in tree.body
                          if isinstance(node, ast.FunctionDef) and node.name == "measure_class")
     assert _fraction_imports(ast.walk(tree)) == _fraction_imports(ast.walk(measure_class)) != []
+
+
+def _word(node):
+    # the identifier a node names, a keyword argument as "name="
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.alias):
+        return node.name
+    if isinstance(node, ast.keyword):
+        return f"{node.arg}="
+    return None
+
+
+def test_only_covers_knows_the_cover_step():
+    # cli and bounds take a cover step through covers.lift: neither names the
+    # presentation-level functions nor passes a presentation
+    hidden = {"kernel_presentation", "homology_action", "build_cover", "quotient_ske_from_cover",
+              "presentation="}
+    named = [f"{name}:{node.lineno}: {_word(node)}" for name in ("cli.py", "bounds.py")
+             for node in ast.walk(_parse(name)) if _word(node) in hidden]
+    assert named == []

@@ -73,6 +73,7 @@ def commands():
         ("catalog",),
         ("catalog", "--json"),
         ("catalog", "--genera", "3,22,24"),
+        ("catalog", "--genera", "22,10000000000000000000000008"),
         ("attained", "--max", "1000", "--json"),
         ("attained", "--max", "300"),
         ("cover", "--check"),
@@ -88,6 +89,8 @@ def commands():
             for sig, group, *options in SEARCHES]
     out += [(("cover", "--case", c, "--prime", str(p), "--json"), None)
             for c in CASES for p in primes_below(50)]
+    # extensions of order 618 and 1,236
+    out += [(("cover", "--case", c, "--prime", "103", "--json"), None) for c in "fg"]
     out += [(("ske", "verify", "-", "--json"), n)
             for n in range(1, len(LADDER.read_text().splitlines()) + 1)]
     return list(dict.fromkeys(out))
