@@ -229,7 +229,8 @@ def _load_json(path):
             return json.load(fh)
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}")
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, UnicodeDecodeError and the int digit limit are ValueErrors
         raise UsageError(f"not valid JSON: {exc}")
 
 
@@ -325,7 +326,7 @@ def _cover_check(args):
 
     labels = tuple(args.labels) if args.labels else None
     primes = None
-    if args.primes:
+    if args.primes is not None:
         primes = tuple(_parse_int_list(args.primes))
         for p in primes:
             if not is_prime(p):
@@ -395,18 +396,15 @@ def cmd_attained(args):
 
 def _parse_int_list(text):
     try:
-        values = [int(part) for part in text.split(",") if part]
+        return [int(part) for part in text.split(",")]
     except ValueError:
         raise UsageError(f"expected comma separated integers, got {text!r}")
-    if not values:
-        raise UsageError("empty integer list")
-    return values
 
 
 def cmd_catalog(args):
     from .bounds import small_genus_catalog
 
-    genera = _parse_int_list(args.genera) if args.genera else None
+    genera = _parse_int_list(args.genera) if args.genera is not None else None
     if genera and min(genera) < 2:
         raise UsageError("genus must be at least 2")
     certs = []

@@ -26,7 +26,7 @@ the cover and its quotient from one homology action.
 from math import gcd
 from typing import NamedTuple
 
-from .groups import PermutationGroup, _check_order, construct
+from .groups import PermutationGroup, _check_order, construct, perm_inv
 from .linalg import nullspace_mod, rref_mod, vec_mat_mod
 from .signatures import Signature, is_prime, kernel_genus
 from .ske import (SkeCertificate, check_recorded, int_field, list_field, verify_certificate,
@@ -91,7 +91,7 @@ def kernel_presentation(cert):
     nslots = len(gens)
 
     act = [[index[group.mul(e, x)] for e in elements] for x in gens]
-    act_inv = [[index[group.mul(e, group.inv(x))] for e in elements] for x in gens]
+    act_inv = [perm_inv(a) for a in act]
 
     seen = [False] * n
     seen[0] = True

@@ -13,6 +13,9 @@ element_order, contains, generates, elements, descriptor):
   big-int operations however large g gets.  Their elements and index are
   built on first use, once per group.
 
+V4, Q8 and SD16 are metacyclic permutation groups from one builder,
+_metacyclic, in their left-regular representation.
+
 Enumeration is bounded by the order cap, read from SURFBOUND_ORDER_CAP
 (default 10**6) and nowhere else.  Where the order is known from the
 descriptor (C_n, D_n, S_n, A_n, direct products, and the parametric
@@ -301,13 +304,6 @@ class DihedralGroup:
         return {k: i for i, k in enumerate(self.elements)}
 
 
-def _regular_group(keys, mul_fn, gen_keys, descriptor):
-    # left-regular representation: with (x*y)[i] = x[y[i]] this is a homomorphism
-    index = {k: i for i, k in enumerate(keys)}
-    gens = [tuple(index[mul_fn(g, k)] for k in keys) for g in gen_keys]
-    return PermutationGroup(len(keys), gens, descriptor)
-
-
 def cyclic_perm(n):
     if n < 1:
         raise ValueError(f"cyclic order must be >= 1, got {n}")
@@ -326,36 +322,27 @@ def dihedral_perm(n):
     return PermutationGroup(n, [rot, ref], f"D{n}")
 
 
+def _metacyclic(n, r, s, descriptor):
+    """<a, b | a^n = 1, b^2 = a^s, b a b^-1 = a^r> in its left-regular
+    representation on the keys (i, e) = a^i b^e, generated by a and b."""
+    # a^i b^e * a^j b^f = a^(i + r^e j + s e f) b^(e xor f)
+    keys = [(i, e) for e in (0, 1) for i in range(n)]
+    index = {k: m for m, k in enumerate(keys)}
+    gens = [tuple(index[((i + r ** e * j + s * e * f) % n, e ^ f)] for j, f in keys)
+            for i, e in ((1, 0), (0, 1))]
+    return PermutationGroup(2 * n, gens, descriptor)
+
+
 def klein_four():
-    return PermutationGroup(4, [(1, 0, 3, 2), (2, 3, 0, 1)], "V4")
+    return _metacyclic(2, 1, 0, "V4")
 
 
 def quaternion8():
-    # keys (i, e) = a^i b^e with a^4 = 1, b^2 = a^2, b a b^-1 = a^-1
-    def mul(x, y):
-        i, e = x
-        j, f = y
-        if e == 0:
-            return ((i + j) % 4, f)
-        if f == 0:
-            return ((i - j) % 4, 1)
-        return ((i - j + 2) % 4, 0)
-
-    keys = [(i, e) for e in (0, 1) for i in range(4)]
-    return _regular_group(keys, mul, [(1, 0), (0, 1)], "Q8")
+    return _metacyclic(4, 3, 2, "Q8")
 
 
 def semidihedral16():
-    # keys (i, e) = a^i b^e with a^8 = b^2 = 1, b a b^-1 = a^3
-    def mul(x, y):
-        i, e = x
-        j, f = y
-        if e == 0:
-            return ((i + j) % 8, f)
-        return ((i + 3 * j) % 8, 1 ^ f)
-
-    keys = [(i, e) for e in (0, 1) for i in range(8)]
-    return _regular_group(keys, mul, [(1, 0), (0, 1)], "SD16")
+    return _metacyclic(8, 3, 0, "SD16")
 
 
 GL23_POINTS = tuple(
@@ -447,6 +434,9 @@ _FIXED = {
     "GL23": gl2_3,
 }
 
+_NUMBERED = {"C": cyclic_perm, "D": dihedral_perm, "S": symmetric, "A": alternating,
+             "cyclic:": CyclicGroup, "dihedral:": DihedralGroup}
+
 
 def construct(descriptor):
     """Build a group from its descriptor string.
@@ -465,22 +455,9 @@ def construct(descriptor):
         return group
     if descriptor in _FIXED:
         return _FIXED[descriptor]()
-    m = re.fullmatch(r"([CDSA])(\d+)", descriptor)
+    m = re.fullmatch(r"([CDSA]|cyclic:|dihedral:)(\d+)", descriptor)
     if m:
-        kind, n = m.group(1), int(m.group(2))
-        if kind == "C":
-            return cyclic_perm(n)
-        if kind == "D":
-            return dihedral_perm(n)
-        if kind == "S":
-            return symmetric(n)
-        return alternating(n)
-    m = re.fullmatch(r"cyclic:(\d+)", descriptor)
-    if m:
-        return CyclicGroup(int(m.group(1)))
-    m = re.fullmatch(r"dihedral:(\d+)", descriptor)
-    if m:
-        return DihedralGroup(int(m.group(1)))
+        return _NUMBERED[m.group(1)](int(m.group(2)))
     if descriptor.startswith("aff9:"):
         matrices = []
         for part in descriptor[len("aff9:"):].split(":"):

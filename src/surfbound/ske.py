@@ -33,15 +33,6 @@ DEFAULT_NODE_BUDGET = 10 ** 9
 class OrderNotPreserved(ValueError):
     """An elliptic generator image has the wrong order."""
 
-    def __init__(self, period_index, expected, actual):
-        self.period_index = period_index
-        self.expected = expected
-        self.actual = actual
-        super().__init__(
-            f"elliptic generator {period_index} must map to an element of order "
-            f"{expected}, image has order {actual}"
-        )
-
 
 class LongRelationFails(ValueError):
     """The images do not satisfy the long relation."""
@@ -159,7 +150,8 @@ def verify_ske(sig, group, images):
     for j, (c, m) in enumerate(zip(elliptic, periods), start=1):
         actual = group.element_order(c)
         if actual != m:
-            raise OrderNotPreserved(j, m, actual)
+            raise OrderNotPreserved(f"elliptic generator {j} must map to an element"
+                                    f" of order {m}, image has order {actual}")
     if _relation_product(group, g, hyperbolic, elliptic) != group.identity:
         raise LongRelationFails(f"long relation image is not the identity for {sig}")
     if not group.generates(images):

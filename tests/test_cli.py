@@ -313,6 +313,26 @@ class TestSkeVerify:
         code, _, err = run(capsys, "ske", "verify", str(path))
         assert code == 2
 
+    # bytes that are not UTF-8, an integer past the 4,300-digit limit, and
+    # nesting past the recursion limit: each is not JSON Python can decode
+    UNDECODABLE = {"not-utf8": b"\xff\xfe", "digit-limit": b"9" * 5000,
+                   "deep-nesting": b"[" * 100000}
+
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    @pytest.mark.parametrize("variant", sorted(UNDECODABLE))
+    def test_undecodable_exits_2(self, capsys, tmp_path, monkeypatch, variant, source):
+        data = self.UNDECODABLE[variant]
+        if source == "file":
+            path = tmp_path / "bad.json"
+            path.write_bytes(data)
+            arg = str(path)
+        else:
+            monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+            arg = "-"
+        code, out, err = run(capsys, "ske", "verify", arg)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: not valid JSON: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("inner", [[1], 5, None], ids=["list", "int", "null"])
     def test_wrapped_non_object_exits_2(self, capsys, tmp_path, inner):
         path = tmp_path / "wrapped.json"
@@ -587,6 +607,12 @@ class TestCover:
         code, _, err = run(capsys, "cover", "--check", "--primes", "7,x")
         assert code == 2
 
+    @pytest.mark.parametrize("primes", ["2,,3", "2,", ",2", ""])
+    def test_empty_primes_entry_exits_2(self, capsys, primes):
+        code, out, err = run(capsys, "cover", "--check", "--primes", primes)
+        assert (code, out) == (2, "")
+        assert err == f"error: expected comma separated integers, got {primes!r}\n"
+
     def test_check_unknown_label_exits_2(self, capsys):
         code, out, err = run(capsys, "cover", "--check", "--labels", "az")
         assert code == 2
@@ -740,6 +766,17 @@ class TestCatalog:
     def test_bad_genus_exits_2(self, capsys):
         code, _, err = run(capsys, "catalog", "--genera", "1")
         assert code == 2
+
+    @pytest.mark.parametrize("genera", ["3,", "3,,5", ",3", ""])
+    def test_empty_genera_entry_exits_2(self, capsys, monkeypatch, genera):
+        import surfbound.bounds as bounds
+
+        calls = []
+        monkeypatch.setattr(bounds, "certify_genus", calls.append)
+        code, out, err = run(capsys, "catalog", "--genera", genera)
+        assert (code, out) == (2, "")
+        assert err == f"error: expected comma separated integers, got {genera!r}\n"
+        assert calls == []
 
     def test_bad_genus_checked_before_any_certificate(self, capsys, monkeypatch):
         import surfbound.bounds as bounds

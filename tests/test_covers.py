@@ -198,6 +198,14 @@ def assert_integer_homology_is_free(pres):
     assert cokernel_invariants(rows, len(keep)) == (pres.homology_dim, ())
 
 
+# the seven cases, the six bases of the benchmark's cover ladder (a case
+# lifted at a prime), and three dihedral witnesses
+ACT_BASES = ([(label, lambda label=label: case_certificate(CASES[label])) for label in sorted(CASES)]
+             + [(f"{label}-mod-{p}", lambda label=label, p=p: lift(case_certificate(CASES[label]), p)[1])
+                for label, p in [("b", 2), ("c", 2), ("g", 3), ("f", 7), ("e", 5), ("g", 7)]]
+             + [(f"dihedral-{g}", lambda g=g: dihedral_witness_ske(g)) for g in (2, 5, 9)])
+
+
 class TestKernelPresentation:
     def test_v4_quintuple_shape(self):
         pres = v4_presentation()
@@ -258,6 +266,16 @@ class TestKernelPresentation:
         altered = v4_presentation()._replace(homology_dim=6)
         with pytest.raises(NotSurfaceKernel, match="expected 6"):
             homology_action(altered, 7)
+
+    @pytest.mark.parametrize("build", [b for _, b in ACT_BASES], ids=[n for n, _ in ACT_BASES])
+    def test_act_inv_inverts_act(self, build):
+        # act_inv[s] is the inverse permutation of act[s]: c -> c * a_s^-1
+        pres = kernel_presentation(build())
+        group, elements = pres.group, pres.group.elements
+        assert len(pres.act_inv) == len(pres.act) == pres.nslots
+        for x, forward, back in zip(pres.certificate.images, pres.act, pres.act_inv):
+            assert [back[c] for c in forward] == list(range(group.order))
+            assert list(back) == [group.index[group.mul(e, group.inv(x))] for e in elements]
 
 
 class TestUnitRowOracle:

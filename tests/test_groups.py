@@ -109,6 +109,50 @@ class TestPermutationKernel:
         assert answers == ({True} if desc == "C1" else {True, False})
 
 
+# Oracles for _metacyclic: Q8 and SD16 multiplied case by case on the keys
+# (i, e) = a^i b^e, and V4 as two literal permutations.
+def q8_mul(x, y):
+    # a^4 = 1, b^2 = a^2, b a b^-1 = a^-1
+    i, e = x
+    j, f = y
+    if e == 0:
+        return ((i + j) % 4, f)
+    if f == 0:
+        return ((i - j) % 4, 1)
+    return ((i - j + 2) % 4, 0)
+
+
+def sd16_mul(x, y):
+    # a^8 = b^2 = 1, b a b^-1 = a^3
+    i, e = x
+    j, f = y
+    if e == 0:
+        return ((i + j) % 8, f)
+    return ((i + 3 * j) % 8, 1 ^ f)
+
+
+def regular_oracle(n, mul, descriptor):
+    keys = [(i, e) for e in (0, 1) for i in range(n)]
+    index = {k: i for i, k in enumerate(keys)}
+    gens = [tuple(index[mul(g, k)] for k in keys) for g in ((1, 0), (0, 1))]
+    return PermutationGroup(len(keys), gens, descriptor)
+
+
+class TestMetacyclic:
+    ORACLES = {
+        "V4": (klein_four, lambda: PermutationGroup(4, [(1, 0, 3, 2), (2, 3, 0, 1)], "V4")),
+        "Q8": (quaternion8, lambda: regular_oracle(4, q8_mul, "Q8")),
+        "SD16": (semidihedral16, lambda: regular_oracle(8, sd16_mul, "SD16")),
+    }
+
+    @pytest.mark.parametrize("name", sorted(ORACLES))
+    def test_same_group_as_before(self, name):
+        build, oracle = self.ORACLES[name]
+        got, want = build(), oracle()
+        assert (got.degree, got.generators, got.elements, got.descriptor) == (
+            want.degree, want.generators, want.elements, want.descriptor)
+
+
 class TestNamedGroups:
     FROZEN_ORDERS = [
         (klein_four, 4),
@@ -334,6 +378,23 @@ class TestConstruct:
         g = construct("perm:4:1,0,3,2:2,3,0,1")
         assert g.order == 4
         assert construct(g.descriptor).elements == g.elements
+
+    NUMBERED = [("C", cyclic_perm, 7), ("D", dihedral_perm, 9), ("S", symmetric, 5),
+                ("A", alternating, 6), ("cyclic:", CyclicGroup, 12),
+                ("dihedral:", DihedralGroup, 10)]
+
+    @pytest.mark.parametrize("prefix,build,n", NUMBERED, ids=[p for p, _, _ in NUMBERED])
+    def test_numbered_name_uses_its_builder(self, prefix, build, n):
+        got, want = construct(f"{prefix}{n}"), build(n)
+        assert type(got) is type(want)
+        assert (got.descriptor, got.generators, got.elements) == (
+            want.descriptor, want.generators, want.elements)
+
+    @pytest.mark.parametrize("bad", ["B5", "E7", "c5", "Cyclic:5", "dihedral5", "cyclic:-3",
+                                     "C", "dihedral:", "S5x"])
+    def test_unknown_numbered_name_rejected(self, bad):
+        with pytest.raises(ValueError, match="cannot parse group descriptor"):
+            construct(bad)
 
     def test_rejects_garbage(self):
         for bad in ("X5", "perm:3", "aff9:1,2,3", "aff9:0,0,0,0", "D2"):
