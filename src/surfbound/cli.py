@@ -24,10 +24,19 @@ import os
 import sys
 
 SCHEMA_VERSION = "1"
+# the most decimal digits an integer option, one --genera or --primes entry,
+# a whole signature argument or a cap variable may hold, so every integer a
+# command prints stays far inside Python's 4,300-digit int-to-str limit
+MAX_DIGITS = 1000
 
 
 class UsageError(Exception):
     pass
+
+
+def _check_digits(what, text):
+    if sum(map(str.isdigit, text)) > MAX_DIGITS:
+        raise UsageError(f"{what} has more than {MAX_DIGITS} digits")
 
 
 def _emit(args, payload, lines):
@@ -43,6 +52,7 @@ def _emit(args, payload, lines):
 def _parse_sig(text):
     from .signatures import parse_signature
 
+    _check_digits("signature", text)
     try:
         return parse_signature(text)
     except ValueError as exc:
@@ -327,7 +337,7 @@ def _cover_check(args):
     labels = tuple(args.labels) if args.labels else None
     primes = None
     if args.primes is not None:
-        primes = tuple(_parse_int_list(args.primes))
+        primes = tuple(_parse_int_list("--primes", args.primes))
         for p in primes:
             if not is_prime(p):
                 raise UsageError(f"--primes entries must be prime, got {p}")
@@ -394,9 +404,12 @@ def cmd_attained(args):
     return 0
 
 
-def _parse_int_list(text):
+def _parse_int_list(option, text):
+    parts = text.split(",")
+    for part in parts:
+        _check_digits(f"{option} entry", part)
     try:
-        return [int(part) for part in text.split(",")]
+        return [int(part) for part in parts]
     except ValueError:
         raise UsageError(f"expected comma separated integers, got {text!r}")
 
@@ -404,7 +417,7 @@ def _parse_int_list(text):
 def cmd_catalog(args):
     from .bounds import small_genus_catalog
 
-    genera = _parse_int_list(args.genera) if args.genera is not None else None
+    genera = _parse_int_list("--genera", args.genera) if args.genera is not None else None
     if genera and min(genera) < 2:
         raise UsageError("genus must be at least 2")
     certs = []
@@ -423,12 +436,10 @@ def cmd_catalog(args):
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="surfbound",
-        description="certified automorphism bounds for arithmetic surface kernels",
+        description="certified automorphism bounds for arithmetic surface kernels;"
+                    " the environment variables SURFBOUND_ORDER_CAP and"
+                    " SURFBOUND_NODE_BUDGET cap group orders and search nodes",
     )
-    parser.add_argument("--order-cap", type=int, default=None,
-                        help="cap on constructed group orders")
-    parser.add_argument("--node-budget", type=int, default=None,
-                        help="cap on search tree nodes")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("table", help="print the admissible signature table")
@@ -514,31 +525,25 @@ def _cap_errors():
     return OrderCapExceeded, SearchSpaceTooLarge
 
 
-_ENV_FLAGS = (("order_cap", "SURFBOUND_ORDER_CAP"),
-              ("node_budget", "SURFBOUND_NODE_BUDGET"))
-
-
 def _check_caps():
-    # the library reads each cap with int() wherever it needs it; a bad
-    # value is a usage error here rather than a traceback or a misnamed
-    # defect there
-    for _, name in _ENV_FLAGS:
+    # groups._cap reads each cap with int() wherever the library needs it;
+    # a bad value is a usage error here rather than a traceback or a
+    # misnamed defect there
+    for name in ("SURFBOUND_ORDER_CAP", "SURFBOUND_NODE_BUDGET"):
         value = os.environ.get(name, "")
-        if value and not (value.isascii() and value.isdigit() and int(value) > 0):
-            raise UsageError(f"{name} must be a positive decimal integer, got {value!r:.60}")
+        if value and not (value.isascii() and value.isdigit() and len(value) <= MAX_DIGITS
+                          and int(value) > 0):
+            raise UsageError(f"{name} must be a positive decimal integer of at most"
+                             f" {MAX_DIGITS} digits, got {value!r:.60}")
 
 
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    saved = {}
-    for attr, name in _ENV_FLAGS:
-        value = getattr(args, attr)
-        if value is not None:
-            saved[name] = os.environ.get(name)
-            os.environ[name] = str(value)
     try:
         _check_caps()
+        for option in ("genus", "max", "order", "prime"):
+            _check_digits(f"--{option}", str(getattr(args, option, None)))
         code = args.func(args)
         # a reader that went away shows here, not in the flush at exit
         sys.stdout.flush()
@@ -553,12 +558,6 @@ def main(argv=None):
     except _cap_errors() as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return 3
-    finally:
-        for name, old in saved.items():
-            if old is None:
-                del os.environ[name]
-            else:
-                os.environ[name] = old
 
 
 if __name__ == "__main__":

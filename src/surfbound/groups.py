@@ -16,12 +16,14 @@ element_order, contains, generates, elements, descriptor):
 V4, Q8 and SD16 are metacyclic permutation groups from one builder,
 _metacyclic, in their left-regular representation.
 
-Enumeration is bounded by the order cap, read from SURFBOUND_ORDER_CAP
-(default 10**6) and nowhere else.  Where the order is known from the
-descriptor (C_n, D_n, S_n, A_n, direct products, and the parametric
-elements) it is compared with the cap before anything is built; otherwise
-the BFS stops when it would pass the cap.  Either way OrderCapExceeded is
-raised.  A group within the cap still stores order x degree entries.
+_cap is the one reader of the resource caps, for the library and the CLI
+alike; each cap is an environment variable.  Enumeration is bounded by the
+order cap, SURFBOUND_ORDER_CAP (default 10**6); ske's search by the node
+budget.  Where the order is known from the descriptor (C_n, D_n, S_n, A_n,
+direct products, and the parametric elements) it is compared with the cap
+before anything is built; otherwise the BFS stops when it would pass the
+cap.  Either way OrderCapExceeded is raised.  A group within the cap still
+stores order x degree entries.
 
 Composition convention throughout: (x*y)[i] = x[y[i]], i.e. y acts first.
 Left multiplication in the regular representation is then a homomorphism.
@@ -40,9 +42,10 @@ class OrderCapExceeded(RuntimeError):
     """Enumerating the group would exceed the configured order cap."""
 
 
-def _order_cap():
-    env = os.environ.get("SURFBOUND_ORDER_CAP")
-    return int(env) if env else DEFAULT_ORDER_CAP
+def _cap(name, default):
+    """The resource cap set in environment variable name, else default."""
+    value = os.environ.get(name)
+    return int(value) if value else default
 
 
 def _check_order(what, factors):
@@ -52,7 +55,7 @@ def _check_order(what, factors):
     The product stops at the first partial value above the cap, so orders
     like 10**11! are never formed, and nothing of the group is built.
     """
-    cap = _order_cap()
+    cap = _cap("SURFBOUND_ORDER_CAP", DEFAULT_ORDER_CAP)
     order = 1
     for f in factors:
         order *= f
@@ -123,7 +126,7 @@ class PermutationGroup:
             gens.append(g)
         self.generators = tuple(gens)
         self.identity = tuple(range(degree))
-        cap = _order_cap()
+        cap = _cap("SURFBOUND_ORDER_CAP", DEFAULT_ORDER_CAP)
         # eager BFS closure; the visit order is the canonical enumeration
         muls = [_right_mul(g) for g in self.generators]
         elements = [self.identity]

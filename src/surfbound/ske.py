@@ -20,10 +20,9 @@ a_g, b_g), then elliptic generators in signature order.
 """
 
 import json
-import os
 from typing import NamedTuple
 
-from .groups import DihedralGroup, construct, element_data, element_from_data
+from .groups import DihedralGroup, _cap, construct, element_data, element_from_data
 from .signatures import Signature, kernel_genus
 
 VERIFIER_VERSION = "1"
@@ -44,11 +43,6 @@ class NotSurjective(ValueError):
 
 class SearchSpaceTooLarge(RuntimeError):
     """The backtracking search exhausted its node budget."""
-
-
-def _node_budget():
-    env = os.environ.get("SURFBOUND_NODE_BUDGET")
-    return int(env) if env else DEFAULT_NODE_BUDGET
 
 
 class SkeCertificate(NamedTuple):
@@ -263,7 +257,7 @@ def search_ske(sig, group, mode="first", dedup=False):
     if mode not in ("first", "all", "count"):
         raise ValueError(f"unknown search mode {mode!r}")
     kernel_genus(sig, group.order)
-    budget = _node_budget()
+    budget = _cap("SURFBOUND_NODE_BUDGET", DEFAULT_NODE_BUDGET)
     elements, index = tuple(group.elements), group.index
     orders = [group.element_order(e) for e in elements]
     g, periods = sig.genus, sig.periods

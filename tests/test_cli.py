@@ -807,7 +807,10 @@ class TestCatalog:
 
 
 class TestHostileArguments:
-    # argv, named defect: each exits 2 with that defect and no traceback
+    # argv, named defect: each exits 2 with that defect and no traceback; the
+    # five with N = 4,300 nines printed an integer past Python's int-to-str
+    # limit and ended in a traceback
+    N = "9" * 4300
     HOSTILE_ARGV = {
         "measure-order-zero": (("measure", "2,3,7", "--order", "0"),
                                "--order must be at least 1, got 0"),
@@ -822,6 +825,15 @@ class TestHostileArguments:
                         "10000000000000000000000009 is past the Miller-Rabin witness range"),
         "check-primes": (("cover", "--check", "--primes", "99999999999999999999999989"),
                          "99999999999999999999999989 is past the Miller-Rabin witness range"),
+        "certify-digits": (("certify", "--genus", N), "error: --genus has more than 1000 digits"),
+        "catalog-digits": (("catalog", "--genera", N),
+                           "error: --genera entry has more than 1000 digits"),
+        "measure-period-digits": (("measure", f"2,3,{N}"),
+                                  "error: signature has more than 1000 digits"),
+        "measure-genus-digits": (("measure", f"g{N}p2", "--order", "3"),
+                                 "error: signature has more than 1000 digits"),
+        "search-digits": (("ske", "search", "--signature", f"g{N}p2", "--group", "C2"),
+                          "error: signature has more than 1000 digits"),
     }
 
     @pytest.mark.parametrize("variant", sorted(HOSTILE_ARGV))
@@ -832,21 +844,38 @@ class TestHostileArguments:
         assert defect in err
         assert "Traceback" not in err and out == ""
 
+    def test_digit_bound_is_inclusive(self, capsys):
+        # a signature's digits count together, an option's alone
+        sig, order = f"g{'9' * 998}p22", "9" * 1000
+        code, out, _ = run(capsys, "measure", sig, "--order", order)
+        assert code == 0 and f"signature      ({'9' * 998};22)\n" in out
+        assert run(capsys, "measure", sig + "2", "--order", order)[0] == 2
+        assert run(capsys, "measure", sig, "--order", order + "9")[0] == 2
+
 
 class TestResourceCaps:
-    def test_order_cap_exits_3(self, capsys):
-        code, _, err = run(capsys, "--order-cap", "100", "ske", "search",
-                           "--signature", "2,3,8", "--group", "S8",
-                           "--mode", "count")
+    def test_order_cap_exits_3(self, capsys, monkeypatch):
+        monkeypatch.setenv("SURFBOUND_ORDER_CAP", "100")
+        code, _, err = run(capsys, "ske", "search", "--signature", "2,3,8",
+                           "--group", "S8", "--mode", "count")
         assert code == 3
         assert "resource cap" in err
 
-    def test_node_budget_exits_3(self, capsys):
-        code, _, err = run(capsys, "--node-budget", "5", "ske", "search",
-                           "--signature", "2,2,2,6", "--group", "S3*D11",
-                           "--mode", "all")
+    def test_node_budget_exits_3(self, capsys, monkeypatch):
+        monkeypatch.setenv("SURFBOUND_NODE_BUDGET", "5")
+        code, _, err = run(capsys, "ske", "search", "--signature", "2,2,2,6",
+                           "--group", "S3*D11", "--mode", "all")
         assert code == 3
         assert "resource cap" in err
+
+    @pytest.mark.parametrize("flag", ["--order-cap", "--node-budget"])
+    def test_cap_flag_is_a_usage_error(self, capsys, flag):
+        # the variables are the one input for each cap; no flag sets them
+        for argv in ([flag, "100", "constants"], ["constants", f"{flag}=100"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("kind", "CDSA")
     def test_huge_group_certificate_exits_3(self, capsys, tmp_path, kind):
@@ -889,8 +918,7 @@ class TestResourceCaps:
         assert "Traceback" not in proc.stderr
 
     SEARCH_S7 = ("ske", "search", "--signature", "2,3,7", "--group", "S7")
-    # variable, its value or None to set it by flag, command; each exited 3
-    # with "exceeds order cap -1", ended in a traceback, or blamed the group
+    # variable, its value, command; each ended in a traceback or blamed the group
     BAD_CAPS = {
         "order-cap-certify": ("SURFBOUND_ORDER_CAP", "abc", ("certify", "--genus", "16")),
         "order-cap-cover": ("SURFBOUND_ORDER_CAP", "abc",
@@ -898,36 +926,17 @@ class TestResourceCaps:
         "order-cap-catalog": ("SURFBOUND_ORDER_CAP", "abc", ("catalog", "--genera", "3")),
         "order-cap-search": ("SURFBOUND_ORDER_CAP", "abc", SEARCH_S7),
         "node-budget-float": ("SURFBOUND_NODE_BUDGET", "1e9", SEARCH_S7),
-        "order-cap-flag": ("SURFBOUND_ORDER_CAP", None, ("--order-cap", "-1") + SEARCH_S7),
-        "node-budget-flag": ("SURFBOUND_NODE_BUDGET", None, ("--node-budget", "-1") + SEARCH_S7),
+        "order-cap-digit-limit": ("SURFBOUND_ORDER_CAP", "9" * 5000, ("constants",)),
     }
 
     @pytest.mark.parametrize("variant", sorted(BAD_CAPS))
     def test_malformed_cap_exits_2_naming_the_variable(self, capsys, monkeypatch, variant):
         name, value, argv = self.BAD_CAPS[variant]
-        if value is not None:
-            monkeypatch.setenv(name, value)
+        monkeypatch.setenv(name, value)
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert err.startswith(f"error: {name} must be a positive decimal integer")
         assert "Traceback" not in err and out == ""
-
-    def test_env_restored_after_flag(self, capsys):
-        assert "SURFBOUND_ORDER_CAP" not in os.environ
-        run(capsys, "--order-cap", "100", "ske", "search",
-            "--signature", "2,3,8", "--group", "S8", "--mode", "count")
-        assert "SURFBOUND_ORDER_CAP" not in os.environ
-
-    def test_env_flag_overrides_existing(self, capsys):
-        os.environ["SURFBOUND_ORDER_CAP"] = "999999"
-        try:
-            code, _, _ = run(capsys, "--order-cap", "100", "ske", "search",
-                             "--signature", "2,3,8", "--group", "S8",
-                             "--mode", "count")
-            assert code == 3
-            assert os.environ["SURFBOUND_ORDER_CAP"] == "999999"
-        finally:
-            del os.environ["SURFBOUND_ORDER_CAP"]
 
 
 class TestClosedStdout:

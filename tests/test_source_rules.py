@@ -131,3 +131,31 @@ def test_only_covers_knows_the_cover_step():
     named = [f"{name}:{node.lineno}: {_word(node)}" for name in ("cli.py", "bounds.py")
              for node in ast.walk(_parse(name)) if _word(node) in hidden]
     assert named == []
+
+
+ENVIRONMENT = {"environ", "environb", "getenv", "getenvb", "putenv", "unsetenv"}
+
+
+def test_only_the_cap_readers_touch_the_environment():
+    # each resource cap has one input, its variable: groups._cap reads it for
+    # the library and cli._check_caps vets it for the commands.  The one form
+    # allowed is a call of os.environ.get in those two, so nothing sets, pops
+    # or deletes a variable
+    package = os.path.dirname(os.path.abspath(surfbound.__file__))
+    readers, other = set(), []
+    for name in sorted(n for n in os.listdir(package) if n.endswith(".py")):
+        tree = _parse(name)
+        gets = {}
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                gets.update((id(node.func.value), fn.name) for node in ast.walk(fn)
+                            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                            and node.func.attr == "get")
+        for node in ast.walk(tree):
+            if _word(node) in ENVIRONMENT:
+                if id(node) in gets and ast.unparse(node) == "os.environ":
+                    readers.add(f"{name[:-3]}.{gets[id(node)]}")
+                else:
+                    other.append(f"{name}:{node.lineno}: {ast.unparse(node)}")
+    assert readers == {"groups._cap", "cli._check_caps"}
+    assert other == []
