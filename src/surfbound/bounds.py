@@ -404,12 +404,6 @@ def verify_genus_certificate(cert):
     return cert
 
 
-def small_genus_catalog(genera=None):
-    """Certificates keyed by genus in the order given, default the catalog's:
-    every genus is checked before any is certified, and each certified once."""
-    genera = dict.fromkeys(CATALOG_RANGE if genera is None else genera)
-    if min(genera, default=2) < 2:
-        raise ValueError(f"need genus >= 2, got {min(genera)}")
-    for g in genera:
-        prime_conditions(g - 1)  # BeyondWitnessRange past the Miller-Rabin range
-    return {g: certify_genus(g) for g in genera}
+def small_genus_catalog():
+    """Certificates keyed by genus, one for each genus of CATALOG_RANGE."""
+    return {g: certify_genus(g) for g in CATALOG_RANGE}

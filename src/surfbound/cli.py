@@ -24,10 +24,13 @@ import os
 import sys
 
 SCHEMA_VERSION = "1"
-# the most decimal digits an integer option, one --genera or --primes entry,
-# a whole signature argument or a cap variable may hold, so every integer a
-# command prints stays far inside Python's 4,300-digit int-to-str limit
+# the most decimal digits an integer option, one --primes entry, a whole
+# signature argument or a cap variable may hold, so every integer a command
+# prints stays far inside Python's 4,300-digit int-to-str limit
 MAX_DIGITS = 1000
+# the largest attained --max: the command holds every ledger up to it and
+# prints about 11 MB there
+MAX_ATTAINED = 10 ** 6
 
 
 class UsageError(Exception):
@@ -77,7 +80,7 @@ def cmd_table(args):
     from .signatures import _ratio_text, signature_table
 
     try:
-        entries = signature_table(path=args.data)
+        entries = signature_table()
     except OSError as exc:
         raise UsageError(f"cannot read table: {exc}")
     except ValueError as exc:
@@ -290,8 +293,8 @@ def cmd_cover(args):
         if args.case is not None or args.prime is not None:
             raise UsageError("--check does not combine with --case/--prime")
         return _cover_check(args)
-    if args.labels is not None or args.primes is not None:
-        raise UsageError("--labels/--primes only apply with --check")
+    if args.primes is not None:
+        raise UsageError("--primes only applies with --check")
     if args.case is None or args.prime is None:
         raise UsageError("need --case and --prime (or --check)")
     return _cover_build(args)
@@ -334,17 +337,19 @@ def _cover_check(args):
     from .covers import check_cover_cases
     from .signatures import is_prime
 
-    labels = tuple(args.labels) if args.labels else None
     primes = None
     if args.primes is not None:
-        primes = tuple(_parse_int_list("--primes", args.primes))
+        parts = args.primes.split(",")
+        for part in parts:
+            _check_digits("--primes entry", part)
+        try:
+            primes = tuple(int(part) for part in parts)
+        except ValueError:
+            raise UsageError(f"expected comma separated integers, got {args.primes!r}")
         for p in primes:
             if not is_prime(p):
                 raise UsageError(f"--primes entries must be prime, got {p}")
-    try:
-        reports = check_cover_cases(labels=labels, primes=primes)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    reports = check_cover_cases(primes=primes)
     lines = []
     all_ok = True
     for rep in reports:
@@ -390,6 +395,8 @@ def cmd_certify(args):
 def cmd_attained(args):
     from .bounds import attained_genera
 
+    if args.max > MAX_ATTAINED:
+        raise UsageError(f"--max must be at most {MAX_ATTAINED}, got {args.max}")
     genera = attained_genera(args.max)
     rows = []
     lines = []
@@ -404,25 +411,12 @@ def cmd_attained(args):
     return 0
 
 
-def _parse_int_list(option, text):
-    parts = text.split(",")
-    for part in parts:
-        _check_digits(f"{option} entry", part)
-    try:
-        return [int(part) for part in parts]
-    except ValueError:
-        raise UsageError(f"expected comma separated integers, got {text!r}")
-
-
 def cmd_catalog(args):
     from .bounds import small_genus_catalog
 
-    genera = _parse_int_list("--genera", args.genera) if args.genera is not None else None
-    if genera and min(genera) < 2:
-        raise UsageError("genus must be at least 2")
     certs = []
     lines = []
-    for g, cert in small_genus_catalog(genera).items():
+    for g, cert in small_genus_catalog().items():
         certs.append(cert.to_dict())
         best = max(cert.witnesses, key=lambda w: w.certificate.group_order)
         lines.append(
@@ -445,8 +439,6 @@ def build_parser():
     p = sub.add_parser("table", help="print the admissible signature table")
     p.add_argument("--check", action="store_true",
                    help="recompute every row's measure and compare")
-    p.add_argument("--data", default=None, metavar="PATH",
-                   help="load the table from a file instead of the package data")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_table)
 
@@ -484,7 +476,6 @@ def build_parser():
     p.add_argument("--prime", type=int, default=None)
     p.add_argument("--check", action="store_true",
                    help="compare liftable primes against the predictions")
-    p.add_argument("--labels", default=None, help="restrict --check, e.g. adg")
     p.add_argument("--primes", default=None,
                    help="restrict --check, comma separated")
     p.add_argument("--json", action="store_true")
@@ -500,8 +491,7 @@ def build_parser():
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_attained)
 
-    p = sub.add_parser("catalog", help="certificates for the catalogued genera")
-    p.add_argument("--genera", default=None, help="comma separated, default 2..23")
+    p = sub.add_parser("catalog", help="certificates for genera 2..23")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_catalog)
 

@@ -452,20 +452,15 @@ def case_certificate(case):
     return verify_ske(case.signature, group, tuple(images))
 
 
-def check_cover_cases(labels=None, primes=None):
+def check_cover_cases(primes=None):
     """Compare liftable primes against the predicted sets, case by case.
 
     Returns one report per case: the primes actually admitting an invariant
-    hyperplane, the predicted set, and whether they agree.  An unknown label
-    raises ValueError.
+    hyperplane (at each case's tested primes, or at primes when given), the
+    predicted set, and whether they agree.
     """
-    if labels is not None:
-        for label in labels:
-            case_by_label(label)
     reports = []
     for case in GENUS2_COVER_CASES:
-        if labels is not None and case.label not in labels:
-            continue
         # each prime once, in the order given
         tested = tuple(dict.fromkeys(primes)) if primes is not None else case.tested_primes
         cert = case_certificate(case)

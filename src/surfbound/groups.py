@@ -18,11 +18,12 @@ _metacyclic, in their left-regular representation.
 
 _cap is the one reader of the resource caps, for the library and the CLI
 alike; each cap is an environment variable.  Enumeration is bounded by the
-order cap, SURFBOUND_ORDER_CAP (default 10**6); ske's search by the node
-budget.  Where the order is known from the descriptor (C_n, D_n, S_n, A_n,
-direct products, and the parametric elements) it is compared with the cap
-before anything is built; otherwise the BFS stops when it would pass the
-cap.  Either way OrderCapExceeded is raised.  A group within the cap still
+order cap, SURFBOUND_ORDER_CAP (default 10**6), which also bounds the
+slots ske's search stores; the search's nodes by the node budget.  Where
+the order is known from the descriptor (C_n, D_n, S_n, A_n, direct
+products, and the parametric elements) it is compared with the cap before
+anything is built; otherwise the BFS stops when it would pass the cap.
+Either way OrderCapExceeded is raised.  A group within the cap still
 stores order x degree entries.
 
 Composition convention throughout: (x*y)[i] = x[y[i]], i.e. y acts first.

@@ -302,23 +302,14 @@ def _parse_table(text, origin):
     return tuple(entries)
 
 
-def signature_table(path=None):
-    """The embedded table of arithmetic signatures with measure below pi, as
-    a tuple of entries.
+@cache
+def signature_table():
+    """The packaged table of arithmetic signatures with measure below pi, as
+    a tuple of entries, loaded once per process.
 
     Every row is re-verified on load (stated measure and s/r against exact
-    recomputation); any mismatch raises TableCorrupt naming the row.  The
-    packaged table is loaded once per process; a table read from path is
-    read and verified on every call.
+    recomputation); any mismatch raises TableCorrupt naming the row.
     """
-    if path is not None:
-        with open(path, encoding="utf-8") as fh:
-            return _parse_table(fh.read(), str(path))
-    return _packaged_table()
-
-
-@cache
-def _packaged_table():
     from importlib import resources
 
     text = resources.files("surfbound.data").joinpath("signature_table.txt").read_text("utf-8")

@@ -22,7 +22,7 @@ a_g, b_g), then elliptic generators in signature order.
 import json
 from typing import NamedTuple
 
-from .groups import DihedralGroup, _cap, construct, element_data, element_from_data
+from .groups import DihedralGroup, _cap, _check_order, construct, element_data, element_from_data
 from .signatures import Signature, kernel_genus
 
 VERIFIER_VERSION = "1"
@@ -248,7 +248,9 @@ def search_ske(sig, group, mode="first", dedup=False):
     A node is one assignment to one slot: a class representative in slot 0,
     an orbit representative in slot 1, or a candidate element in any deeper
     slot.  Each costs one node against the budget (SURFBOUND_NODE_BUDGET,
-    default 10**9); exceeding it raises SearchSpaceTooLarge.
+    default 10**9); exceeding it raises SearchSpaceTooLarge.  The slots are
+    stored, so more of them than the order cap (SURFBOUND_ORDER_CAP) raises
+    OrderCapExceeded before the search starts.
 
     Raises NotAdmissible immediately for a signature of measure <= 0, and
     NonIntegralGenus when |G| is incompatible with the signature (no
@@ -270,8 +272,10 @@ def search_ske(sig, group, mode="first", dedup=False):
     # the first path assigns every slot before its leaf
     if any(not by_order[m] for m in periods[:-1]):
         return None if mode == "first" else [] if mode == "all" else 0
-    if max(k - 1, 0) + 2 * g > budget:
+    nslots = max(k - 1, 0) + 2 * g
+    if nslots > budget:
         raise SearchSpaceTooLarge(exhausted)
+    _check_order(f"the slot count {nslots} of {sig}", [nslots])
     searched_ell = sorted(range(k - 1) if k else [],
                           key=lambda j: (len(by_order[periods[j]]), j))
     # an admissible signature always leaves at least two searched slots

@@ -20,12 +20,11 @@ from surfbound.bounds import (
     discharge_prime,
     frobenius_obstruction,
     prime_conditions,
-    small_genus_catalog,
     sylow_forces_normal,
     verify_genus_certificate,
 )
 from surfbound.covers import check_cover_cases
-from surfbound.signatures import BeyondWitnessRange, Signature, signature_table
+from surfbound.signatures import Signature, signature_table
 
 
 def brute_is_prime(n):
@@ -387,38 +386,6 @@ class TestCatalog:
             cert = certify_genus(g)
             searched = [w for w in cert.witnesses if w.route == "ske-search"]
             assert any(w.certificate.group_order == 6 * (g - 1) for w in searched)
-
-    def test_small_genus_catalog_subset(self):
-        cat = small_genus_catalog(genera=(2, 10, 16))
-        assert set(cat) == {2, 10, 16}
-        assert cat[2].bound == 48
-        assert cat[10].bound == 72
-        assert cat[16].bound == 360
-
-    def test_small_genus_catalog_checks_first_and_certifies_once(self, monkeypatch):
-        import surfbound.bounds as bounds
-
-        calls = []
-        certify = bounds.certify_genus
-        monkeypatch.setattr(bounds, "certify_genus", lambda g: calls.append(g) or certify(g))
-        with pytest.raises(ValueError, match="need genus >= 2, got 1"):
-            small_genus_catalog(genera=(3, 3, 1))
-        assert calls == []
-        cat = small_genus_catalog(genera=(10, 3, 10, 3))
-        assert list(cat) == [10, 3]
-        assert calls == [10, 3]
-
-    def test_genus_past_prime_range_checked_before_any_certificate(self, monkeypatch):
-        # genus 22 comes first, and is cheap to certify: the range check on
-        # the second entry's g - 1 must come before it
-        import surfbound.bounds as bounds
-
-        calls = []
-        certify = bounds.certify_genus
-        monkeypatch.setattr(bounds, "certify_genus", lambda g: calls.append(g) or certify(g))
-        with pytest.raises(BeyondWitnessRange, match="past the Miller-Rabin witness range"):
-            small_genus_catalog(genera=(22, 10**25 + 8))
-        assert calls == []
 
     def test_genus_two_uses_gl23(self):
         cert = certify_genus(2)

@@ -9,6 +9,7 @@ import time
 import pytest
 
 import surfbound
+from surfbound import signatures
 from surfbound.cli import build_parser, main
 
 
@@ -53,24 +54,32 @@ class TestTable:
         assert data["checked"] == 74
         assert data["consistent"] is True
 
-    def test_corrupt_data_file_exits_1(self, capsys, tmp_path):
-        bad = tmp_path / "table.txt"
-        bad.write_text("2 3 7 | 1/21 | 84 | verified-by-literature\nnot a row\n")
-        code, _, err = run(capsys, "table", "--data", str(bad))
+    @staticmethod
+    def serve_table(monkeypatch, text):
+        # the packaged table as if its file held text
+        monkeypatch.setattr(signatures, "signature_table",
+                            lambda: signatures._parse_table(text, "table.txt"))
+
+    def test_corrupt_data_file_exits_1(self, capsys, monkeypatch):
+        self.serve_table(monkeypatch, "2 3 7 | 1/21 | 84 | verified-by-literature\nnot a row\n")
+        code, _, err = run(capsys, "table")
         assert code == 1
         assert "not a row" in err
 
-    def test_wrong_stated_measure_exits_1(self, capsys, tmp_path):
-        bad = tmp_path / "table.txt"
-        bad.write_text("2 3 7 | 1/20 | 84 | verified-by-literature\n")
-        code, _, err = run(capsys, "table", "--data", str(bad))
+    def test_wrong_stated_measure_exits_1(self, capsys, monkeypatch):
+        self.serve_table(monkeypatch, "2 3 7 | 1/20 | 84 | verified-by-literature\n")
+        code, _, err = run(capsys, "table")
         assert code == 1
         assert "recomputed 1/21" in err
 
-    def test_missing_data_file_exits_2(self, capsys, tmp_path):
-        code, _, err = run(capsys, "table", "--data", str(tmp_path / "no.txt"))
+    def test_missing_data_file_exits_2(self, capsys, monkeypatch):
+        def unreadable():
+            raise FileNotFoundError("no such file: signature_table.txt")
+
+        monkeypatch.setattr(signatures, "signature_table", unreadable)
+        code, _, err = run(capsys, "table", "--check")
         assert code == 2
-        assert "cannot read" in err
+        assert err == "error: cannot read table: no such file: signature_table.txt\n"
 
 
 class TestMeasure:
@@ -580,11 +589,12 @@ class TestCover:
         assert by_label["d"]["with_hyperplane"] == [5, 11]
 
     def test_check_filtered(self, capsys):
-        code, data, _ = run_json(capsys, "cover", "--check", "--labels", "f",
-                                 "--primes", "7,11,19", "--json")
+        code, data, _ = run_json(capsys, "cover", "--check", "--primes", "7,11,19", "--json")
         assert code == 0
-        assert len(data["reports"]) == 1
-        assert data["reports"][0]["with_hyperplane"] == [7, 19]
+        assert len(data["reports"]) == 7
+        assert all(r["primes"] == [7, 11, 19] for r in data["reports"])
+        assert data["reports"][5]["case"] == "f"
+        assert data["reports"][5]["with_hyperplane"] == [7, 19]
 
     @pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
     def test_check_repeated_primes(self, capsys, json_flag):
@@ -598,10 +608,10 @@ class TestCover:
         assert code == 2
         assert "does not combine" in err
 
-    def test_labels_without_check_exits_2(self, capsys):
+    def test_primes_without_check_exits_2(self, capsys):
         code, _, err = run(capsys, "cover", "--case", "a", "--prime", "2",
-                           "--labels", "f")
-        assert code == 2
+                           "--primes", "2")
+        assert (code, err) == (2, "error: --primes only applies with --check\n")
 
     def test_bad_primes_list_exits_2(self, capsys):
         code, _, err = run(capsys, "cover", "--check", "--primes", "7,x")
@@ -612,12 +622,6 @@ class TestCover:
         code, out, err = run(capsys, "cover", "--check", "--primes", primes)
         assert (code, out) == (2, "")
         assert err == f"error: expected comma separated integers, got {primes!r}\n"
-
-    def test_check_unknown_label_exits_2(self, capsys):
-        code, out, err = run(capsys, "cover", "--check", "--labels", "az")
-        assert code == 2
-        assert out == ""
-        assert "unknown cover case 'z'; have a b c d e f g" in err
 
     def test_nonprime_check_entry_exits_2(self, capsys):
         code, _, err = run(capsys, "cover", "--check", "--primes", "6")
@@ -634,12 +638,12 @@ class TestCover:
         assert "no invariant hyperplane" in out
 
     def test_large_prime_check(self, capsys):
-        code, data, _ = run_json(capsys, "cover", "--check", "--labels", "abf",
+        code, data, _ = run_json(capsys, "cover", "--check",
                                  "--primes", str(self.LARGE_PRIME), "--json")
         assert code == 0
         assert data["ok"] is True
-        assert {r["case"]: r["with_hyperplane"] for r in data["reports"]} == {
-            "a": [], "b": [], "f": [self.LARGE_PRIME]}
+        lifted = {r["case"]: r["with_hyperplane"] for r in data["reports"]}
+        assert (lifted["a"], lifted["b"], lifted["f"]) == ([], [], [self.LARGE_PRIME])
 
     def test_large_prime_extension_exits_3(self, capsys):
         # case f lifts, but its extension of order 6p is past the order cap
@@ -684,8 +688,8 @@ class TestCertify:
     @pytest.mark.parametrize("argv", [
         ("certify", "--genus", "22"),
         ("certify", "--genus", "24"),
-        ("catalog", "--genera", "3,22"),
-    ], ids=["certify-22", "certify-24", "catalog-3-22"])
+        ("catalog",),
+    ], ids=["certify-22", "certify-24", "catalog"])
     def test_prints_without_replaying(self, capsys, monkeypatch, argv):
         # the command does not replay what it built; ske verify does
         def refuse(cert):
@@ -715,7 +719,7 @@ class TestCertify:
     @pytest.mark.parametrize("argv", [
         ("certify", "--genus", "24"),
         ("attained", "--max", "100"),
-        ("catalog", "--genera", "24"),
+        ("catalog",),
     ], ids=["certify", "attained", "catalog"])
     def test_deep_flag_exits_2(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -731,6 +735,15 @@ class TestAttained:
         genera = [row["genus"] for row in data["genera"]]
         assert genera == [24, 48, 60, 84, 108, 168, 180, 228, 240, 264]
         assert all(row["complete"] for row in data["genera"])
+
+    def test_max_is_bounded(self, capsys, monkeypatch):
+        # checked before the loop over g: 10^8 ran past 10 s under a 1 GB limit
+        code, out, err = run(capsys, "attained", "--max", "100000000")
+        assert (code, out) == (2, "")
+        assert err == "error: --max must be at most 1000000, got 100000000\n"
+        monkeypatch.setattr("surfbound.bounds.attained_genera", lambda limit: [])
+        assert run(capsys, "attained", "--max", "1000000")[:2] == (
+            0, "no attained genera up to 1000000\n")
 
     def test_none_below_24(self, capsys):
         code, out, _ = run(capsys, "attained", "--max", "23")
@@ -752,58 +765,12 @@ class TestAttained:
 
 
 class TestCatalog:
-    def test_subset(self, capsys):
-        code, data, _ = run_json(capsys, "catalog", "--genera", "2,5,10", "--json")
-        assert code == 0
-        bounds = {c["genus"]: c["bound"] for c in data["certificates"]}
-        assert bounds == {2: 48, 5: 24, 10: 72}
-
     def test_human_line_shape(self, capsys):
-        code, out, _ = run(capsys, "catalog", "--genera", "16")
+        code, out, _ = run(capsys, "catalog")
         assert code == 0
-        assert "g= 16" in out and "bound   360" in out and "ske-search" in out
-
-    def test_bad_genus_exits_2(self, capsys):
-        code, _, err = run(capsys, "catalog", "--genera", "1")
-        assert code == 2
-
-    @pytest.mark.parametrize("genera", ["3,", "3,,5", ",3", ""])
-    def test_empty_genera_entry_exits_2(self, capsys, monkeypatch, genera):
-        import surfbound.bounds as bounds
-
-        calls = []
-        monkeypatch.setattr(bounds, "certify_genus", calls.append)
-        code, out, err = run(capsys, "catalog", "--genera", genera)
-        assert (code, out) == (2, "")
-        assert err == f"error: expected comma separated integers, got {genera!r}\n"
-        assert calls == []
-
-    def test_bad_genus_checked_before_any_certificate(self, capsys, monkeypatch):
-        import surfbound.bounds as bounds
-
-        calls = []
-        certify = bounds.certify_genus
-        monkeypatch.setattr(bounds, "certify_genus", lambda g: calls.append(g) or certify(g))
-        code, out, err = run(capsys, "catalog", "--genera", "3,3,1")
-        assert (code, out, err) == (2, "", "error: genus must be at least 2\n")
-        assert calls == []
-        code, out, err = run(capsys, "catalog", "--genera", f"22,{10**25 + 8}")
-        assert (code, out) == (2, "")
-        assert err == (f"error: {10**25 + 7} is past the Miller-Rabin witness range"
-                       " (< 3317044064679887385961981)\n")
-        assert calls == []
-
-    @pytest.mark.parametrize("fmt", [(), ("--json",)], ids=["text", "json"])
-    def test_repeated_genus_certified_once(self, capsys, monkeypatch, fmt):
-        import surfbound.bounds as bounds
-
-        calls = []
-        certify = bounds.certify_genus
-        monkeypatch.setattr(bounds, "certify_genus", lambda g: calls.append(g) or certify(g))
-        once = run(capsys, "catalog", "--genera", "10,3", *fmt)
-        calls.clear()
-        assert run(capsys, "catalog", "--genera", "10,3,10,3", *fmt) == once
-        assert calls == [10, 3]
+        lines = out.splitlines()
+        assert [line[:5] for line in lines] == [f"g={g:>3}" for g in range(2, 24)]
+        assert "bound   360" in lines[14] and "ske-search" in lines[14]
 
 
 class TestHostileArguments:
@@ -819,15 +786,11 @@ class TestHostileArguments:
         # g - 1 = 10^25 + 7 has no prime factor up to 37
         "certify-genus": (("certify", "--genus", "10000000000000000000000008"),
                           "10000000000000000000000007 is past the Miller-Rabin witness range"),
-        "catalog-genus": (("catalog", "--genera", "3,10000000000000000000000008"),
-                          "10000000000000000000000007 is past the Miller-Rabin witness range"),
         "cover-prime": (("cover", "--case", "a", "--prime", "10000000000000000000000009"),
                         "10000000000000000000000009 is past the Miller-Rabin witness range"),
         "check-primes": (("cover", "--check", "--primes", "99999999999999999999999989"),
                          "99999999999999999999999989 is past the Miller-Rabin witness range"),
         "certify-digits": (("certify", "--genus", N), "error: --genus has more than 1000 digits"),
-        "catalog-digits": (("catalog", "--genera", N),
-                           "error: --genera entry has more than 1000 digits"),
         "measure-period-digits": (("measure", f"2,3,{N}"),
                                   "error: signature has more than 1000 digits"),
         "measure-genus-digits": (("measure", f"g{N}p2", "--order", "3"),
@@ -892,9 +855,13 @@ class TestResourceCaps:
         assert "Traceback" not in err and out == ""
 
     # signature, group, mode, exit code, expected text; the first ended in a
-    # RecursionError, the other two in a MemoryError under the limit below
+    # RecursionError, the other three in a MemoryError under the limit below
     DEEP_SEARCHES = {
         "g600": ("g600", "C2", "first", 0, "kernel genus 1199"),
+        # within the node budget, but its slot lists alone pass the limit
+        "slots-past-order-cap": ("g400000000", "C2", "first", 3,
+                                 "resource cap: the slot count 800000000 of (400000000;)"
+                                 " exceeds order cap 1000000\n"),
         "huge-genus": ("g99999999999999999", "C2", "count", 3,
                        "node budget 1000000000 exhausted searching (99999999999999999;) -> C2"),
         "huge-genus-no-order-2": ("g99999999999999999p2,2,2,2,5,5", "C5", "count", 0, "none"),
@@ -923,7 +890,7 @@ class TestResourceCaps:
         "order-cap-certify": ("SURFBOUND_ORDER_CAP", "abc", ("certify", "--genus", "16")),
         "order-cap-cover": ("SURFBOUND_ORDER_CAP", "abc",
                             ("cover", "--case", "a", "--prime", "17")),
-        "order-cap-catalog": ("SURFBOUND_ORDER_CAP", "abc", ("catalog", "--genera", "3")),
+        "order-cap-catalog": ("SURFBOUND_ORDER_CAP", "abc", ("catalog",)),
         "order-cap-search": ("SURFBOUND_ORDER_CAP", "abc", SEARCH_S7),
         "node-budget-float": ("SURFBOUND_NODE_BUDGET", "1e9", SEARCH_S7),
         "order-cap-digit-limit": ("SURFBOUND_ORDER_CAP", "9" * 5000, ("constants",)),
@@ -969,6 +936,19 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main(["conjugate"])
         assert exc.value.code == 2
+
+    # options that are gone: catalog certifies 2..23 (certify --genus for any
+    # other genus), cover --check takes --primes, table reads the packaged file
+    @pytest.mark.parametrize("argv", [
+        ("catalog", "--genera", "3"),
+        ("cover", "--check", "--labels", "a"),
+        ("table", "--data", "t.txt"),
+    ], ids=["catalog-genera", "cover-labels", "table-data"])
+    def test_removed_option_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
 
     def test_certify_requires_genus_flag(self):
         with pytest.raises(SystemExit) as exc:

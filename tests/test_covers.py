@@ -432,24 +432,16 @@ class TestCoverCases:
             assert report["match"], report
             assert report["with_hyperplane"] == report["expected"]
 
-    def test_label_filter(self):
-        reports = check_cover_cases(labels={"d"})
-        assert len(reports) == 1
-        assert reports[0]["with_hyperplane"] == [5, 11]
-
-    def test_unknown_label_raises(self):
-        with pytest.raises(ValueError, match="unknown cover case 'z'"):
-            check_cover_cases(labels=("z",))
-
     def test_custom_primes(self):
-        reports = check_cover_cases(labels={"f"}, primes=(7, 11, 19))
-        assert reports[0]["with_hyperplane"] == [7, 19]
-        assert reports[0]["expected"] == [7, 19]
+        report = check_cover_cases(primes=(7, 11, 19))[5]
+        assert report["case"] == "f"
+        assert report["with_hyperplane"] == [7, 19]
+        assert report["expected"] == [7, 19]
 
     def test_repeated_primes_kept_once(self):
-        reports = check_cover_cases(labels={"a", "f"}, primes=(2, 2, 7, 3, 7))
-        assert reports == check_cover_cases(labels={"a", "f"}, primes=(2, 7, 3))
-        assert [r["primes"] for r in reports] == [[2, 7, 3], [2, 7, 3]]
+        reports = check_cover_cases(primes=(2, 2, 7, 3, 7))
+        assert reports == check_cover_cases(primes=(2, 7, 3))
+        assert [r["primes"] for r in reports] == [[2, 7, 3]] * 7
 
 
 def linear_characters(group):

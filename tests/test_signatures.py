@@ -6,6 +6,7 @@ from math import gcd
 
 import pytest
 
+from surfbound import signatures
 from surfbound.cli import main
 from surfbound.linalg import cokernel_invariants
 from surfbound.signatures import (
@@ -341,41 +342,21 @@ class TestSignatureTable:
         assert isinstance(table, tuple)
         assert signature_table() is table
 
-    def test_path_is_read_on_every_call(self, tmp_path):
-        path = tmp_path / "table.txt"
-        path.write_text("2 3 7 | 1/21 | 84 | verified-by-literature\n")
-        first = signature_table(path)
-        assert [str(e.signature) for e in first] == ["(2,3,7)"]
-        path.write_text("2 3 8 | 1/12 | 48 | verified-by-literature\n")
-        second = signature_table(path)
-        assert [str(e.signature) for e in second] == ["(2,3,8)"]
-        path.write_text("2 3 8 | 1/11 | 48 | verified-by-literature\n")
+    def test_corrupt_measure_rejected(self):
         with pytest.raises(TableCorrupt, match="recomputed"):
-            signature_table(path)
+            _parse_table("2 3 7 | 1/20 | 84 | verified-by-literature\n", "bad.txt")
 
-    def test_corrupt_measure_rejected(self, tmp_path):
-        bad = tmp_path / "bad.txt"
-        bad.write_text("2 3 7 | 1/20 | 84 | verified-by-literature\n")
-        with pytest.raises(TableCorrupt, match="recomputed"):
-            signature_table(bad)
-
-    def test_corrupt_ratio_rejected(self, tmp_path):
-        bad = tmp_path / "bad.txt"
-        bad.write_text("2 3 7 | 1/21 | 83 | verified-by-literature\n")
+    def test_corrupt_ratio_rejected(self):
         with pytest.raises(TableCorrupt, match="s/r"):
-            signature_table(bad)
+            _parse_table("2 3 7 | 1/21 | 83 | verified-by-literature\n", "bad.txt")
 
-    def test_malformed_row_rejected(self, tmp_path):
-        bad = tmp_path / "bad.txt"
-        bad.write_text("2 3 7 , 1/21 , 84\n")
+    def test_malformed_row_rejected(self):
         with pytest.raises(TableCorrupt, match="malformed"):
-            signature_table(bad)
+            _parse_table("2 3 7 , 1/21 , 84\n", "bad.txt")
 
-    def test_empty_rejected(self, tmp_path):
-        bad = tmp_path / "bad.txt"
-        bad.write_text("# nothing here\n")
+    def test_empty_rejected(self):
         with pytest.raises(TableCorrupt, match="no rows"):
-            signature_table(bad)
+            _parse_table("# nothing here\n", "bad.txt")
 
 
 def fraction_parse_table(text, origin):
@@ -483,16 +464,16 @@ class TestIntegerTableCheck:
         ("1 3 7 | 1/21 | 84", "row (1,3,7) has a period below 2"),
     ], ids=["zero-measure-denominator", "zero-ratio-denominator", "measure-zero",
             "period-below-2"])
-    def test_defect_names_origin_and_line(self, tmp_path, capsys, row, defect):
-        path = tmp_path / "t.txt"
-        path.write_text(f"# header\n{row} | verified-by-literature\n")
+    def test_defect_names_origin_and_line(self, capsys, monkeypatch, row, defect):
+        text = f"# header\n{row} | verified-by-literature\n"
         with pytest.raises(TableCorrupt) as info:
-            signature_table(path)
-        assert str(info.value) == f"{path}:2: {defect}"
-        assert main(["table", "--check", "--data", str(path)]) == 1
+            _parse_table(text, "t.txt")
+        assert str(info.value) == f"t.txt:2: {defect}"
+        monkeypatch.setattr(signatures, "signature_table", lambda: _parse_table(text, "t.txt"))
+        assert main(["table", "--check"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"table data corrupt: {path}:2: {defect}\n"
+        assert captured.err == f"table data corrupt: t.txt:2: {defect}\n"
 
 
 class TestParsing:

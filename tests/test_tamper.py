@@ -1,15 +1,17 @@
-"""Single-field tampering of certificates the CLI prints.
+"""Field tampering of certificates the CLI prints.
 
 Each case changes one field of a printed certificate, at any depth, or
-deletes it, and feeds the result to `ske verify` in-process.  A change that
-leaves the canonical JSON as it was is skipped; every other one must be
-refused with exit 1, 2 or 3 and a one-line reason, never a traceback.
+deletes it, or makes two or three such changes at once at disjoint paths,
+and feeds the result to `ske verify` in-process.  A change that leaves the
+canonical JSON as it was is skipped; every other one must be refused with
+exit 1, 2 or 3 and a one-line reason, never a traceback.
 """
 
 import contextlib
 import io
 import json
 import random
+from itertools import combinations
 
 import pytest
 
@@ -34,6 +36,7 @@ DELETE = _Delete()
 VALUES = (None, True, False, 0, -1, 1, 2, 10 ** 30, -10 ** 30, 1.5, "7", "x", "",
           [], [1], {}, {"a": 1}, DELETE)
 SAMPLES = 100
+MULTI_SAMPLES = 120
 
 # changes each of which the verifiers accepted before they compared every
 # recorded field as canonical JSON: 1 or 0 for a boolean, a covector entry
@@ -93,15 +96,25 @@ def paths(node, prefix=()):
         yield from paths(value, prefix + (key,))
 
 
-def tampered(cert, path, value):
+def tampered(cert, changes):
+    """A copy of cert with each (path, value) of changes made.  No path is a
+    prefix of another; every parent is found before anything changes, and
+    list items are deleted last, highest index first, so no change moves the
+    target of another."""
     doc = json.loads(json.dumps(cert))
-    node = doc
-    for key in path[:-1]:
-        node = node[key]
-    if value is DELETE:
-        del node[path[-1]]
-    else:
-        node[path[-1]] = value
+    targets = []
+    for path, value in changes:
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        targets.append((node, path[-1], value))
+    for node, key, value in targets:
+        if value is not DELETE:
+            node[key] = value
+    deletes = [(node, key) for node, key, value in targets if value is DELETE]
+    for node, key in sorted(deletes, key=lambda t: isinstance(t[1], int) and t[1],
+                            reverse=True):
+        del node[key]
     return doc
 
 
@@ -109,10 +122,10 @@ def canonical(doc):
     return json.dumps(doc, sort_keys=True)
 
 
-def refusal(tmp_path, cert, path, value):
+def refusal(tmp_path, cert, changes):
     """None if `ske verify` refuses the tampered certificate properly, else
     what it did."""
-    doc = tampered(cert, path, value)
+    doc = tampered(cert, changes)
     if canonical(doc) == canonical(cert):
         return None
     file = tmp_path / "tampered.json"
@@ -121,7 +134,8 @@ def refusal(tmp_path, cert, path, value):
     lines = (out + err).strip().splitlines()
     if code in (1, 2, 3) and len(lines) == 1 and "Traceback" not in out + err:
         return None
-    return f"{path} = {value!r:.40}: exit {code}, {out + err!r:.200}"
+    shown = ", ".join(f"{path} = {value!r:.40}" for path, value in changes)
+    return f"{shown}: exit {code}, {out + err!r:.200}"
 
 
 @pytest.mark.parametrize("source", sorted(SOURCES))
@@ -129,8 +143,28 @@ def test_sampled_single_field_changes_refused(certificates, tmp_path, source):
     cert = certificates[source]
     pairs = [(path, value) for path in paths(cert) for value in VALUES]
     rng = random.Random(f"tamper-{source}")
-    failures = [r for path, value in rng.sample(pairs, SAMPLES)
-                if (r := refusal(tmp_path, cert, path, value)) is not None]
+    failures = [r for change in rng.sample(pairs, SAMPLES)
+                if (r := refusal(tmp_path, cert, [change])) is not None]
+    assert failures == []
+
+
+def disjoint(chosen):
+    return not any(a[:len(b)] == b or b[:len(a)] == a for a, b in combinations(chosen, 2))
+
+
+@pytest.mark.parametrize("source", sorted(SOURCES))
+def test_sampled_multi_field_changes_refused(certificates, tmp_path, source):
+    cert = certificates[source]
+    every_path = list(paths(cert))
+    rng = random.Random(f"tamper-multi-{source}")
+    failures = []
+    for _ in range(MULTI_SAMPLES):
+        chosen = rng.sample(every_path, rng.choice((2, 3)))
+        while not disjoint(chosen):
+            chosen = rng.sample(every_path, len(chosen))
+        changes = [(path, rng.choice(VALUES)) for path in chosen]
+        if (r := refusal(tmp_path, cert, changes)) is not None:
+            failures.append(r)
     assert failures == []
 
 
@@ -138,8 +172,8 @@ def test_sampled_single_field_changes_refused(certificates, tmp_path, source):
 def test_formerly_accepted_change_refused(certificates, tmp_path, case):
     source, path, value = ACCEPTED_BEFORE[case]
     cert = certificates[source]
-    assert canonical(tampered(cert, path, value)) != canonical(cert)
-    assert refusal(tmp_path, cert, path, value) is None
+    assert canonical(tampered(cert, [(path, value)])) != canonical(cert)
+    assert refusal(tmp_path, cert, [(path, value)]) is None
 
 
 # PSL(2,13) on the projective line over F_13, generated by x -> x+1 and

@@ -80,8 +80,6 @@ def commands():
     out += [(argv, None) for argv in [
         ("catalog",),
         ("catalog", "--json"),
-        ("catalog", "--genera", "3,22,24"),
-        ("catalog", "--genera", "22,10000000000000000000000008"),
         ("attained", "--max", "1000", "--json"),
         ("attained", "--max", "300"),
         ("cover", "--check"),
