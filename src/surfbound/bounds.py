@@ -43,18 +43,11 @@ class WitnessSearchFailed(RuntimeError):
     """A catalogued witness search came back empty."""
 
 
-class PrimeConditions(NamedTuple):
-    """Attainedness test for a prime: p prime with p mod 60 in {23, 47, 59}."""
-
-    p: int
-    prime: bool
-    residue_mod_60: int
-    attained: bool
-
-
-def prime_conditions(p):
-    prime = is_prime(p)
-    return PrimeConditions(p, prime, p % 60, prime and p % 60 in ATTAINED_RESIDUES)
+def attained_prime(p):
+    """Whether 4(g-1) is attained at g = p + 1: p prime with p mod 60 in
+    {23, 47, 59}.  The primality test runs first, so a p past its range
+    raises BeyondWitnessRange whatever its residue."""
+    return is_prime(p) and p % 60 in ATTAINED_RESIDUES
 
 
 def sylow_forces_normal(p, ratio):
@@ -181,7 +174,7 @@ def discharge_prime(p):
     """
     from .covers import GENUS2_COVER_CASES
 
-    if not prime_conditions(p).attained:
+    if not attained_prime(p):
         raise ValueError(f"{p} is not an attained prime")
     table = signature_table()
     entries = []
@@ -237,7 +230,7 @@ def attained_genera(limit):
     out = []
     for g in range(2, limit + 1):
         p = g - 1
-        if prime_conditions(p).attained:
+        if attained_prime(p):
             out.append(AttainedGenus(genus=g, prime=p, bound=4 * p,
                                      discharge=discharge_prime(p)))
     return out
@@ -360,7 +353,7 @@ def certify_genus(g):
 def _genus_certificate(genus, witnesses):
     """What these witnesses certify at this genus: the bound is their largest
     order, and an attained genus carries its discharge ledger."""
-    attained = prime_conditions(genus - 1).attained
+    attained = attained_prime(genus - 1)
     return GenusCertificate(
         genus=genus,
         bound=max(w.certificate.group_order for w in witnesses),

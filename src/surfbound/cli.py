@@ -210,26 +210,18 @@ def cmd_ske_search(args):
         payload["found"] = result > 0
         _emit(args, payload, [f"count {result}"] if result else ["none"])
         return 0
-    if args.mode == "first":
-        if result is None:
-            payload["found"] = False
-            _emit(args, payload, ["none"])
-            return 0
-        cert = verify_ske(sig, group, result)
-        payload["found"] = True
-        payload["certificate"] = cert.to_dict()
-        lines = [
-            f"found epimorphism onto {group.descriptor} (order {group.order})",
-            f"images {[element_data(x) for x in result]}",
-            f"kernel genus {cert.kernel_genus}",
-        ]
-        _emit(args, payload, lines)
+    if result is None:
+        payload["found"] = False
+        _emit(args, payload, ["none"])
         return 0
-    payload["count"] = len(result)
-    payload["found"] = bool(result)
-    payload["solutions"] = [[element_data(x) for x in sol] for sol in result]
-    lines = [f"count {len(result)}"] if result else ["none"]
-    lines.extend(str([element_data(x) for x in sol]) for sol in result)
+    cert = verify_ske(sig, group, result)
+    payload["found"] = True
+    payload["certificate"] = cert.to_dict()
+    lines = [
+        f"found epimorphism onto {group.descriptor} (order {group.order})",
+        f"images {[element_data(x) for x in result]}",
+        f"kernel genus {cert.kernel_genus}",
+    ]
     _emit(args, payload, lines)
     return 0
 
@@ -460,7 +452,7 @@ def build_parser():
     p.add_argument("--signature", required=True)
     p.add_argument("--group", required=True,
                    help="group descriptor, e.g. GL23 or dihedral:6")
-    p.add_argument("--mode", choices=("first", "all", "count"), default="first")
+    p.add_argument("--mode", choices=("first", "count"), default="first")
     p.add_argument("--dedup", action="store_true",
                    help="deduplicate by simultaneous conjugation")
     p.add_argument("--json", action="store_true")

@@ -205,11 +205,10 @@ def search_ske(sig, group, mode="first", dedup=False):
     """Backtracking search for surface-kernel epimorphisms onto a finite group.
 
     mode 'first' returns the first image tuple under the canonical iteration
-    order (or None), 'all' returns the list of tuples, 'count' the number.
-    With dedup=True, solutions equal up to simultaneous conjugation are
-    collapsed to their first representative.  The images of a solution
-    generate G, so only the centre Z(G) fixes it: every conjugacy orbit of
-    solutions has exactly |G : Z(G)| members.
+    order (or None), 'count' the number of epimorphisms.  With dedup=True,
+    'count' counts them up to simultaneous conjugation instead.  The images
+    of a solution generate G, so only the centre Z(G) fixes it: every
+    conjugacy orbit of solutions has exactly |G : Z(G)| members.
 
     Searched slots: elliptic generators (rarest candidate class first), then
     hyperbolic ones; the final elliptic generator is solved from the long
@@ -225,11 +224,8 @@ def search_ske(sig, group, mode="first", dedup=False):
     those found.  The search is one stream of (images, weight) pairs, in
     canonical order, and each mode consumes it: 'first' takes its head,
     which stops the search there; 'count' adds the weights and, with dedup,
-    divides by |G : Z(G)|; 'all' conjugates each found solution whose orbit
-    is not yet in by one element per coset of Z(G), then returns those
-    solutions in search order (dedup) or their orbits in canonical order.
-    So dedup costs nothing in 'first' and 'all', and at most
-    |G| (2 len(generators) + 1) products for Z(G) in 'count'.
+    divides by |G : Z(G)|.  So dedup costs nothing in 'first', and at most
+    2 |G| len(generators) products for |Z(G)| in 'count'.
 
     Each element's order is computed once, |G| element_order calls in one
     pass; that table gives the candidates of every period and checks the
@@ -256,7 +252,7 @@ def search_ske(sig, group, mode="first", dedup=False):
     NonIntegralGenus when |G| is incompatible with the signature (no
     surface kernel of that index can exist); kernel_genus checks both.
     """
-    if mode not in ("first", "all", "count"):
+    if mode not in ("first", "count"):
         raise ValueError(f"unknown search mode {mode!r}")
     kernel_genus(sig, group.order)
     budget = _cap("SURFBOUND_NODE_BUDGET", DEFAULT_NODE_BUDGET)
@@ -271,7 +267,7 @@ def search_ske(sig, group, mode="first", dedup=False):
     # no element of its order sorts first and leaves the walk no node, and
     # the first path assigns every slot before its leaf
     if any(not by_order[m] for m in periods[:-1]):
-        return None if mode == "first" else [] if mode == "all" else 0
+        return None if mode == "first" else 0
     nslots = max(k - 1, 0) + 2 * g
     if nslots > budget:
         raise SearchSpaceTooLarge(exhausted)
@@ -348,24 +344,8 @@ def search_ske(sig, group, mode="first", dedup=False):
 
     if mode == "first":
         return next(stream(), (None,))[0]
-    if mode == "count":
-        count = sum(weight for _, weight in stream())
-        return count // len(_central_cosets(group)) if dedup else count
-    # only Z(G) fixes a solution, whose images generate G, so one
-    # conjugate per coset of Z(G) gives each member of its orbit once;
-    # firsts are the solutions found that open a new orbit
-    cosets = [(h, group.inv(h)) for h in _central_cosets(group)]
-    firsts, found = [], set()
-    for images, _ in stream():
-        if images in found:
-            continue  # its whole orbit is already in
-        firsts.append(images)
-        found.update(tuple(group.mul(group.mul(h, y), hinv) for y in images)
-                     for h, hinv in cosets)
-    if dedup:
-        return firsts
-    where = [2 * g + j if kind == "e" else j for kind, j in slots]
-    return sorted(found, key=lambda images: [index[images[p]] for p in where])
+    count = sum(weight for _, weight in stream())
+    return count * _centre_order(group) // len(elements) if dedup else count
 
 
 _END = object()
@@ -420,20 +400,11 @@ def _centralizer_generators(group, r, class_size):
     return gens
 
 
-def _central_cosets(group):
-    # one element per coset of the centre Z(G), the elements that
-    # commute with the generators: |G| (2 len(generators) + 1) products
-    index, elements = group.index, group.elements
-    centre = [z for z in elements
-              if all(group.mul(z, x) == group.mul(x, z) for x in group.generators)]
-    covered = bytearray(len(elements))
-    cosets = []
-    for h in elements:
-        if not covered[index[h]]:
-            cosets.append(h)
-            for z in centre:
-                covered[index[group.mul(h, z)]] = 1
-    return cosets
+def _centre_order(group):
+    # |Z(G)|, the elements that commute with the generators: at most
+    # 2 |G| len(generators) products
+    return sum(all(group.mul(z, x) == group.mul(x, z) for x in group.generators)
+               for z in group.elements)
 
 
 # the dihedral family's signature: measure pi, so not a table row

@@ -339,10 +339,10 @@ def test_c09_oracle_equivalence():
 def test_c10_scope_boundary_is_enforced():
     # the bound machinery only claims attained primes; everything else is
     # refused rather than silently extrapolated
-    from surfbound.bounds import discharge_prime, prime_conditions
+    from surfbound.bounds import attained_prime, discharge_prime
 
     for p in (29, 31, 61, 101):
-        assert not prime_conditions(p).attained
+        assert not attained_prime(p)
         with pytest.raises(ValueError):
             discharge_prime(p)
     # and each discharge that is claimed is complete at every checked prime

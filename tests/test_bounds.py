@@ -14,17 +14,17 @@ from surfbound.bounds import (
     GenusWitness,
     WitnessSearchFailed,
     attained_genera,
+    attained_prime,
     bound_constants,
     certify_genus,
     degree24_obstruction,
     discharge_prime,
     frobenius_obstruction,
-    prime_conditions,
     sylow_forces_normal,
     verify_genus_certificate,
 )
 from surfbound.covers import check_cover_cases
-from surfbound.signatures import Signature, signature_table
+from surfbound.signatures import BeyondWitnessRange, Signature, signature_table
 
 
 def brute_is_prime(n):
@@ -84,21 +84,25 @@ class TestBoundConstants:
 class TestPrimeConditions:
     def test_known_attained(self):
         for p in (23, 47, 59, 83, 107, 167, 179, 227, 239, 263):
-            cond = prime_conditions(p)
-            assert cond.attained
-            assert cond.prime
-            assert cond.residue_mod_60 in ATTAINED_RESIDUES
+            assert attained_prime(p)
+            assert brute_is_prime(p)
+            assert p % 60 in ATTAINED_RESIDUES
 
     def test_known_not_attained(self):
         for p in (2, 3, 5, 7, 11, 13, 29, 31, 41, 43, 53, 61, 71, 73, 89, 103):
-            assert not prime_conditions(p).attained
+            assert not attained_prime(p)
 
     def test_composite_never_attained(self):
         # 143 = 11 * 13 has residue 23 but is not prime
-        cond = prime_conditions(143)
-        assert cond.residue_mod_60 == 23
-        assert not cond.prime
-        assert not cond.attained
+        assert 143 % 60 == 23
+        assert not brute_is_prime(143)
+        assert not attained_prime(143)
+
+    def test_primality_decided_before_the_residue(self):
+        # 10^25 + 9 = 49 (mod 60) has no prime factor up to 37 and is past
+        # the Miller-Rabin range: refused, not answered from the residue
+        with pytest.raises(BeyondWitnessRange):
+            attained_prime(10 ** 25 + 9)
 
     def test_residue_route_matches_divisibility_route(self):
         # p mod 60 in {23, 47, 59} iff p is an odd prime > 5 with none of
@@ -113,7 +117,7 @@ class TestPrimeConditions:
                 sieve[p] and p > 5 and p % 2 == 1
                 and (p - 1) % 3 and (p - 1) % 4 and (p - 1) % 5
             )
-            assert prime_conditions(p).attained == via_divisibility, p
+            assert attained_prime(p) == via_divisibility, p
 
 
 class TestSylowForcing:
@@ -236,7 +240,7 @@ class TestDischarge:
     def test_deep_recomputes_cover_cases(self):
         # the shield's facts come from each case's two integers; the homology
         # (cover --check --primes p) finds no invariant hyperplane either
-        primes = [p for p in range(1000) if prime_conditions(p).attained]
+        primes = [p for p in range(1000) if attained_prime(p)]
         assert len(primes) == 32
         for report in check_cover_cases(primes=primes):
             assert report["with_hyperplane"] == [], report
@@ -262,7 +266,7 @@ class TestDischarge:
                 return all(plain(v) for v in value)
             return value is None or type(value) in (str, int, bool)
 
-        primes = [p for p in range(1000) if prime_conditions(p).attained]
+        primes = [p for p in range(1000) if attained_prime(p)]
         assert len(primes) == 32
         for p in primes:
             data = discharge_prime(p).to_dict()

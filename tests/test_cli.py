@@ -206,12 +206,14 @@ class TestSkeSearch:
         assert code == 0
         assert out.strip() == "none"
 
-    def test_all_mode_with_dedup(self, capsys):
-        code, data, _ = run_json(capsys, "ske", "search", "--signature",
-                                 "2,2,2,3", "--group", "dihedral:6",
-                                 "--mode", "all", "--dedup", "--json")
-        assert code == 0
-        assert data["count"] == len(data["solutions"]) > 0
+    def test_all_mode_is_a_usage_error(self, capsys):
+        # the search answers first (a witness) and count [--dedup] only
+        with pytest.raises(SystemExit) as exc:
+            main(["ske", "search", "--signature", "2,2,2,3", "--group", "dihedral:6",
+                  "--mode", "all"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'all'" in err and "Traceback" not in err
 
     def test_impossible_order_is_none_exit_0(self, capsys):
         # (2,3,7) over order 12 gives a fractional kernel genus, which
@@ -827,7 +829,7 @@ class TestResourceCaps:
     def test_node_budget_exits_3(self, capsys, monkeypatch):
         monkeypatch.setenv("SURFBOUND_NODE_BUDGET", "5")
         code, _, err = run(capsys, "ske", "search", "--signature", "2,2,2,6",
-                           "--group", "S3*D11", "--mode", "all")
+                           "--group", "S3*D11", "--mode", "count")
         assert code == 3
         assert "resource cap" in err
 
@@ -908,10 +910,10 @@ class TestResourceCaps:
 
 class TestClosedStdout:
     # the reader has gone before the child starts: constants meets it in the
-    # flush at exit, the A6 search (1440 lines) in print
+    # flush at exit, attained (24 KB, past the 8 KB stdout buffer) in print
     @pytest.mark.parametrize("argv", [
         ("constants",),
-        ("ske", "search", "--signature", "3,3,4", "--group", "A6", "--mode", "all"),
+        ("attained", "--max", "20000"),
     ], ids=["constants", "search-all"])
     def test_reader_gone_exits_1_quietly(self, argv):
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(surfbound.__file__)))
