@@ -239,8 +239,9 @@ def attained_genera(limit):
 class GenusWitness(NamedTuple):
     """A route name and its certificate, which is the whole evidence.
 
-    Certificates written by older versions carry a "detail" key; it was never
-    verified and is ignored.
+    from_dict reads only those two keys.  The "detail" key that older
+    versions wrote was never verified, and `ske verify` refuses a document
+    that still carries it, since no rebuild prints it.
     """
 
     route: str
@@ -364,8 +365,9 @@ def _genus_certificate(genus, witnesses):
 
 
 def verify_genus_certificate(cert):
-    """Replay every witness of a genus certificate, rebuild what it records
-    from them and from the genus, and compare."""
+    """Replay every witness of a genus certificate, rebuild the certificate
+    from them and from the genus, and compare the two documents whole
+    (check_recorded); returns cert itself."""
     if not cert.witnesses:
         raise ValueError("certificate has no witnesses")
     routes = [w.route for w in cert.witnesses]
@@ -382,18 +384,18 @@ def verify_genus_certificate(cert):
                 f"witness {w.route} has kernel genus {replayed.kernel_genus}, "
                 f"certificate claims genus {cert.genus}"
             )
-    # rebuilt from the certificate's own witnesses: they need not be the catalog's
-    fresh = _genus_certificate(cert.genus, cert.witnesses)
+    # rebuilt from the certificate's own witnesses, which need not be the
+    # catalog's, but with the dihedral witness of this genus for each
+    # dihedral-family one
+    dihedral = GenusWitness("dihedral-family", dihedral_witness_ske(cert.genus))
+    fresh = _genus_certificate(cert.genus, [dihedral if w.route == dihedral.route else w
+                                            for w in cert.witnesses])
     if fresh.attained:
         if fresh.bound != 4 * (cert.genus - 1):
             raise ValueError("attained genus must have bound exactly 4(g-1)")
         if not fresh.discharge.complete:
             raise ValueError("attained genus lacks a complete discharge report")
-    dihedral = GenusWitness("dihedral-family", dihedral_witness_ske(cert.genus))
-    for w in cert.witnesses:
-        if w.route == dihedral.route:
-            check_recorded(w, dihedral)
-    check_recorded(cert, fresh)
+    check_recorded(cert.to_dict(), fresh.to_dict())
     return cert
 
 

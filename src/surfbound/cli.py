@@ -11,6 +11,10 @@ signatures, groups and ske, and only the cover commands and the genus
 certificates that need a cover witness or a discharge ledger load covers and
 linalg.
 
+`ske verify` takes a certificate bare or in the --json output of `certify`
+or a first-mode `ske search`, and passes it exactly when its rebuild prints
+the same canonical JSON, every key of that output around it included.
+
 Exit codes: 0 success, 1 failed verification of a claimed certificate or
 table row, or a stdout whose reader went away (this ends quietly, with no
 traceback), 2 usage error (unparseable or out-of-domain input), 3 resource
@@ -188,10 +192,11 @@ def cmd_ske_search(args):
     from .signatures import NonIntegralGenus, NotAdmissible
     from .ske import search_ske, verify_ske
 
+    if args.dedup and args.mode != "count":
+        raise UsageError("--dedup only applies with --mode count")
     sig = _parse_sig(args.signature)
     group = _construct(args.group)
-    payload = {"command": "ske-search", "signature": str(sig),
-               "group": group.descriptor, "mode": args.mode, "dedup": args.dedup}
+    payload = _search_payload(sig, group.descriptor, args.mode, args.dedup)
     try:
         result = search_ske(sig, group, mode=args.mode, dedup=args.dedup)
     except NotAdmissible as exc:
@@ -199,15 +204,13 @@ def cmd_ske_search(args):
     except NonIntegralGenus as exc:
         # non-integral kernel genus rules out every epimorphism up front;
         # proven absence is a success, same as an exhausted search
-        payload["found"] = False
-        payload["reason"] = str(exc)
+        payload.update(found=False, reason=str(exc))
         if args.mode != "first":
             payload["count"] = 0
         _emit(args, payload, ["none", f"({exc})"])
         return 0
     if args.mode == "count":
-        payload["count"] = result
-        payload["found"] = result > 0
+        payload.update(count=result, found=result > 0)
         _emit(args, payload, [f"count {result}"] if result else ["none"])
         return 0
     if result is None:
@@ -215,15 +218,35 @@ def cmd_ske_search(args):
         _emit(args, payload, ["none"])
         return 0
     cert = verify_ske(sig, group, result)
-    payload["found"] = True
-    payload["certificate"] = cert.to_dict()
     lines = [
         f"found epimorphism onto {group.descriptor} (order {group.order})",
         f"images {[element_data(x) for x in result]}",
         f"kernel genus {cert.kernel_genus}",
     ]
-    _emit(args, payload, lines)
+    _emit(args, _search_payload(sig, group.descriptor, args.mode, args.dedup, cert), lines)
     return 0
+
+
+def _search_payload(sig, descriptor, mode, dedup, cert=None):
+    # what ske search --json prints before its answer, and all of it when a
+    # first-mode search found cert
+    payload = {"command": "ske-search", "signature": str(sig), "group": descriptor,
+               "mode": mode, "dedup": dedup}
+    return payload if cert is None else dict(payload, found=True, certificate=cert.to_dict())
+
+
+def _certify_payload(cert):
+    return {"command": "certify", "certificate": cert.to_dict(),
+            "lower_bound_only": not cert.attained}
+
+
+def _envelope(kind, cert):
+    # what prints cert under "certificate": certify a genus certificate, a
+    # first-mode search an epimorphism, and no command a cover certificate
+    payload = (_certify_payload(cert) if kind == "genus" else
+               _search_payload(cert.signature, cert.group_descriptor, "first", False, cert)
+               if kind == "ske" else {"certificate": cert.to_dict()})
+    return dict(payload, schema_version=SCHEMA_VERSION)
 
 
 def _load_json(path):
@@ -240,9 +263,12 @@ def _load_json(path):
 
 
 def cmd_ske_verify(args):
+    from .ske import check_recorded
+
     data = _load_json(args.file)
+    envelope = None
     if isinstance(data, dict) and "certificate" in data and "type" not in data:
-        data = data["certificate"]
+        envelope, data = data, data["certificate"]
     if not isinstance(data, dict):
         raise UsageError("certificate must be a JSON object")
     kind = data.get("type")
@@ -260,7 +286,13 @@ def cmd_ske_verify(args):
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"malformed certificate: {exc!r}")
     try:
-        verify(cert)
+        # the verifier compares what the parser kept, then the document read
+        # is compared whole, and an envelope by each key it has
+        cert = verify(cert)
+        check_recorded(data, cert.to_dict())
+        if envelope is not None:
+            rebuilt = _envelope(kind, cert)
+            check_recorded(envelope, {key: rebuilt[key] for key in envelope if key in rebuilt})
         if kind == "ske":
             summary = (f"ske {cert.signature} -> {cert.group_descriptor}"
                        f" (order {cert.group_order}, kernel genus {cert.kernel_genus})")
@@ -367,8 +399,6 @@ def cmd_certify(args):
     except WitnessSearchFailed as exc:
         print(f"witness search failed: {exc}", file=sys.stderr)
         return 1
-    payload = {"command": "certify", "certificate": cert.to_dict(),
-               "lower_bound_only": not cert.attained}
     lines = [f"genus {cert.genus}", f"bound {cert.bound}"]
     if cert.attained:
         lines.append("attained exactly: bound equals 4(g-1) and the discharge"
@@ -380,7 +410,7 @@ def cmd_certify(args):
     for w in cert.witnesses:
         lines.append(f"  {w.route:<16} order {w.certificate.group_order:>6}"
                      f"  {w.certificate.signature} -> {w.certificate.group_descriptor}")
-    _emit(args, payload, lines)
+    _emit(args, _certify_payload(cert), lines)
     return 0
 
 

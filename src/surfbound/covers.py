@@ -325,7 +325,7 @@ def build_cover(cert, p, covector=None, presentation=None):
 def verify_cover_certificate(cover):
     """Replay a cover certificate from scratch."""
     fresh = build_cover(cover.base, cover.prime, covector=cover.covector)
-    check_recorded(cover, fresh)
+    check_recorded(cover.to_dict(), fresh.to_dict())
     return fresh
 
 

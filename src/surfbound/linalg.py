@@ -161,10 +161,9 @@ def rref_mod(rows, p):
             break
     return [tuple(row) for row in a[:r]], pivots
 
+
 def nullspace_mod(rows, ncols, p):
     """Basis of {v : rows * v = 0} over F_p, one vector (length ncols) per free column."""
-    if not rows:
-        return [tuple(1 if i == j else 0 for i in range(ncols)) for j in range(ncols)]
     red, pivots = rref_mod(rows, p)
     pivot_set = set(pivots)
     basis = []

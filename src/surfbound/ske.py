@@ -168,17 +168,17 @@ def verify_certificate(cert):
             f"this verifier replays version {VERIFIER_VERSION!r}"
         )
     fresh = verify_ske(cert.signature, construct(cert.group_descriptor), cert.images)
-    check_recorded(cert, fresh)
+    check_recorded(cert.to_dict(), fresh.to_dict())
     return fresh
 
 
-def check_recorded(stated, fresh):
-    """ValueError naming the first value whose canonical JSON differs between
-    the record a certificate states and the one rebuilt from its inputs (1 is
-    not true, 2 not 2.0), by its path through objects with the same keys and
-    lists of the same length; else the first key only one object has."""
-    rebuilt = fresh.to_dict()
-    path, value, other = "", stated.to_dict(), rebuilt
+def check_recorded(stated, rebuilt):
+    """ValueError unless the JSON document a certificate states and the one
+    rebuilt from its inputs have the same canonical JSON (1 is not true, 2
+    not 2.0), naming the first value that differs by its path through objects
+    with the same keys and lists of the same length, else the first key only
+    one object has: a key the rebuild lacks is refused at any depth."""
+    path, value, other = "", stated, rebuilt
     while _canonical(value) != _canonical(other):
         if isinstance(value, dict) and isinstance(other, dict) and value.keys() == other.keys():
             steps = [(f"{path}.{key}" if path else key, value[key], other[key]) for key in value]

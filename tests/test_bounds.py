@@ -24,7 +24,9 @@ from surfbound.bounds import (
     verify_genus_certificate,
 )
 from surfbound.covers import check_cover_cases
+from surfbound.groups import DihedralGroup
 from surfbound.signatures import BeyondWitnessRange, Signature, signature_table
+from surfbound.ske import DIHEDRAL_SIGNATURE, verify_ske
 
 
 def brute_is_prime(n):
@@ -569,6 +571,21 @@ class TestGenusCertificateTampering:
         back = GenusCertificate.from_dict(json.loads(json.dumps(cert.to_dict())))
         assert verify_genus_certificate(back) is back
 
+    def test_other_dihedral_epimorphism_rejected(self):
+        # conjugating every image by the rotation gives another valid
+        # epimorphism, but not the dihedral witness the family names
+        cert = certify_genus(5)
+        group = DihedralGroup(8)
+        r = (1, 0)
+        images = tuple(group.mul(group.mul(r, x), group.inv(r))
+                       for x in cert.witnesses[0].certificate.images)
+        other = GenusWitness("dihedral-family", verify_ske(DIHEDRAL_SIGNATURE, group, images))
+        bad = cert._replace(witnesses=(other,) + cert.witnesses[1:])
+        with pytest.raises(ValueError) as err:
+            verify_genus_certificate(bad)
+        assert str(err.value) == ("certificate states witnesses[0].certificate.images[0][0]"
+                                  " 3, recomputed 1")
+
     def test_empty_witnesses_rejected(self):
         cert = certify_genus(5)
         bad = GenusCertificate(cert.genus, cert.bound, (),
@@ -603,7 +620,8 @@ class TestWitnessSerialization:
         assert back.certificate == w.certificate
 
     def test_pasted_detail_is_dropped(self):
-        # older certificates carry an unverified "detail"; it is not re-emitted
+        # older certificates carry an unverified "detail"; the record drops
+        # it, though `ske verify`, which compares the document read, refuses it
         cert = certify_genus(22)
         data = json.loads(json.dumps(cert.to_dict()))
         for w in data["witnesses"]:

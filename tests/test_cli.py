@@ -215,6 +215,14 @@ class TestSkeSearch:
         err = capsys.readouterr().err
         assert "invalid choice: 'all'" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("mode", [(), ("--mode", "first")], ids=["default", "first"])
+    def test_dedup_without_count_exits_2(self, capsys, mode):
+        # --dedup changes only a count; a witness search would print
+        # "dedup": true for a flag that did nothing
+        code, out, err = run(capsys, "ske", "search", "--signature", "2,2,2,3",
+                             "--group", "dihedral:6", *mode, "--dedup", "--json")
+        assert (code, out, err) == (2, "", "error: --dedup only applies with --mode count\n")
+
     def test_impossible_order_is_none_exit_0(self, capsys):
         # (2,3,7) over order 12 gives a fractional kernel genus, which
         # already proves no epimorphism exists
@@ -312,6 +320,65 @@ class TestSkeVerify:
         code, out, _ = run(capsys, "ske", "verify", str(path))
         assert code == 0
         assert "cover" in out and "genus 4" in out
+
+    CERTIFY_14 = ("certify", "--genus", "14")
+    COVER_G7 = ("cover", "--case", "g", "--prime", "7")
+    SEARCH_GL23 = ("ske", "search", "--signature", "2,3,8", "--group", "GL23")
+
+    @pytest.mark.parametrize("argv", [
+        CERTIFY_14,
+        ("certify", "--genus", "24"),
+        SEARCH_GL23,
+        ("ske", "search", "--signature", "2,2,2,3", "--group", "dihedral:6", "--mode", "first"),
+    ], ids=["certify-14", "certify-24", "search-GL23", "search-dihedral"])
+    def test_honest_payload_verifies(self, capsys, monkeypatch, argv):
+        _, out, _ = run(capsys, *argv, "--json")
+        monkeypatch.setattr(sys, "stdin", io.StringIO(out))
+        code, out, _ = run(capsys, "ske", "verify", "-")
+        assert code == 0 and out.startswith("certificate ok: ")
+
+    # the command, the keys from its JSON output to the document fed back
+    # (none for the whole output), the path of the key set there, its
+    # value, and the refusal; each of these verified before the document
+    # read was compared whole, envelope included
+    NOT_REBUILT = {
+        "top-level": (CERTIFY_14, ("certificate",), ("bound_upper",), 1092,
+                      "bound_upper 1092, recomputed absent"),
+        "witness-certificate": (CERTIFY_14, ("certificate",),
+                                ("witnesses", 1, "certificate", "hurwitz"), True,
+                                "witnesses[1].certificate.hurwitz true, recomputed absent"),
+        "witness-detail": (CERTIFY_14, ("certificate",), ("witnesses", 1, "detail"),
+                           {"case": "g", "primes": [13]},
+                           'witnesses[1].detail {"case": "g", "primes": [13]}, recomputed absent'),
+        "cover-base": (COVER_G7, ("cover",), ("base", "note"), "by hand",
+                       'base.note "by hand", recomputed absent'),
+        "envelope-exact": (CERTIFY_14, (), ("exact",), True, "exact true, recomputed absent"),
+        "envelope-lower-bound-only": (CERTIFY_14, (), ("lower_bound_only",), False,
+                                      "lower bound only False, recomputed True"),
+        "search-group": (SEARCH_GL23, (), ("group",), "S4", "group 'S4', recomputed 'GL23'"),
+        "search-dedup": (SEARCH_GL23, (), ("dedup",), True, "dedup True, recomputed False"),
+    }
+
+    @pytest.mark.parametrize("variant", sorted(NOT_REBUILT))
+    def test_what_the_rebuild_lacks_exits_1(self, capsys, monkeypatch, variant):
+        argv, fed, keys, value, refusal = self.NOT_REBUILT[variant]
+        _, doc, _ = run_json(capsys, *argv, "--json")
+        for key in fed:
+            doc = doc[key]
+        node = doc
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+        assert run(capsys, "ske", "verify", "-") == (
+            1, f"verification failed: certificate states {refusal}\n", "")
+
+    def test_envelope_of_both_repros_names_the_added_key(self, capsys, monkeypatch):
+        _, doc, _ = run_json(capsys, *self.CERTIFY_14, "--json")
+        doc.update(lower_bound_only=False, exact=True)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+        assert run(capsys, "ske", "verify", "-") == (
+            1, "verification failed: certificate states exact true, recomputed absent\n", "")
 
     def test_missing_file_exits_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "ske", "verify", str(tmp_path / "none.json"))

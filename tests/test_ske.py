@@ -26,6 +26,7 @@ from surfbound.ske import (
     OrderNotPreserved,
     SearchSpaceTooLarge,
     SkeCertificate,
+    check_recorded,
     dihedral_witness_ske,
     search_ske,
     verify_certificate,
@@ -534,3 +535,25 @@ class TestCertificates:
     def test_wrong_type_rejected(self):
         with pytest.raises(ValueError, match="not an ske"):
             SkeCertificate.from_dict({"type": "other"})
+
+    # two documents, and the refusal naming where they first differ
+    DIFFERENCES = {
+        "extra-key": ({"a": [1, {"b": 2, "c": 3}]}, {"a": [1, {"b": 2}]},
+                      "a[1].c 3, recomputed absent"),
+        "missing-key": ({"a": [1, {}]}, {"a": [1, {"b": 2}]},
+                        "a[1].b absent, recomputed 2"),
+        "one-for-true": ({"a": {"b": 1}}, {"a": {"b": True}}, "a.b 1, recomputed true"),
+        "top-level": ({"kernel_genus": 3}, {"kernel_genus": 2},
+                      "kernel genus 3, recomputed 2"),
+    }
+
+    @pytest.mark.parametrize("variant", sorted(DIFFERENCES))
+    def test_check_recorded_names_the_path(self, variant):
+        stated, rebuilt, refusal = self.DIFFERENCES[variant]
+        with pytest.raises(ValueError) as err:
+            check_recorded(stated, rebuilt)
+        assert str(err.value) == f"certificate states {refusal}"
+
+    def test_check_recorded_passes_equal_documents(self):
+        doc = dihedral_witness_ske(5).to_dict()
+        assert check_recorded(json.loads(json.dumps(doc)), doc) is None

@@ -7,10 +7,11 @@ catalog, attained, cover, table, constants, measure and ske search) as
 `python3 -m surfbound.cli ...` once against this tree's src/ and once
 against OTHER_CHECKOUT/src/, with SURFBOUND_ORDER_CAP
 and SURFBOUND_NODE_BUDGET removed from the environment.  Each
-`certify --genus g --json` output is piped into `ske verify - --json` of the
-same tree.  Prints every command whose exit code or stdout differs and exits
-1 if any does, else 0.  Commands run one at a time, each once per tree; the
-whole list takes about a minute on two CPUs.
+`certify --genus g --json` output, and each first-mode `ske search ... --json`
+output, is piped into `ske verify - --json` of the same tree.  Prints every
+command whose exit code or stdout differs and exits 1 if any does, else 0.
+Commands run one at a time, each once per tree; the whole list takes about
+a minute on two CPUs.
 """
 
 import math
@@ -92,8 +93,11 @@ def commands():
     ]]
     out += [(("measure", *m, *fmt), None) for m in MEASURES for fmt in ((), ("--json",))]
     out.append((("table",), None))
-    out += [(("ske", "search", "--signature", sig, "--group", group, *options), None)
-            for sig, group, *options in SEARCHES]
+    searches = [("ske", "search", "--signature", sig, "--group", group, *options)
+                for sig, group, *options in SEARCHES]
+    out += [(argv, None) for argv in searches]
+    out += [(("ske", "verify", "-", "--json"), argv) for argv in searches
+            if "--json" in argv and "count" not in argv]
     out += [(("cover", "--case", c, "--prime", str(p), "--json"), None)
             for c in CASES for p in primes_below(50)]
     # extensions of order 618 and 1,236
