@@ -15,11 +15,22 @@ linalg.
 or a first-mode `ske search`, and passes it exactly when its rebuild prints
 the same canonical JSON, every key of that output around it included.
 
-Exit codes: 0 success, 1 failed verification of a claimed certificate or
-table row, or a stdout whose reader went away (this ends quietly, with no
-traceback), 2 usage error (unparseable or out-of-domain input), 3 resource
-cap hit.  Proven absence (no epimorphism, no invariant hyperplane) is a
-mathematical answer, not an error: it prints "none" and exits 0.
+A command only computes its answer, the --json payload and the lines of its
+text form.  main prints one of them and exits 1 if the payload says
+"ok": false (a failed `ske verify`, a disagreeing `cover --check`), else 0.
+Proven absence (no epimorphism, no invariant hyperplane) is a mathematical
+answer, not an error: it prints "none" and exits 0.  main's one table of
+failures (_failures) turns an exception into one stderr line and an exit
+code, 2 for a usage error (unparseable or out-of-domain input):
+
+    UsageError, BeyondWitnessRange         2  error: ...
+    NotAdmissible                          2  error: not admissible: ...
+    TableCorrupt                           1  table data corrupt: ...
+    WitnessSearchFailed                    1  witness search failed: ...
+    OrderCapExceeded, SearchSpaceTooLarge  3  resource cap: ...
+
+Any other exception is a defect and propagates with its traceback.  A stdout
+whose reader went away ends quietly with exit 1, with no traceback.
 """
 
 import argparse
@@ -46,8 +57,8 @@ def _check_digits(what, text):
         raise UsageError(f"{what} has more than {MAX_DIGITS} digits")
 
 
-def _emit(args, payload, lines):
-    if args.json:
+def _emit(as_json, payload, lines):
+    if as_json:
         envelope = {"schema_version": SCHEMA_VERSION}
         envelope.update(payload)
         print(json.dumps(envelope, sort_keys=True, separators=(",", ":")))
@@ -83,16 +94,9 @@ def _abelian_text(inv):
 def cmd_table(args):
     from .signatures import _ratio_text, signature_table
 
-    try:
-        entries = signature_table()
-    except OSError as exc:
-        raise UsageError(f"cannot read table: {exc}")
-    except ValueError as exc:
-        print(f"table data corrupt: {exc}", file=sys.stderr)
-        return 1
     rows = []
     lines = []
-    for entry in entries:
+    for entry in signature_table():
         ratio = _ratio_text(*entry.sr_pair)
         rows.append({
             "signature": str(entry.signature),
@@ -109,28 +113,17 @@ def cmd_table(args):
         payload["checked"] = len(rows)
         payload["consistent"] = True
         lines.append(f"{len(rows)} signatures verified")
-    _emit(args, payload, lines)
-    return 0
+    return payload, lines
 
 
 def cmd_measure(args):
-    from .signatures import (
-        NonIntegralGenus,
-        NotAdmissible,
-        _ratio_text,
-        abelianization,
-        kernel_genus,
-        measure_class,
-        render_pi,
-    )
+    from .signatures import (NonIntegralGenus, _ratio_text, abelianization, kernel_genus,
+                             measure_class, render_pi)
 
     sig = _parse_sig(args.signature)
     if args.order is not None and args.order < 1:
         raise UsageError(f"--order must be at least 1, got {args.order}")
-    try:
-        mc = measure_class(sig)
-    except NotAdmissible as exc:
-        raise UsageError(f"not admissible: {exc}")
+    mc = measure_class(sig)
     inv = abelianization(sig)
     q, bound_ratio = (_ratio_text(*x.as_integer_ratio()) for x in (mc.q, mc.s_over_r))
     payload = {
@@ -160,8 +153,7 @@ def cmd_measure(args):
         else:
             payload["kernel_genus"] = {"order": args.order, "genus": g}
             lines.append(f"kernel genus   {g} at order {args.order}")
-    _emit(args, payload, lines)
-    return 0
+    return payload, lines
 
 
 def cmd_constants(args):
@@ -183,13 +175,12 @@ def cmd_constants(args):
         f"primes      {' '.join(map(str, c.primes))}",
         f"s ranking   {' '.join(map(str, c.s_ranking))}",
     ]
-    _emit(args, payload, lines)
-    return 0
+    return payload, lines
 
 
 def cmd_ske_search(args):
     from .groups import element_data
-    from .signatures import NonIntegralGenus, NotAdmissible
+    from .signatures import NonIntegralGenus
     from .ske import search_ske, verify_ske
 
     if args.dedup and args.mode != "count":
@@ -199,32 +190,26 @@ def cmd_ske_search(args):
     payload = _search_payload(sig, group.descriptor, args.mode, args.dedup)
     try:
         result = search_ske(sig, group, mode=args.mode, dedup=args.dedup)
-    except NotAdmissible as exc:
-        raise UsageError(f"not admissible: {exc}")
     except NonIntegralGenus as exc:
         # non-integral kernel genus rules out every epimorphism up front;
         # proven absence is a success, same as an exhausted search
         payload.update(found=False, reason=str(exc))
         if args.mode != "first":
             payload["count"] = 0
-        _emit(args, payload, ["none", f"({exc})"])
-        return 0
+        return payload, ["none", f"({exc})"]
     if args.mode == "count":
         payload.update(count=result, found=result > 0)
-        _emit(args, payload, [f"count {result}"] if result else ["none"])
-        return 0
+        return payload, [f"count {result}"] if result else ["none"]
     if result is None:
         payload["found"] = False
-        _emit(args, payload, ["none"])
-        return 0
+        return payload, ["none"]
     cert = verify_ske(sig, group, result)
     lines = [
         f"found epimorphism onto {group.descriptor} (order {group.order})",
         f"images {[element_data(x) for x in result]}",
         f"kernel genus {cert.kernel_genus}",
     ]
-    _emit(args, _search_payload(sig, group.descriptor, args.mode, args.dedup, cert), lines)
-    return 0
+    return _search_payload(sig, group.descriptor, args.mode, args.dedup, cert), lines
 
 
 def _search_payload(sig, descriptor, mode, dedup, cert=None):
@@ -303,13 +288,10 @@ def cmd_ske_verify(args):
         else:
             summary = f"genus {cert.genus}: bound {cert.bound}"
     except (ValueError, RuntimeError) as exc:
-        payload = {"command": "ske-verify", "ok": False, "error": str(exc)}
-        _emit(args, payload, [f"verification failed: {exc}"])
-        return 1
-    _emit(args, {"command": "ske-verify", "ok": True, "certificate_type": kind,
-                 "summary": summary},
-          [f"certificate ok: {summary}"])
-    return 0
+        return ({"command": "ske-verify", "ok": False, "error": str(exc)},
+                [f"verification failed: {exc}"])
+    return ({"command": "ske-verify", "ok": True, "certificate_type": kind, "summary": summary},
+            [f"certificate ok: {summary}"])
 
 
 def cmd_cover(args):
@@ -342,8 +324,7 @@ def _cover_build(args):
         # fixed, the cover does not exist, and that is the certified answer
         payload["found"] = False
         payload["reason"] = str(exc)
-        _emit(args, payload, ["no invariant hyperplane", f"({exc})"])
-        return 0
+        return payload, ["no invariant hyperplane", f"({exc})"]
     payload["found"] = True
     payload["cover"] = cover.to_dict()
     payload["quotient"] = quotient.to_dict()
@@ -353,8 +334,7 @@ def _cover_build(args):
         f" group order {cover.cover_group_order}",
         f"quotient epimorphism verified onto order {quotient.group_order}",
     ]
-    _emit(args, payload, lines)
-    return 0
+    return payload, lines
 
 
 def _cover_check(args):
@@ -384,21 +364,15 @@ def _cover_check(args):
             f" lifts at {lifted}"
             f" ({'matches' if rep['match'] else 'DISAGREES WITH'} {rep['condition']})"
         )
-    _emit(args, {"command": "cover", "check": True, "reports": reports,
-                 "ok": all_ok}, lines)
-    return 0 if all_ok else 1
+    return {"command": "cover", "check": True, "reports": reports, "ok": all_ok}, lines
 
 
 def cmd_certify(args):
-    from .bounds import WitnessSearchFailed, certify_genus
+    from .bounds import certify_genus
 
     if args.genus < 2:
         raise UsageError("genus must be at least 2")
-    try:
-        cert = certify_genus(args.genus)
-    except WitnessSearchFailed as exc:
-        print(f"witness search failed: {exc}", file=sys.stderr)
-        return 1
+    cert = certify_genus(args.genus)
     lines = [f"genus {cert.genus}", f"bound {cert.bound}"]
     if cert.attained:
         lines.append("attained exactly: bound equals 4(g-1) and the discharge"
@@ -410,8 +384,7 @@ def cmd_certify(args):
     for w in cert.witnesses:
         lines.append(f"  {w.route:<16} order {w.certificate.group_order:>6}"
                      f"  {w.certificate.signature} -> {w.certificate.group_descriptor}")
-    _emit(args, _certify_payload(cert), lines)
-    return 0
+    return _certify_payload(cert), lines
 
 
 def cmd_attained(args):
@@ -428,9 +401,7 @@ def cmd_attained(args):
                      f"  discharge {'complete' if a.complete else 'INCOMPLETE'}")
     if not genera:
         lines.append(f"no attained genera up to {args.max}")
-    _emit(args, {"command": "attained", "max": args.max,
-                 "genera": rows}, lines)
-    return 0
+    return {"command": "attained", "max": args.max, "genera": rows}, lines
 
 
 def cmd_catalog(args):
@@ -445,8 +416,7 @@ def cmd_catalog(args):
             f"g={g:>3}  bound {cert.bound:>5}  via {best.route}"
             f" {best.certificate.signature} -> {best.certificate.group_descriptor}"
         )
-    _emit(args, {"command": "catalog", "certificates": certs}, lines)
-    return 0
+    return {"command": "catalog", "certificates": certs}, lines
 
 
 def build_parser():
@@ -520,21 +490,20 @@ def build_parser():
     return parser
 
 
-def _usage_errors():
-    # a command loads only the layers it runs; an except clause evaluates
-    # this only once an exception reaches it
-    from .signatures import BeyondWitnessRange
-
-    return UsageError, BeyondWitnessRange
-
-
-def _cap_errors():
-    # evaluated only once an exception other than a usage error reaches
-    # main; these two come only from commands that already loaded both layers
+def _failures():
+    # (exception classes, exit code, stderr prefix) for each failure main
+    # reports; read only once an exception reaches main, so a command that
+    # succeeds loads no layer for it
+    from .bounds import WitnessSearchFailed
     from .groups import OrderCapExceeded
+    from .signatures import BeyondWitnessRange, NotAdmissible, TableCorrupt
     from .ske import SearchSpaceTooLarge
 
-    return OrderCapExceeded, SearchSpaceTooLarge
+    return (((UsageError, BeyondWitnessRange), 2, "error"),
+            (NotAdmissible, 2, "error: not admissible"),
+            (TableCorrupt, 1, "table data corrupt"),
+            (WitnessSearchFailed, 1, "witness search failed"),
+            ((OrderCapExceeded, SearchSpaceTooLarge), 3, "resource cap"))
 
 
 def _check_caps():
@@ -556,20 +525,21 @@ def main(argv=None):
         _check_caps()
         for option in ("genus", "max", "order", "prime"):
             _check_digits(f"--{option}", str(getattr(args, option, None)))
-        code = args.func(args)
+        payload, lines = args.func(args)
+        _emit(args.json, payload, lines)
         # a reader that went away shows here, not in the flush at exit
         sys.stdout.flush()
-        return code
     except BrokenPipeError:
         # point stdout at devnull, so the flush at exit has nowhere to fail
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except _usage_errors() as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except _cap_errors() as exc:
-        print(f"resource cap: {exc}", file=sys.stderr)
-        return 3
+    except Exception as exc:
+        for classes, code, prefix in _failures():
+            if isinstance(exc, classes):
+                print(f"{prefix}: {exc}", file=sys.stderr)
+                return code
+        raise
+    return 0 if payload.get("ok", True) else 1
 
 
 if __name__ == "__main__":

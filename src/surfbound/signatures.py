@@ -308,12 +308,17 @@ def signature_table():
     a tuple of entries, loaded once per process.
 
     Every row is re-verified on load (stated measure and s/r against exact
-    recomputation); any mismatch raises TableCorrupt naming the row.
+    recomputation); any mismatch raises TableCorrupt naming the row, and so
+    does a file that cannot be read or decoded.
     """
     from importlib import resources
 
-    text = resources.files("surfbound.data").joinpath("signature_table.txt").read_text("utf-8")
-    return _parse_table(text, "signature_table.txt")
+    name = "signature_table.txt"
+    try:
+        text = resources.files("surfbound.data").joinpath(name).read_text("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise TableCorrupt(f"cannot read {name}: {exc}")
+    return _parse_table(text, name)
 
 
 class BoundConstants(NamedTuple):

@@ -9,7 +9,7 @@ import time
 import pytest
 
 import surfbound
-from surfbound import signatures
+from surfbound import bounds, covers, signatures
 from surfbound.cli import build_parser, main
 
 
@@ -56,9 +56,13 @@ class TestTable:
 
     @staticmethod
     def serve_table(monkeypatch, text):
-        # the packaged table as if its file held text
-        monkeypatch.setattr(signatures, "signature_table",
-                            lambda: signatures._parse_table(text, "table.txt"))
+        # the packaged table as if its file held text, also to bounds, which
+        # imports it by name
+        def table():
+            return signatures._parse_table(text, "table.txt")
+
+        monkeypatch.setattr(signatures, "signature_table", table)
+        monkeypatch.setattr(bounds, "signature_table", table)
 
     def test_corrupt_data_file_exits_1(self, capsys, monkeypatch):
         self.serve_table(monkeypatch, "2 3 7 | 1/21 | 84 | verified-by-literature\nnot a row\n")
@@ -72,14 +76,29 @@ class TestTable:
         assert code == 1
         assert "recomputed 1/21" in err
 
-    def test_missing_data_file_exits_2(self, capsys, monkeypatch):
-        def unreadable():
-            raise FileNotFoundError("no such file: signature_table.txt")
+    @pytest.mark.parametrize("argv", [("table",), ("table", "--check", "--json"),
+                                      ("constants",), ("attained", "--max", "30"),
+                                      ("certify", "--genus", "24")])
+    def test_every_reader_of_a_corrupt_table_exits_1(self, capsys, monkeypatch, argv):
+        # one line and no traceback, whichever command reads the table
+        self.serve_table(monkeypatch, "2 3 7 | 1/20 | 84 | verified-by-literature\n")
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == ("table data corrupt: table.txt:1: row (2,3,7) states measure 1/20*pi,"
+                       " recomputed 1/21*pi\n")
 
-        monkeypatch.setattr(signatures, "signature_table", unreadable)
-        code, _, err = run(capsys, "table", "--check")
-        assert code == 2
-        assert err == "error: cannot read table: no such file: signature_table.txt\n"
+    def test_unreadable_data_file_exits_1(self, capsys, monkeypatch, tmp_path):
+        # the packaged read itself fails: a table that cannot be read is as
+        # unusable as one that fails its check
+        import importlib.resources
+
+        monkeypatch.setattr(importlib.resources, "files", lambda package: tmp_path)
+        signatures.signature_table.cache_clear()
+        code, out, err = run(capsys, "table", "--check")
+        assert (code, out) == (1, "")
+        missing = tmp_path / "signature_table.txt"
+        assert err == ("table data corrupt: cannot read signature_table.txt: [Errno 2]"
+                       f" No such file or directory: '{missing}'\n")
 
 
 class TestMeasure:
@@ -671,6 +690,20 @@ class TestCover:
         assert repeated == run(capsys, "cover", "--check", "--primes", "2,3", *json_flag)
         assert repeated[0] == 0 and "2,2" not in repeated[1]
 
+    @pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
+    def test_disagreeing_check_exits_1(self, capsys, monkeypatch, json_flag):
+        # case b predicted to lift at 3 as well, where it has no hyperplane
+        cases = list(covers.GENUS2_COVER_CASES)
+        cases[1] = cases[1]._replace(lift_prime=3)
+        monkeypatch.setattr(covers, "GENUS2_COVER_CASES", tuple(cases))
+        code, out, err = run(capsys, "cover", "--check", "--primes", "2,3", *json_flag)
+        assert (code, err) == (1, "")
+        if json_flag:
+            assert '"ok":false' in out
+        else:
+            assert "case b (4,4,4) -> Q8: lifts at 2 (DISAGREES WITH" in out
+            assert out.count("DISAGREES WITH") == 1
+
     def test_check_with_case_exits_2(self, capsys):
         code, _, err = run(capsys, "cover", "--check", "--case", "a",
                            "--prime", "2")
@@ -840,6 +873,15 @@ class TestCatalog:
         lines = out.splitlines()
         assert [line[:5] for line in lines] == [f"g={g:>3}" for g in range(2, 24)]
         assert "bound   360" in lines[14] and "ske-search" in lines[14]
+
+    @pytest.mark.parametrize("argv", [("catalog",), ("certify", "--genus", "5")])
+    def test_failed_witness_search_exits_1(self, capsys, monkeypatch, argv):
+        # catalog reports an empty witness search as certify does
+        monkeypatch.setattr(bounds, "search_ske", lambda *args, **kwargs: None)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("witness search failed: no epimorphism (")
+        assert err.count("\n") == 1
 
 
 class TestHostileArguments:

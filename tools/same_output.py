@@ -1,15 +1,17 @@
-"""Compare the CLI's stdout and exit codes between this tree and another.
+"""Compare the CLI's stdout, stderr and exit codes between this tree and another.
 
 Usage: python3 tools/same_output.py OTHER_CHECKOUT
 
 Runs each command below (the golden ones, certify piped into ske verify,
-catalog, attained, cover, table, constants, measure and ske search) as
+catalog, attained, cover, table, constants, measure, ske search, and the
+FAILING commands, which each end in an error line and a nonzero exit) as
 `python3 -m surfbound.cli ...` once against this tree's src/ and once
 against OTHER_CHECKOUT/src/, with SURFBOUND_ORDER_CAP
 and SURFBOUND_NODE_BUDGET removed from the environment.  Each
 `certify --genus g --json` output, and each first-mode `ske search ... --json`
 output, is piped into `ske verify - --json` of the same tree.  Prints every
-command whose exit code or stdout differs and exits 1 if any does, else 0.
+command whose exit code, stdout or stderr differs and exits 1 if any does,
+else 0.
 Commands run one at a time, each once per tree; the whole list takes about
 a minute on two CPUs.
 """
@@ -47,6 +49,33 @@ SEARCHES = [
     ("2,2,2,3", "D6"),
     ("3,3,4", "S4"),
 ] for options in (("--mode", "first", "--json"), ("--mode", "count", "--dedup", "--json"))]
+
+
+# commands that must fail the same way in both trees: usage errors, signatures
+# that are not admissible, a prime past the primality test's range, a resource
+# cap and a missing certificate file
+FAILING = [
+    ("measure", "2,2"),
+    ("measure", "x"),
+    ("measure", "2,3,7", "--order", "0"),
+    ("ske", "search", "--signature", "2,2", "--group", "S3"),
+    ("ske", "search", "--signature", "2,3,7", "--group", "Z9"),
+    ("ske", "search", "--signature", "2,2,2,3", "--group", "dihedral:6", "--dedup"),
+    ("ske", "search", "--signature", "2,3,7", "--group", "S7", "--mode", "all"),
+    ("cover",),
+    ("cover", "--case", "z", "--prime", "5"),
+    ("cover", "--case", "a", "--prime", "9"),
+    ("cover", "--case", "a", "--prime", "3400000000000000000000009"),
+    ("cover", "--case", "f", "--prime", "1000000000039"),
+    ("cover", "--case", "a", "--prime", "2", "--primes", "2"),
+    ("cover", "--check", "--case", "a"),
+    ("cover", "--check", "--primes", "4"),
+    ("cover", "--check", "--primes", "2,,3"),
+    ("certify", "--genus", "1"),
+    ("certify", "--genus", "9" * 1001),
+    ("attained", "--max", "2000000"),
+    ("ske", "verify", "/nonexistent.json"),
+]
 
 
 def primes_below(n):
@@ -104,6 +133,7 @@ def commands():
     out += [(("cover", "--case", c, "--prime", "103", "--json"), None) for c in "fg"]
     out += [(("ske", "verify", "-", "--json"), n)
             for n in range(1, len(LADDER.read_text().splitlines()) + 1)]
+    out += [(argv, None) for argv in FAILING]
     return list(dict.fromkeys(out))
 
 
@@ -126,7 +156,7 @@ class Tree:
         if key not in self.seen:
             proc = subprocess.run([sys.executable, "-m", "surfbound.cli", *argv], input=stdin,
                                   capture_output=True, env=self.env, cwd=self.root)
-            self.seen[key] = proc.returncode, proc.stdout
+            self.seen[key] = proc.returncode, proc.stdout, proc.stderr
         return self.seen[key]
 
 
