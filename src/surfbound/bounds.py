@@ -12,7 +12,8 @@ Two layers:
   unchecked, so the ledger also assumes no omitted action lifts at p.
 * certify_genus / small_genus_catalog: per-genus certificates bundling the
   dihedral witness with the strongest known explicit action (direct searches
-  and homology covers), all replayable.
+  and homology covers), all replayable; certify_genus and the verifier's
+  rebuild share one builder, the one place of the genus-level rules.
 
 Two inputs are taken as given: the table's rows are the arithmetic
 signatures of measure below pi, and the dihedral family's (2,2,2,2,2), of
@@ -353,26 +354,28 @@ def certify_genus(g):
 
 def _genus_certificate(genus, witnesses):
     """What these witnesses certify at this genus: the bound is their largest
-    order, and an attained genus carries its discharge ledger."""
+    order, and an attained genus carries its discharge ledger.  ValueError
+    unless the dihedral witness is among them and, at an attained genus, the
+    bound is exactly 4(g-1) and the ledger complete."""
+    if not witnesses:
+        raise ValueError("certificate has no witnesses")
+    if "dihedral-family" not in [w.route for w in witnesses]:
+        raise ValueError("certificate is missing the dihedral witness")
+    bound = max(w.certificate.group_order for w in witnesses)
     attained = attained_prime(genus - 1)
-    return GenusCertificate(
-        genus=genus,
-        bound=max(w.certificate.group_order for w in witnesses),
-        witnesses=tuple(witnesses),
-        attained=attained,
-        discharge=discharge_prime(genus - 1) if attained else None,
-    )
+    discharge = discharge_prime(genus - 1) if attained else None
+    if attained and bound != 4 * (genus - 1):
+        raise ValueError("attained genus must have bound exactly 4(g-1)")
+    if attained and not discharge.complete:
+        raise ValueError("attained genus lacks a complete discharge report")
+    return GenusCertificate(genus, bound, tuple(witnesses), attained, discharge)
 
 
 def verify_genus_certificate(cert):
-    """Replay every witness of a genus certificate, rebuild the certificate
-    from them and from the genus, and compare the two documents whole
-    (check_recorded); returns cert itself."""
-    if not cert.witnesses:
-        raise ValueError("certificate has no witnesses")
-    routes = [w.route for w in cert.witnesses]
-    if "dihedral-family" not in routes:
-        raise ValueError("certificate is missing the dihedral witness")
+    """Replay every witness of a genus certificate (arithmetic signature,
+    replay, kernel genus), rebuild the certificate from them with the
+    builder, which makes the genus-level refusals, and compare the two
+    documents whole (check_recorded); returns cert itself."""
     arithmetic = {row.signature for row in signature_table()}
     for w in cert.witnesses:
         sig = w.certificate.signature
@@ -390,11 +393,6 @@ def verify_genus_certificate(cert):
     dihedral = GenusWitness("dihedral-family", dihedral_witness_ske(cert.genus))
     fresh = _genus_certificate(cert.genus, [dihedral if w.route == dihedral.route else w
                                             for w in cert.witnesses])
-    if fresh.attained:
-        if fresh.bound != 4 * (cert.genus - 1):
-            raise ValueError("attained genus must have bound exactly 4(g-1)")
-        if not fresh.discharge.complete:
-            raise ValueError("attained genus lacks a complete discharge report")
     check_recorded(cert.to_dict(), fresh.to_dict())
     return cert
 

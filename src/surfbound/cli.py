@@ -13,7 +13,10 @@ linalg.
 
 `ske verify` takes a certificate bare or in the --json output of `certify`
 or a first-mode `ske search`, and passes it exactly when its rebuild prints
-the same canonical JSON, every key of that output around it included.
+the same canonical JSON, every key of that output around it included.  A
+corrupt packaged table fails the verifier, not the certificate: it ends
+`ske verify` as it ends every other reader of the table, with exit 1 and
+"table data corrupt".
 
 A command only computes its answer, the --json payload and the lines of its
 text form.  main prints one of them and exits 1 if the payload says
@@ -248,6 +251,7 @@ def _load_json(path):
 
 
 def cmd_ske_verify(args):
+    from .signatures import TableCorrupt
     from .ske import check_recorded
 
     data = _load_json(args.file)
@@ -287,6 +291,9 @@ def cmd_ske_verify(args):
                        f" order {cert.cover_group_order}")
         else:
             summary = f"genus {cert.genus}: bound {cert.bound}"
+    except TableCorrupt:
+        # the verifier's own data failed, not the certificate: main reports it
+        raise
     except (ValueError, RuntimeError) as exc:
         return ({"command": "ske-verify", "ok": False, "error": str(exc)},
                 [f"verification failed: {exc}"])
@@ -374,12 +381,9 @@ def cmd_certify(args):
         raise UsageError("genus must be at least 2")
     cert = certify_genus(args.genus)
     lines = [f"genus {cert.genus}", f"bound {cert.bound}"]
-    if cert.attained:
-        lines.append("attained exactly: bound equals 4(g-1) and the discharge"
-                      " report is " +
-                      ("complete" if cert.discharge.complete else "INCOMPLETE"))
-    else:
-        lines.append("lower bound only: no exactness ledger at this genus")
+    # the builder refuses an attained genus whose ledger is incomplete
+    lines.append("attained exactly: bound equals 4(g-1) and the discharge report is complete"
+                 if cert.attained else "lower bound only: no exactness ledger at this genus")
     lines.append("witnesses:")
     for w in cert.witnesses:
         lines.append(f"  {w.route:<16} order {w.certificate.group_order:>6}"

@@ -345,7 +345,9 @@ def search_ske(sig, group, mode="first", dedup=False):
     if mode == "first":
         return next(stream(), (None,))[0]
     count = sum(weight for _, weight in stream())
-    return count * _centre_order(group) // len(elements) if dedup else count
+    # with dedup, divide by |G : Z(G)|, Z(G) being the classes of one element
+    return (count * sum(size == 1 for _, size in _orbits(group, elements, group.generators))
+            // len(elements) if dedup else count)
 
 
 _END = object()
@@ -398,13 +400,6 @@ def _centralizer_generators(group, r, class_size):
                     inside[i] = 1
                     members.append(elements[i])
     return gens
-
-
-def _centre_order(group):
-    # |Z(G)|, the elements that commute with the generators: at most
-    # 2 |G| len(generators) products
-    return sum(all(group.mul(z, x) == group.mul(x, z) for x in group.generators)
-               for z in group.elements)
 
 
 # the dihedral family's signature: measure pi, so not a table row

@@ -1,6 +1,8 @@
 import io
 import json
 import os
+import random
+import re
 import resource
 import subprocess
 import sys
@@ -83,6 +85,21 @@ class TestTable:
         # one line and no traceback, whichever command reads the table
         self.serve_table(monkeypatch, "2 3 7 | 1/20 | 84 | verified-by-literature\n")
         code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == ("table data corrupt: table.txt:1: row (2,3,7) states measure 1/20*pi,"
+                       " recomputed 1/21*pi\n")
+
+    def test_corrupt_table_fails_verify_not_the_certificate(self, capsys, monkeypatch,
+                                                            tmp_path):
+        # an honest certificate, written before the table went bad: the
+        # verifier's data is at fault, so ske verify reports it as every
+        # other reader of the table does
+        path = tmp_path / "genus24.json"
+        code, out, _ = run(capsys, "certify", "--genus", "24", "--json")
+        assert code == 0
+        path.write_text(out)
+        self.serve_table(monkeypatch, "2 3 7 | 1/20 | 84 | verified-by-literature\n")
+        code, out, err = run(capsys, "ske", "verify", str(path))
         assert (code, out) == (1, "")
         assert err == ("table data corrupt: table.txt:1: row (2,3,7) states measure 1/20*pi,"
                        " recomputed 1/21*pi\n")
@@ -925,6 +942,70 @@ class TestHostileArguments:
         assert code == 0 and f"signature      ({'9' * 998};22)\n" in out
         assert run(capsys, "measure", sig + "2", "--order", order)[0] == 2
         assert run(capsys, "measure", sig, "--order", order + "9")[0] == 2
+
+
+class TestNumericArgumentFuzz:
+    # every numeric option, {} where its value goes, and the two cap
+    # variables, read before a small search runs
+    OPTIONS = {
+        "certify-genus": ("certify", "--genus", "{}"),
+        "attained-max": ("attained", "--max", "{}"),
+        "measure-order": ("measure", "2,3,7", "--order", "{}"),
+        "cover-prime": ("cover", "--case", "a", "--prime", "{}"),
+        "check-primes": ("cover", "--check", "--primes", "{}"),
+    }
+    CAPS = ("SURFBOUND_ORDER_CAP", "SURFBOUND_NODE_BUDGET")
+    CAPPED = ("ske", "search", "--signature", "2,2,2,3", "--group", "D6", "--mode", "count")
+    VALUES = ("-1", "0", "-0", "0x5", "1e3", "5_000", " 7", "+7", "\u0662\u0664", "",
+              "9" * 1001)
+    SAMPLES = 40
+    # the refusal line: argparse's names the program and subcommand
+    REFUSAL = re.compile(r"(surfbound[a-z ]*: )?error: .+")
+
+    def spellings(self, name):
+        # every value alone, then seeded samples of two or three of them
+        # joined by a comma (a --primes list) or a space; never joined by
+        # nothing, which could spell an --max that takes minutes
+        rng = random.Random(f"numeric-{name}")
+        joined = [rng.choice((",", " ")).join(rng.sample(self.VALUES, rng.choice((2, 3))))
+                  for _ in range(self.SAMPLES)]
+        return list(self.VALUES) + joined
+
+    def misbehaviour(self, capsys, argv):
+        """None when the run answers on stdout with exit 0, or refuses with
+        exit 1, 2 or 3 and one error line, argparse's usage before it; else
+        what it did."""
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        except Exception as exc:
+            capsys.readouterr()
+            return f"{argv!r:.80}: raised {exc!r:.80}"
+        out, err = capsys.readouterr()
+        lines = err.splitlines()
+        if code == 0 and out and not err:
+            return None
+        if (code in (1, 2, 3) and not out and lines and self.REFUSAL.fullmatch(lines[-1])
+                and all(line.startswith(("usage: ", " ")) for line in lines[:-1])):
+            return None
+        return f"{argv!r:.80}: exit {code}, {out + err!r:.120}"
+
+    @pytest.mark.parametrize("name", sorted(OPTIONS))
+    def test_option_answers_or_refuses(self, capsys, name):
+        failures = [m for value in self.spellings(name)
+                    if (m := self.misbehaviour(capsys, [part.replace("{}", value)
+                                                        for part in self.OPTIONS[name]]))]
+        assert failures == []
+
+    @pytest.mark.parametrize("name", CAPS)
+    def test_cap_answers_or_refuses(self, capsys, monkeypatch, name):
+        failures = []
+        for value in self.spellings(name):
+            monkeypatch.setenv(name, value)
+            if m := self.misbehaviour(capsys, self.CAPPED):
+                failures.append(f"{name}={value!r:.40}: {m}")
+        assert failures == []
 
 
 class TestResourceCaps:

@@ -233,6 +233,9 @@ class TestSearchAgainstExhaustive:
         (Signature(1, (2,)), quaternion8, True),
         # a direct product, three searched elliptic slots
         (Signature(0, (2, 2, 2, 6)), lambda: construct("S3*D6"), True),
+        # no periods on non-abelian groups: the leaf checks the relation alone
+        (Signature(2, ()), lambda: construct("S3"), True),
+        (Signature(2, ()), quaternion8, True),
     ]
 
     @pytest.mark.parametrize("dedup", [False, True])

@@ -16,6 +16,7 @@ Commands run one at a time, each once per tree; the whole list takes about
 a minute on two CPUs.
 """
 
+import importlib.util
 import math
 import os
 import subprocess
@@ -27,18 +28,26 @@ LADDER = HERE / "tests" / "data" / "cover-ladder.jsonl"
 CASES = "abcdefg"
 GENERA = [*range(2, 25), 48, 60, 84, 108]
 MEASURES = [("2,3,7", "--order", "84"), ("2,3,8",), ("g2",), ("g1p2,2",), ("2,2",)]
-# the six searches of the benchmark's search workload (perfbench/workloads.py),
-# then one in first mode, then a witness and the count up to conjugation on
+
+
+def _workload_searches():
+    # the six searches of the benchmark's search workload, read from
+    # perfbench/workloads.py by path, as argv tails in that workload's form
+    path = HERE / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [(sig, group, "--mode", "count", "--json", *(("--dedup",) if dedup else ()))
+            for sig, group, dedup, _ in workloads.SEARCHES]
+
+
+# the benchmark's searches, then one in first mode, a search without periods
+# on a non-abelian group, then a witness and the count up to conjugation on
 # groups built through the numbered names, the aliases and the metacyclic
 # builder: (signature, group, options...)
-SEARCHES = [
-    ("2,3,7", "S7", "--mode", "count", "--json"),
-    ("3,3,4", "A6", "--mode", "count", "--json"),
-    ("2,2,2,6", "S3*D7", "--mode", "count", "--json"),
-    ("2,2,2,4", "aff9:0,1,2,0:0,1,1,0", "--mode", "count", "--json"),
-    ("2,3,7", "perm:7:0,5,6,3,4,1,2:3,0,4,1,5,2,6", "--mode", "count", "--json", "--dedup"),
-    ("g1p3", "A5", "--mode", "count", "--json"),
+SEARCHES = _workload_searches() + [
     ("2,3,8", "GL23"),
+    ("g2", "S3", "--mode", "count", "--json"),
 ] + [(sig, group, *options) for sig, group in [
     ("2,2,2,3", "dihedral:6"),
     ("2,2,3,3", "A4"),
@@ -48,6 +57,7 @@ SEARCHES = [
     ("2,2,3,3", "cyclic:6"),
     ("2,2,2,3", "D6"),
     ("3,3,4", "S4"),
+    ("g2", "S3"),
 ] for options in (("--mode", "first", "--json"), ("--mode", "count", "--dedup", "--json"))]
 
 
