@@ -26,11 +26,13 @@ answer, not an error: it prints "none" and exits 0.  main's one table of
 failures (_failures) turns an exception into one stderr line and an exit
 code, 2 for a usage error (unparseable or out-of-domain input):
 
-    UsageError, BeyondWitnessRange         2  error: ...
-    NotAdmissible                          2  error: not admissible: ...
-    TableCorrupt                           1  table data corrupt: ...
-    WitnessSearchFailed                    1  witness search failed: ...
-    OrderCapExceeded, SearchSpaceTooLarge  3  resource cap: ...
+    UsageError, NotDecimal, BeyondWitnessRange  2  error: ...
+    NotAdmissible                               2  error: not admissible: ...
+    TableCorrupt                                1  table data corrupt: ...
+    WitnessSearchFailed                         1  witness search failed: ...
+    OrderCapExceeded, SearchSpaceTooLarge       3  resource cap: ...
+
+signatures.decimal reads every integer given as text, in one grammar.
 
 Any other exception is a defect and propagates with its traceback.  A stdout
 whose reader went away ends quietly with exit 1, with no traceback.
@@ -42,10 +44,6 @@ import os
 import sys
 
 SCHEMA_VERSION = "1"
-# the most decimal digits an integer option, one --primes entry, a whole
-# signature argument or a cap variable may hold, so every integer a command
-# prints stays far inside Python's 4,300-digit int-to-str limit
-MAX_DIGITS = 1000
 # the largest attained --max: the command holds every ledger up to it and
 # prints about 11 MB there
 MAX_ATTAINED = 10 ** 6
@@ -53,11 +51,6 @@ MAX_ATTAINED = 10 ** 6
 
 class UsageError(Exception):
     pass
-
-
-def _check_digits(what, text):
-    if sum(map(str.isdigit, text)) > MAX_DIGITS:
-        raise UsageError(f"{what} has more than {MAX_DIGITS} digits")
 
 
 def _emit(as_json, payload, lines):
@@ -71,13 +64,16 @@ def _emit(as_json, payload, lines):
 
 
 def _parse_sig(text):
-    from .signatures import parse_signature
+    from .signatures import MAX_DIGITS, parse_signature
 
-    _check_digits("signature", text)
+    # each number is bounded by decimal, the whole signature here, since
+    # the lcm of its periods grows with their digits together
+    if sum(map(str.isdigit, text)) > MAX_DIGITS:
+        raise UsageError(f"signature has more than {MAX_DIGITS} digits")
     try:
         return parse_signature(text)
     except ValueError as exc:
-        raise UsageError(f"bad signature {text!r}: {exc}")
+        raise UsageError(f"bad signature {text!r:.60}: {exc}")
 
 
 def _construct(descriptor):
@@ -86,7 +82,7 @@ def _construct(descriptor):
     try:
         return construct(descriptor)
     except ValueError as exc:
-        raise UsageError(f"bad group descriptor {descriptor!r}: {exc}")
+        raise UsageError(f"bad group descriptor {descriptor!r:.60}: {exc}")
 
 
 def _abelian_text(inv):
@@ -346,17 +342,14 @@ def _cover_build(args):
 
 def _cover_check(args):
     from .covers import check_cover_cases
-    from .signatures import is_prime
+    from .signatures import decimal, is_prime
 
     primes = None
     if args.primes is not None:
         parts = args.primes.split(",")
-        for part in parts:
-            _check_digits("--primes entry", part)
-        try:
-            primes = tuple(int(part) for part in parts)
-        except ValueError:
-            raise UsageError(f"expected comma separated integers, got {args.primes!r}")
+        if "" in parts:
+            raise UsageError(f"expected comma separated integers, got {args.primes!r:.60}")
+        primes = tuple(decimal("--primes entry", part) for part in parts)
         for p in primes:
             if not is_prime(p):
                 raise UsageError(f"--primes entries must be prime, got {p}")
@@ -440,7 +433,7 @@ def build_parser():
 
     p = sub.add_parser("measure", help="exact invariants of one signature")
     p.add_argument("signature", help="e.g. 2,3,7 or g1p2,2 or g2")
-    p.add_argument("--order", type=int, default=None,
+    p.add_argument("--order", default=None,
                    help="also compute the kernel genus at this group order")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_measure)
@@ -469,7 +462,7 @@ def build_parser():
 
     p = sub.add_parser("cover", help="mod-p homology covers of genus-2 actions")
     p.add_argument("--case", default=None, help="case label a-g")
-    p.add_argument("--prime", type=int, default=None)
+    p.add_argument("--prime", default=None)
     p.add_argument("--check", action="store_true",
                    help="compare liftable primes against the predictions")
     p.add_argument("--primes", default=None,
@@ -478,12 +471,12 @@ def build_parser():
     p.set_defaults(func=cmd_cover)
 
     p = sub.add_parser("certify", help="bound certificate for one genus")
-    p.add_argument("--genus", type=int, required=True)
+    p.add_argument("--genus", required=True)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("attained", help="genera where 4(g-1) is exact")
-    p.add_argument("--max", type=int, required=True)
+    p.add_argument("--max", required=True)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_attained)
 
@@ -500,10 +493,10 @@ def _failures():
     # succeeds loads no layer for it
     from .bounds import WitnessSearchFailed
     from .groups import OrderCapExceeded
-    from .signatures import BeyondWitnessRange, NotAdmissible, TableCorrupt
+    from .signatures import BeyondWitnessRange, NotAdmissible, NotDecimal, TableCorrupt
     from .ske import SearchSpaceTooLarge
 
-    return (((UsageError, BeyondWitnessRange), 2, "error"),
+    return (((UsageError, NotDecimal, BeyondWitnessRange), 2, "error"),
             (NotAdmissible, 2, "error: not admissible"),
             (TableCorrupt, 1, "table data corrupt"),
             (WitnessSearchFailed, 1, "witness search failed"),
@@ -511,13 +504,17 @@ def _failures():
 
 
 def _check_caps():
-    # groups._cap reads each cap with int() wherever the library needs it;
-    # a bad value is a usage error here rather than a traceback or a
-    # misnamed defect there
+    # groups._cap reads each cap with decimal only where the library needs
+    # it; here both are checked, range included, before any command runs
+    from .signatures import MAX_DIGITS, NotDecimal, decimal
+
     for name in ("SURFBOUND_ORDER_CAP", "SURFBOUND_NODE_BUDGET"):
         value = os.environ.get(name, "")
-        if value and not (value.isascii() and value.isdigit() and len(value) <= MAX_DIGITS
-                          and int(value) > 0):
+        try:
+            positive = not value or decimal(name, value) > 0
+        except NotDecimal:
+            positive = False
+        if not positive:
             raise UsageError(f"{name} must be a positive decimal integer of at most"
                              f" {MAX_DIGITS} digits, got {value!r:.60}")
 
@@ -527,8 +524,11 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         _check_caps()
+        from .signatures import decimal
+
         for option in ("genus", "max", "order", "prime"):
-            _check_digits(f"--{option}", str(getattr(args, option, None)))
+            if getattr(args, option, None) is not None:
+                setattr(args, option, decimal(f"--{option}", getattr(args, option)))
         payload, lines = args.func(args)
         _emit(args.json, payload, lines)
         # a reader that went away shows here, not in the flush at exit

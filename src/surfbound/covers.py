@@ -26,7 +26,7 @@ the cover and its quotient from one homology action.
 from math import gcd
 from typing import NamedTuple
 
-from .groups import PermutationGroup, _check_order, construct, perm_inv
+from .groups import _check_order, construct, perm_group, perm_inv
 from .linalg import nullspace_mod, rref_mod, vec_mat_mod
 from .signatures import Signature, is_prime, kernel_genus
 from .ske import (SkeCertificate, check_recorded, int_field, list_field, verify_certificate,
@@ -371,11 +371,7 @@ def _extension(action, f, cover_genus):
             for x in range(p):
                 perm[end + (x + shift) % p] = c * p + x
         images.append(tuple(perm))
-    descriptor = f"perm:{degree}:" + ":".join(
-        ",".join(str(v) for v in perm) for perm in images
-    )
-    extension = PermutationGroup(degree, images, descriptor)
-    quotient = verify_ske(cert.signature, extension, tuple(images))
+    quotient = verify_ske(cert.signature, perm_group(degree, images), tuple(images))
     if quotient.kernel_genus != cover_genus:
         raise RuntimeError("quotient kernel genus disagrees with the cover")
     return quotient

@@ -17,14 +17,15 @@ V4, Q8 and SD16 are metacyclic permutation groups from one builder,
 _metacyclic, in their left-regular representation.
 
 _cap is the one reader of the resource caps, for the library and the CLI
-alike; each cap is an environment variable.  Enumeration is bounded by the
-order cap, SURFBOUND_ORDER_CAP (default 10**6), which also bounds the
-slots ske's search stores; the search's nodes by the node budget.  Where
-the order is known from the descriptor (C_n, D_n, S_n, A_n, direct
-products, and the parametric elements) it is compared with the cap before
-anything is built; otherwise the BFS stops when it would pass the cap.
-Either way OrderCapExceeded is raised.  A group within the cap still
-stores order x degree entries.
+alike; each cap is an environment variable, read by signatures.decimal as
+every number in a descriptor is.  Enumeration is bounded by the order cap,
+SURFBOUND_ORDER_CAP (default 10**6), which also bounds the slots ske's
+search stores; the search's nodes by the node budget.  Where the order is
+known from the descriptor (C_n, D_n, S_n, A_n, direct products, and the
+parametric elements) it is compared with the cap before anything is built;
+otherwise the BFS stops when it would pass the cap.  Either way
+OrderCapExceeded is raised.  A group within the cap still stores order x
+degree entries.
 
 Composition convention throughout: (x*y)[i] = x[y[i]], i.e. y acts first.
 Left multiplication in the regular representation is then a homomorphism.
@@ -36,6 +37,8 @@ from functools import cached_property
 from math import gcd, isqrt, lcm
 from operator import itemgetter
 
+from .signatures import decimal
+
 DEFAULT_ORDER_CAP = 10 ** 6
 
 
@@ -44,9 +47,9 @@ class OrderCapExceeded(RuntimeError):
 
 
 def _cap(name, default):
-    """The resource cap set in environment variable name, else default."""
+    """The resource cap set in environment variable name (by decimal), else default."""
     value = os.environ.get(name)
-    return int(value) if value else default
+    return decimal(name, value) if value else default
 
 
 def _check_order(what, factors):
@@ -123,7 +126,7 @@ class PermutationGroup:
             g = tuple(g)
             # the length test first: a huge degree must not be materialised
             if len(g) != degree or sorted(g) != list(range(degree)):
-                raise ValueError(f"not a permutation of 0..{degree - 1}: {g}")
+                raise ValueError(f"not a permutation of 0..{degree - 1}: {g!r:.60}")
             gens.append(g)
         self.generators = tuple(gens)
         self.identity = tuple(range(degree))
@@ -308,6 +311,12 @@ class DihedralGroup:
         return {k: i for i, k in enumerate(self.elements)}
 
 
+def perm_group(degree, generators):
+    """The group the permutations generate, named perm:<degree>:<images>:... canonically."""
+    descriptor = f"perm:{degree}:" + ":".join(",".join(map(str, g)) for g in generators)
+    return PermutationGroup(degree, generators, descriptor)
+
+
 def cyclic_perm(n):
     if n < 1:
         raise ValueError(f"cyclic order must be >= 1, got {n}")
@@ -448,8 +457,8 @@ def construct(descriptor):
     Grammar: C<n>, D<n> (n >= 3), S<n>, A<n>, V4 (alias klein_four), Q8,
     SD16, GL23, cyclic:<n> and dihedral:<n> (parametric backends, any n),
     aff9:<a,b,c,d>:..., perm:<degree>:<images>:..., and '*' for direct
-    products of permutation groups.
-    """
+    products of permutation groups.  Numbers are read by decimal, and a
+    perm: group is named by perm_group, not as typed."""
     descriptor = descriptor.strip()
     if "*" in descriptor:
         parts = descriptor.split("*")
@@ -459,24 +468,22 @@ def construct(descriptor):
         return group
     if descriptor in _FIXED:
         return _FIXED[descriptor]()
-    m = re.fullmatch(r"([CDSA]|cyclic:|dihedral:)(\d+)", descriptor)
+    m = re.fullmatch(r"([CDSA]|cyclic:|dihedral:)([0-9]+)", descriptor)
     if m:
-        return _NUMBERED[m.group(1)](int(m.group(2)))
+        return _NUMBERED[m.group(1)](decimal(f"n in {m.group(1)}<n>", m.group(2)))
     if descriptor.startswith("aff9:"):
         matrices = []
         for part in descriptor[len("aff9:"):].split(":"):
-            entries = [int(t) for t in part.split(",")]
+            entries = [decimal("aff9 matrix entry", t) for t in part.split(",")]
             if len(entries) != 4:
-                raise ValueError(f"bad aff9 matrix {part!r}")
+                raise ValueError(f"bad aff9 matrix {part!r:.60}")
             matrices.append(((entries[0], entries[1]), (entries[2], entries[3])))
         return affine33(matrices)
     if descriptor.startswith("perm:"):
         parts = descriptor.split(":")
         if len(parts) < 3:
-            raise ValueError(f"bad perm descriptor {descriptor!r}")
-        degree = int(parts[1])
-        gens = []
-        for part in parts[2:]:
-            gens.append(tuple(int(t) for t in part.split(",")))
-        return PermutationGroup(degree, gens, descriptor)
-    raise ValueError(f"cannot parse group descriptor {descriptor!r}")
+            raise ValueError(f"bad perm descriptor {descriptor!r:.60}")
+        return perm_group(decimal("perm degree", parts[1]),
+                          [tuple(decimal("perm image", t) for t in part.split(","))
+                           for part in parts[2:]])
+    raise ValueError(f"cannot parse group descriptor {descriptor!r:.60}")

@@ -12,8 +12,8 @@ genus bookkeeping is integer arithmetic, the abelianization is in closed
 form.  No floating point is used anywhere.  This leaf layer imports no
 other surfbound module, and fractions only in measure_class, the one place
 a Fraction is built, so kernel_genus, and with it an epimorphism search,
-does not load it.  Small integers are factored here, and is_prime lives
-here too.
+does not load it.  Small integers are factored here, is_prime lives here
+too, and so does decimal, the one reader of an integer given as text.
 
 The module also ships a plain-text table of the arithmetic signatures with
 measure below pi; the loader re-verifies every row on load, cross-multiplying
@@ -38,6 +38,26 @@ class NonIntegralGenus(ValueError):
 
 class TableCorrupt(ValueError):
     """The signature data file failed parsing or self-verification."""
+
+
+class NotDecimal(ValueError):
+    """Text that decimal does not read as an integer."""
+
+
+# the most digits decimal reads, so every integer a command prints stays
+# far inside Python's 4,300-digit int-to-str limit
+MAX_DIGITS = 1000
+
+
+def decimal(what, text):
+    """The integer text spells as an optional '-' and 1 to MAX_DIGITS ASCII
+    digits (no '+', space, '_' or other digits); else NotDecimal naming what."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise NotDecimal(f"{what} must be a decimal integer, got {text!r:.60}")
+    if len(digits) > MAX_DIGITS:
+        raise NotDecimal(f"{what} has more than {MAX_DIGITS} digits")
+    return int(text)
 
 
 class _SignatureFields(NamedTuple):
@@ -244,15 +264,15 @@ class SignatureTableEntry(NamedTuple):
 
 
 _ROW_RE = re.compile(
-    r"^(?P<periods>\d+(?:\s+\d+)*)\s*\|\s*(?P<mu>\d+/\d+)\s*\|\s*"
-    r"(?P<sr>\d+(?:/\d+)?)\s*\|\s*(?P<flag>verified-by-literature|included-unverified)$"
+    r"^(?P<periods>[0-9]+(?:\s+[0-9]+)*)\s*\|\s*(?P<mu>[0-9]+/[0-9]+)\s*\|\s*"
+    r"(?P<sr>[0-9]+(?:/[0-9]+)?)\s*\|\s*(?P<flag>verified-by-literature|included-unverified)$"
 )
 
 
-def _cell(text):
+def _cell(where, text):
     """A table cell 'n/d' or 'n' as the integer pair (n, d)."""
     num, _, den = text.partition("/")
-    return int(num), int(den or 1)
+    return decimal(f"{where}: a number", num), decimal(f"{where}: a number", den or "1")
 
 
 def _parse_table(text, origin):
@@ -268,9 +288,13 @@ def _parse_table(text, origin):
         m = _ROW_RE.match(line)
         if m is None:
             raise TableCorrupt(f"{where}: malformed row {raw!r}")
-        periods = tuple(int(t) for t in m.group("periods").split())
-        mu_num, mu_den = _cell(m.group("mu"))
-        sr_num, sr_den = _cell(m.group("sr"))
+        try:
+            periods = tuple(decimal(f"{where}: a number", t) for t in m.group("periods").split())
+            mu_num, mu_den = _cell(where, m.group("mu"))
+            sr_num, sr_den = _cell(where, m.group("sr"))
+        except NotDecimal as exc:
+            # the row's pattern admits only ASCII digits: this is the bound
+            raise TableCorrupt(str(exc))
         if min(periods) < 2:
             raise TableCorrupt(f"{where}: row ({','.join(map(str, periods))})"
                                " has a period below 2")
@@ -352,22 +376,14 @@ def render_pi(frac):
 
 
 def parse_signature(text):
-    """Parse CLI signature syntax: '2,3,7' is genus 0; 'g1p2' is (1; 2); 'g2' is (2;)."""
+    """Parse CLI signature syntax, numbers by decimal: '2,3,7' is genus 0; 'g1p2' is (1; 2)."""
     text = text.strip()
-    m = re.fullmatch(r"g(\d+)(?:p(.*))?", text)
-    if m:
-        genus = int(m.group(1))
-        body = m.group(2) or ""
-    else:
-        genus = 0
-        body = text
-    if body:
-        try:
-            periods = tuple(int(t) for t in body.split(","))
-        except ValueError:
-            raise ValueError(f"cannot parse signature {text!r}")
-    else:
-        periods = ()
-    if genus == 0 and not periods:
-        raise ValueError(f"cannot parse signature {text!r}")
-    return Signature(genus, periods)
+    m = re.fullmatch(r"g([^p]*)(?:p(.*))?", text)
+    try:
+        genus, body = (decimal("genus", m.group(1)), m.group(2)) if m else (0, text)
+        periods = tuple(decimal("period", t) for t in body.split(",")) if body else ()
+        if genus or periods:
+            return Signature(genus, periods)
+    except NotDecimal:
+        pass
+    raise ValueError(f"cannot parse signature {text!r:.60}")

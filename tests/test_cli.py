@@ -534,6 +534,9 @@ class TestSkeVerify:
                           "element [1, True] not in group 'dihedral:6'"),
         "cyclic-bool": ("cyclic:8", "images", lambda v: [v[0], True] + v[2:], 2,
                         "element True not in group 'cyclic:8'"),
+        "cyclic-digits": ("cyclic:8", "group", f"cyclic:{'8' * 4300}", 2,
+                          "malformed certificate: NotDecimal('n in cyclic:<n> has more"
+                          " than 1000 digits')\n"),
         "perm-true": ("GL23", "images",
                       lambda v: [[True if e == 1 else e for e in v[0]]] + v[1:], 2,
                       "not in group 'GL23'"),
@@ -631,6 +634,18 @@ class TestSkeVerify:
         assert code == 2
         assert defect in err
         assert "Traceback" not in err and out == ""
+
+    def test_non_canonical_perm_name_exits_1(self, capsys, monkeypatch):
+        # a perm: group is named by its canonical descriptor, as klein_four
+        # is named V4, so a name spelled otherwise is not the one rebuilt
+        _, doc, _ = run_json(capsys, "ske", "search", "--signature", "2,2,3,3",
+                             "--group", "perm:3:01,2,0:1,0,2", "--json")
+        assert doc["group"] == doc["certificate"]["group"] == "perm:3:1,2,0:1,0,2"
+        doc["certificate"]["group"] = "perm:3:01,2,0:1,0,2"
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc["certificate"])))
+        assert run(capsys, "ske", "verify", "-") == (
+            1, "verification failed: certificate states group 'perm:3:01,2,0:1,0,2',"
+               " recomputed 'perm:3:1,2,0:1,0,2'\n", "")
 
     def test_non_permutation_product_certificate_exits_2(self, capsys, tmp_path):
         path = tmp_path / "product.json"
@@ -925,6 +940,21 @@ class TestHostileArguments:
                                  "error: signature has more than 1000 digits"),
         "search-digits": (("ske", "search", "--signature", f"g{N}p2", "--group", "C2"),
                           "error: signature has more than 1000 digits"),
+        # a descriptor's number of 4,300 eights made a kernel genus past the
+        # int-to-str limit; the whole stderr, the descriptor cut at 60
+        "search-cyclic-digits": (("ske", "search", "--signature", "g2p3",
+                                  "--group", f"cyclic:{'8' * 4300}"),
+                                 f"error: bad group descriptor 'cyclic:{'8' * 52}: n in"
+                                 " cyclic:<n> has more than 1000 digits\n"),
+        "search-dihedral-digits": (("ske", "search", "--signature", "g2p3",
+                                    "--group", f"dihedral:{'8' * 4300}"),
+                                   f"error: bad group descriptor 'dihedral:{'8' * 50}: n in"
+                                   " dihedral:<n> has more than 1000 digits\n"),
+        # a generator that is not a permutation was echoed whole, 17 kB here
+        "search-perm-echo": (("ske", "search", "--signature", "2,3,7",
+                              "--group", "perm:2:" + ",".join(map(str, range(3001)))),
+                             "not a permutation of 0..1: (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10,"
+                             " 11, 12, 13, 14, 15, 16, 1\n"),
     }
 
     @pytest.mark.parametrize("variant", sorted(HOSTILE_ARGV))
@@ -1006,6 +1036,52 @@ class TestNumericArgumentFuzz:
             if m := self.misbehaviour(capsys, self.CAPPED):
                 failures.append(f"{name}={value!r:.40}: {m}")
         assert failures == []
+
+    # every spelling signatures.decimal refuses, and every reader of an
+    # integer in text: the options, a signature, a group descriptor (with {}
+    # where the number goes) and the cap variables (None), which read an
+    # empty value as unset
+    REFUSED = ("5_000", " 7", "+7", "\u0662\u0664", "0x5", "1e3", "", "9" * 1001)
+    READERS = dict(OPTIONS, **{
+        "signature-period": ("measure", "2,3,{}"),
+        "signature-genus": ("measure", "g{}p2"),
+        "cyclic": ("ske", "search", "--signature", "2,2,2,3", "--group", "cyclic:{}"),
+        "perm-image": ("ske", "search", "--signature", "2,8,8",
+                       "--group", "perm:8:{},0,1,2,3,4,5,6"),
+        **{name: None for name in CAPS},
+    })
+
+    def reading(self, monkeypatch, name, value):
+        # the argv that gives value to the reader name
+        if self.READERS[name] is None:
+            monkeypatch.setenv(name, value)
+            return self.CAPPED
+        return [part.replace("{}", value) for part in self.READERS[name]]
+
+    @pytest.mark.parametrize("name", sorted(READERS))
+    def test_every_reader_refuses_the_same_spellings(self, capsys, monkeypatch, name):
+        failures = []
+        for value in self.REFUSED:
+            if value == "" and self.READERS[name] is None:
+                continue
+            code, out, err = run(capsys, *self.reading(monkeypatch, name, value))
+            if not (code == 2 and out == "" and err.startswith("error: ")
+                    and err.count("\n") == 1):
+                failures.append(f"{value!r:.20}: exit {code}, {out + err!r:.100}")
+        assert failures == []
+
+    @pytest.mark.parametrize("name", sorted(READERS))
+    def test_every_reader_reads_a_leading_zero(self, capsys, monkeypatch, name):
+        assert (run(capsys, *self.reading(monkeypatch, name, "07"))
+                == run(capsys, *self.reading(monkeypatch, name, "7")))
+
+    def test_the_grammar(self):
+        # an optional '-' and 1 to 1,000 ASCII digits; range is the caller's
+        for value in self.REFUSED + ("-", "--7", "7\n", "\u00b2"):
+            with pytest.raises(signatures.NotDecimal, match="^count "):
+                signatures.decimal("count", value)
+        assert [signatures.decimal("count", v) for v in ("07", "0", "-0", "-12", "9" * 1000)] \
+            == [7, 0, 0, -12, int("9" * 1000)]
 
 
 class TestResourceCaps:

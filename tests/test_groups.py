@@ -379,6 +379,17 @@ class TestConstruct:
         assert g.order == 4
         assert construct(g.descriptor).elements == g.elements
 
+    def test_perm_named_canonically(self, monkeypatch):
+        # each image in decimal without leading zeros or sign, whatever was typed
+        g = construct(" perm:7:01,2,3,4,5,6,-0:1,0,2,3,4,5,6 ")
+        assert g.descriptor == "perm:7:1,2,3,4,5,6,0:1,0,2,3,4,5,6"
+        assert g.elements == construct(g.descriptor).elements
+        monkeypatch.setenv("SURFBOUND_ORDER_CAP", "100")
+        with pytest.raises(OrderCapExceeded) as info:
+            construct("perm:7:01,2,3,4,5,6,0:1,0,2,3,4,5,6")
+        assert str(info.value) == ("group 'perm:7:1,2,3,4,5,6,0:1,0,2,3,4,5,6'"
+                                   " exceeds order cap 100")
+
     NUMBERED = [("C", cyclic_perm, 7), ("D", dihedral_perm, 9), ("S", symmetric, 5),
                 ("A", alternating, 6), ("cyclic:", CyclicGroup, 12),
                 ("dihedral:", DihedralGroup, 10)]

@@ -358,6 +358,18 @@ class TestSignatureTable:
         with pytest.raises(TableCorrupt, match="no rows"):
             _parse_table("# nothing here\n", "bad.txt")
 
+    def test_non_ascii_digit_rejected(self):
+        # the row pattern takes ASCII digits only, as decimal does
+        row = "2 3 \u0667 | 1/21 | 84 | verified-by-literature"
+        with pytest.raises(TableCorrupt) as info:
+            _parse_table(f"# header\n{row}\n", "bad.txt")
+        assert str(info.value) == f"bad.txt:2: malformed row {row!r}"
+
+    def test_number_past_the_digit_bound_rejected(self):
+        with pytest.raises(TableCorrupt) as info:
+            _parse_table(f"2 3 {'7' * 1001} | 1/21 | 84 | verified-by-literature\n", "bad.txt")
+        assert str(info.value) == "bad.txt:1: a number has more than 1000 digits"
+
 
 def fraction_parse_table(text, origin):
     # the former Fraction-based row check, kept as the oracle for the

@@ -159,3 +159,21 @@ def test_only_the_cap_readers_touch_the_environment():
                     other.append(f"{name}:{node.lineno}: {ast.unparse(node)}")
     assert readers == {"groups._cap", "cli._check_caps"}
     assert other == []
+
+
+def test_decimal_alone_reads_integers_from_text():
+    # one grammar for every number given as text: the one call of int is
+    # inside signatures.decimal, and no argparse option converts with int
+    package = os.path.dirname(os.path.abspath(surfbound.__file__))
+    calls, options = [], []
+    for name in sorted(n for n in os.listdir(package) if n.endswith(".py")):
+        tree = _parse(name)
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                calls += [f"{name[:-3]}.{fn.name}" for node in ast.walk(fn)
+                          if isinstance(node, ast.Call) and _word(node.func) == "int"]
+        options += [f"{name}:{node.lineno}" for node in ast.walk(tree)
+                    if isinstance(node, ast.keyword) and node.arg == "type"
+                    and _word(node.value) == "int"]
+    assert calls == ["signatures.decimal"]
+    assert options == []
