@@ -401,19 +401,22 @@ def cmd_attained(args):
     return {"command": "attained", "max": args.max, "genera": rows}, lines
 
 
-def cmd_catalog(args):
-    from .bounds import small_genus_catalog
+def _catalog_row(g):
+    # a certificate holds its witness groups: only its JSON and its line
+    # outlive this call, so the catalog holds one genus's groups at a time
+    from .bounds import certify_genus
 
-    certs = []
-    lines = []
-    for g, cert in small_genus_catalog().items():
-        certs.append(cert.to_dict())
-        best = max(cert.witnesses, key=lambda w: w.certificate.group_order)
-        lines.append(
-            f"g={g:>3}  bound {cert.bound:>5}  via {best.route}"
-            f" {best.certificate.signature} -> {best.certificate.group_descriptor}"
-        )
-    return {"command": "catalog", "certificates": certs}, lines
+    cert = certify_genus(g)
+    best = max(cert.witnesses, key=lambda w: w.certificate.group_order)
+    return cert.to_dict(), (f"g={g:>3}  bound {cert.bound:>5}  via {best.route}"
+                            f" {best.certificate.signature} -> {best.certificate.group_descriptor}")
+
+
+def cmd_catalog(args):
+    from .bounds import CATALOG_RANGE
+
+    certs, lines = zip(*map(_catalog_row, CATALOG_RANGE))
+    return {"command": "catalog", "certificates": list(certs)}, list(lines)
 
 
 def build_parser():

@@ -18,9 +18,11 @@ and carries p*|Q| automorphisms.  f is an eigencovector of each generator
 matrix M_g, and M_g^ord(g) = I, so its eigenvalues are roots of unity: at
 most ord(g) candidates whatever p is.  Only the least such f is built.
 quotient_ske_from_cover builds the p*|Q| group as the monodromy of the p-fold
-cover of X on Q x F_p and re-verifies the induced epimorphism from scratch,
-so every cover claim is replayable.  lift(cert, p) is one whole cover step,
-the cover and its quotient from one homology action.
+cover of X on Q x F_p and verifies the induced epimorphism on its own.
+lift(cert, p) is one whole cover step, the cover and its quotient from one
+homology action.  These calls and kernel_presentation take a certificate a
+verifier returned and work in the group it holds: only the verifiers replay,
+verify_cover_certificate its base first.
 """
 
 from math import gcd
@@ -76,14 +78,12 @@ class KernelPresentation(NamedTuple):
 
 
 def kernel_presentation(cert):
-    """Cell complex of the kernel of a certificate, re-verifying it first.
+    """Cell complex of the kernel of a verified certificate, in its group.
 
-    The certificate may come from JSON, so it is replayed; that is the only
-    check.  Its images generate Q, so the BFS tree spans X, and they satisfy
-    the relators, so each relator read from a vertex ends there (tested).
+    Its images generate Q, so the BFS tree spans X, and they satisfy the
+    relators, so each relator read from a vertex ends there (tested).
     """
-    verify_certificate(cert)
-    group = construct(cert.group_descriptor)
+    group = cert.group
     elements = group.elements
     index = group.index
     n = group.order
@@ -323,8 +323,8 @@ def build_cover(cert, p, covector=None, presentation=None):
 
 
 def verify_cover_certificate(cover):
-    """Replay a cover certificate from scratch."""
-    fresh = build_cover(cover.base, cover.prime, covector=cover.covector)
+    """Replay a cover certificate from scratch, its base first."""
+    fresh = build_cover(verify_certificate(cover.base), cover.prime, covector=cover.covector)
     check_recorded(cover.to_dict(), fresh.to_dict())
     return fresh
 
@@ -338,12 +338,12 @@ def quotient_ske_from_cover(cover, presentation=None):
     inverses go through verify_ske, so the returned certificate is independent
     evidence that the cover carries the claimed automorphism count.
 
-    The cover may come from JSON, so its covector is checked invariant first
-    (else the monodromy closure runs to the order cap before it fails), and
-    the quotient's kernel genus is checked against the cover's after.  The
-    kernel genus is strictly increasing in the group order, so against a
-    cover genus computed at order p*|Q| that check also refuses an extension
-    of any other order.
+    The cover's base is a certificate a verifier returned.  The covector is
+    checked invariant first (else the monodromy closure runs to the order cap
+    before it fails), and the quotient's kernel genus against the cover's
+    after.  The kernel genus is strictly increasing in the group order, so
+    against a cover genus computed at order p*|Q| that check also refuses an
+    extension of any other order.
     """
     action, f = _hyperplane(cover.base, cover.prime, cover.covector, presentation)
     return _extension(action, f, cover.cover_genus)

@@ -117,7 +117,17 @@ def perm_order(x):
     return result
 
 
-class PermutationGroup:
+class _Group:
+    """Groups are equal, and hash, by descriptor: it names a group canonically."""
+
+    def __eq__(self, other):
+        return isinstance(other, _Group) and self.descriptor == other.descriptor
+
+    def __hash__(self):
+        return hash(self.descriptor)
+
+
+class PermutationGroup(_Group):
     def __init__(self, degree, generators, descriptor):
         self.degree = degree
         self.descriptor = descriptor
@@ -195,7 +205,7 @@ class PermutationGroup:
         return True
 
 
-class CyclicGroup:
+class CyclicGroup(_Group):
     """C_n with elements 0..n-1 as exponent keys; never enumerated unless asked."""
 
     def __init__(self, n):
@@ -240,7 +250,7 @@ class CyclicGroup:
         return {k: k for k in self.elements}
 
 
-class DihedralGroup:
+class DihedralGroup(_Group):
     """D_n of order 2n, elements (i, e) standing for rotation^i * reflection^e.
 
     Multiplication key identity: (i,e)*(j,f) = (i + (-1)^e j mod n, e xor f).

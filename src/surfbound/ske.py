@@ -46,13 +46,15 @@ class SearchSpaceTooLarge(RuntimeError):
 
 
 class SkeCertificate(NamedTuple):
-    """A verified surface-kernel epimorphism, replayable from its own data."""
+    """A surface-kernel epimorphism, replayable from its own data, with the
+    group verify_ske checked it in or from_dict read it in (not serialized)."""
 
     signature: Signature
     group_descriptor: str
     images: tuple
     group_order: int
     kernel_genus: int
+    group: object
     verifier_version: str = VERIFIER_VERSION
 
     def to_dict(self):
@@ -91,6 +93,7 @@ class SkeCertificate(NamedTuple):
             images=images,
             group_order=int_field(data, "group_order"),
             kernel_genus=int_field(data, "kernel_genus"),
+            group=group,
             verifier_version=data["verifier_version"],
         )
 
@@ -157,17 +160,18 @@ def verify_ske(sig, group, images):
         images=images,
         group_order=group.order,
         kernel_genus=kg,
+        group=group,
     )
 
 
 def verify_certificate(cert):
-    """Replay a certificate from scratch; returns the freshly computed twin."""
+    """Replay a certificate in the group it holds; returns the fresh twin."""
     if cert.verifier_version != VERIFIER_VERSION:
         raise ValueError(
             f"unsupported verifier_version {cert.verifier_version!r:.60}, "
             f"this verifier replays version {VERIFIER_VERSION!r}"
         )
-    fresh = verify_ske(cert.signature, construct(cert.group_descriptor), cert.images)
+    fresh = verify_ske(cert.signature, cert.group, cert.images)
     check_recorded(cert.to_dict(), fresh.to_dict())
     return fresh
 

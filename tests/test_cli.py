@@ -416,6 +416,20 @@ class TestSkeVerify:
         assert run(capsys, "ske", "verify", "-") == (
             1, "verification failed: certificate states exact true, recomputed absent\n", "")
 
+    def test_replay_builds_each_witness_group_once(self, capsys, monkeypatch):
+        # genus 22 has a dihedral witness and a degree-252 perm: witness;
+        # the reader builds each group once, and the replay uses it
+        from surfbound.groups import PermutationGroup
+
+        _, out, _ = run(capsys, "certify", "--genus", "22", "--json")
+        built = []
+        init = PermutationGroup.__init__
+        monkeypatch.setattr(PermutationGroup, "__init__",
+                            lambda self, *a: built.append(a[2]) or init(self, *a))
+        monkeypatch.setattr(sys, "stdin", io.StringIO(out))
+        assert run(capsys, "ske", "verify", "-") == (0, "certificate ok: genus 22: bound 252\n", "")
+        assert [d.split(":")[:2] for d in built] == [["perm", "252"]]
+
     def test_missing_file_exits_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "ske", "verify", str(tmp_path / "none.json"))
         assert code == 2

@@ -268,6 +268,24 @@ class TestKernelPresentation:
             homology_action(altered, 7)
 
     @pytest.mark.parametrize("build", [b for _, b in ACT_BASES], ids=[n for n, _ in ACT_BASES])
+    def test_builds_no_group_and_replays_nothing(self, monkeypatch, build):
+        # the certificate a verifier returned holds its group: the
+        # presentation neither rebuilds it nor replays the certificate
+        import surfbound.covers as covers_module
+        import surfbound.ske as ske_module
+
+        cert = build()
+        seen = []
+        for module in (covers_module, ske_module):
+            for name in ("construct", "verify_certificate", "verify_ske"):
+                original = getattr(module, name)
+                monkeypatch.setattr(module, name, lambda *a, name=name, original=original:
+                                    seen.append(name) or original(*a))
+        pres = kernel_presentation(cert)
+        assert seen == []
+        assert pres.group is cert.group
+
+    @pytest.mark.parametrize("build", [b for _, b in ACT_BASES], ids=[n for n, _ in ACT_BASES])
     def test_act_inv_inverts_act(self, build):
         # act_inv[s] is the inverse permutation of act[s]: c -> c * a_s^-1
         pres = kernel_presentation(build())
@@ -654,5 +672,24 @@ class TestLift:
         action = covers.homology_action
         monkeypatch.setattr(covers, "homology_action",
                             lambda pres, p: seen.append(p) or action(pres, p))
+        run()
+        assert len(seen) == calls
+
+    # the catalog verifies 22 dihedral, 14 searched and 9 genus-2 case
+    # witnesses, and the quotient of each of its 10 cover steps; cover
+    # --check verifies the 7 cases.  Nothing is replayed in-process.
+    @pytest.mark.parametrize("run,calls", [(small_genus_catalog, 55),
+                                           (check_cover_cases, 7)],
+                             ids=["catalog", "cover-check"])
+    def test_one_verify_ske_per_certificate_built(self, monkeypatch, run, calls):
+        import surfbound.bounds as bounds_module
+        import surfbound.covers as covers_module
+        import surfbound.ske as ske_module
+
+        seen = []
+        verify = ske_module.verify_ske
+        for module in (bounds_module, covers_module, ske_module):
+            monkeypatch.setattr(module, "verify_ske",
+                                lambda *a: seen.append(a[1].descriptor) or verify(*a))
         run()
         assert len(seen) == calls

@@ -390,6 +390,16 @@ class TestConstruct:
         assert str(info.value) == ("group 'perm:7:1,2,3,4,5,6,0:1,0,2,3,4,5,6'"
                                    " exceeds order cap 100")
 
+    def test_equal_and_hash_by_descriptor(self):
+        # the descriptor names a group canonically, whatever spelling built it
+        assert construct("klein_four") == construct("V4")
+        assert hash(construct("klein_four")) == hash(construct("V4"))
+        assert construct("S3*C2") == construct("S3*C2")
+        assert len({construct("C6"), construct("C6"), construct("cyclic:6")}) == 2
+        assert construct("C6") != construct("cyclic:6")
+        assert DihedralGroup(5) != CyclicGroup(10)
+        assert construct("V4") != "V4"
+
     NUMBERED = [("C", cyclic_perm, 7), ("D", dihedral_perm, 9), ("S", symmetric, 5),
                 ("A", alternating, 6), ("cyclic:", CyclicGroup, 12),
                 ("dihedral:", DihedralGroup, 10)]

@@ -9,7 +9,9 @@ FAILING commands, which each end in an error line and a nonzero exit) as
 against OTHER_CHECKOUT/src/, with SURFBOUND_ORDER_CAP
 and SURFBOUND_NODE_BUDGET removed from the environment.  Each
 `certify --genus g --json` output, and each first-mode `ske search ... --json`
-output, is piped into `ske verify - --json` of the same tree.  Prints every
+output, is piped into `ske verify - --json` of the same tree, and the
+TAMPERED documents, each a printed certificate with one field changed, into
+`ske verify -`, so refusals are compared as well as acceptances.  Prints every
 command whose exit code, stdout or stderr differs and exits 1 if any does,
 else 0.
 Commands run one at a time, each once per tree; the whole list takes about
@@ -17,11 +19,13 @@ a minute on two CPUs.
 """
 
 import importlib.util
+import json
 import math
 import os
 import subprocess
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 HERE = Path(__file__).resolve().parent.parent
 LADDER = HERE / "tests" / "data" / "cover-ladder.jsonl"
@@ -88,6 +92,34 @@ FAILING = [
 ]
 
 
+class Tamper(NamedTuple):
+    """The --json output of source, or its fed key, with the value at path
+    set to value: a document `ske verify` must refuse."""
+
+    source: tuple
+    fed: str | None
+    path: tuple
+    value: object
+
+
+SEARCH_GL23 = ("ske", "search", "--signature", "2,3,8", "--group", "GL23", "--json")
+COVER_G7 = ("cover", "--case", "g", "--prime", "7", "--json")
+CERTIFY_22 = ("certify", "--genus", "22", "--json")
+WITNESS = ("witnesses", 1, "certificate")
+# one changed field each, in an epimorphism, in a cover and its base, and in
+# the cover witness of a genus certificate
+TAMPERED = [
+    Tamper(SEARCH_GL23, None, ("certificate", "kernel_genus"), 3),
+    Tamper(SEARCH_GL23, None, ("certificate", "images", 0), tuple(range(8))),
+    Tamper(COVER_G7, "cover", ("base", "kernel_genus"), 3),
+    Tamper(COVER_G7, "cover", ("base", "group"), "C6 * C2"),
+    Tamper(COVER_G7, "cover", ("base", "verifier_version"), "2"),
+    Tamper(COVER_G7, "cover", ("covector", 0), 2),
+    Tamper(CERTIFY_22, "certificate", (*WITNESS, "kernel_genus"), 21),
+    Tamper(CERTIFY_22, "certificate", (*WITNESS, "group"), "S3*D11"),
+]
+
+
 def primes_below(n):
     return [p for p in range(2, n) if all(p % d for d in range(2, math.isqrt(p) + 1))]
 
@@ -113,7 +145,8 @@ GOLDEN = [
 
 def commands():
     """(argv, stdin) pairs; stdin is None, the number of a line of the ladder
-    file, or the argv whose stdout feeds this command in the same tree."""
+    file, the argv whose stdout feeds this command in the same tree, or a
+    Tamper of such an output."""
     out = [(argv, None) for argv in GOLDEN]
     for g in GENERA:
         certify = ("certify", "--genus", str(g), "--json")
@@ -144,6 +177,7 @@ def commands():
     out += [(("ske", "verify", "-", "--json"), n)
             for n in range(1, len(LADDER.read_text().splitlines()) + 1)]
     out += [(argv, None) for argv in FAILING]
+    out += [(("ske", "verify", "-"), tamper) for tamper in TAMPERED]
     return list(dict.fromkeys(out))
 
 
@@ -158,7 +192,15 @@ class Tree:
         self.seen = {}
 
     def run(self, argv, stdin=None):
-        if isinstance(stdin, tuple):
+        if isinstance(stdin, Tamper):
+            doc = json.loads(self.run(stdin.source)[1])
+            doc = doc[stdin.fed] if stdin.fed else doc
+            node = doc
+            for key in stdin.path[:-1]:
+                node = node[key]
+            node[stdin.path[-1]] = stdin.value
+            stdin = json.dumps(doc).encode()
+        elif isinstance(stdin, tuple):
             stdin = self.run(stdin)[1]
         elif isinstance(stdin, int):
             stdin = LADDER.read_bytes().splitlines()[stdin - 1]
@@ -172,6 +214,10 @@ class Tree:
 
 def shown(argv, stdin):
     text = " ".join(argv)
+    if isinstance(stdin, Tamper):
+        fed = [stdin.fed] if stdin.fed else []
+        where = "".join(f"[{key!r}]" for key in [*fed, *stdin.path])
+        return f"{' '.join(stdin.source)} | set {where} = {stdin.value!r} | {text}"
     if isinstance(stdin, tuple):
         return f"{' '.join(stdin)} | {text}"
     return text if stdin is None else f"{text} < ladder line {stdin}"
