@@ -4,10 +4,11 @@ A verified surface-kernel epimorphism from the signature group Gamma onto a
 finite group Q, with generator images a_s, has a surface group K as kernel:
 the fundamental group of the |Q|-sheeted cover X of Gamma's presentation
 2-complex.  X has the vertices c in Q, the edges (c, s) from c to c*a_s, and
-the faces (c, r), each defining relator r read from c.  Following Fox's free
-differential calculus (Ann. of Math. 57, 1953), H^1(K; F_p) is the space of
-1-cocycles of X that vanish on a spanning tree: the nullspace of the distinct
-face rows with the tree columns zeroed, less those columns' unit vectors.
+the faces (c, r), each relator r that signatures.relators states read from c.
+Following Fox's free differential calculus (Ann. of Math. 57, 1953),
+H^1(K; F_p) is the space of 1-cocycles of X that vanish on a spanning tree:
+the nullspace of the distinct face rows with the tree columns zeroed, less
+those columns' unit vectors.
 Its basis is dual to 2*genus(K) non-tree ("free") edges, which also fixes the
 coordinates of H_1(K; F_p); Q acts on both by the deck maps c -> q*c of X.
 
@@ -30,9 +31,9 @@ from typing import NamedTuple
 
 from .groups import _check_order, construct, perm_group, perm_inv
 from .linalg import nullspace_mod, rref_mod, vec_mat_mod
-from .signatures import Signature, is_prime, kernel_genus
-from .ske import (SkeCertificate, check_recorded, int_field, list_field, verify_certificate,
-                  verify_ske)
+from .signatures import Signature, is_prime, kernel_genus, relators
+from .ske import (SkeCertificate, check_recorded, evaluate, int_field, list_field,
+                  verify_certificate, verify_ske)
 
 
 class NotSurfaceKernel(ValueError):
@@ -106,15 +107,6 @@ def kernel_presentation(cert):
                 queue.append(nxt)
 
     ncols = n * nslots
-    sig = cert.signature
-    g, periods = sig.genus, sig.periods
-    relators = [((2 * g + j, 1),) * m for j, m in enumerate(periods)]
-    long_word = []
-    for i in range(g):
-        long_word += [(2 * i, 1), (2 * i + 1, 1), (2 * i, -1), (2 * i + 1, -1)]
-    long_word += [(2 * g + j, 1) for j in range(len(periods))]
-    relators.append(tuple(long_word))
-
     pres = KernelPresentation(
         certificate=cert, group=group, nslots=nslots, act=act, act_inv=act_inv,
         tree=tuple(tree), relation_rows=[], ncols=ncols,
@@ -122,7 +114,7 @@ def kernel_presentation(cert):
     )
     # reading c_j^m from each vertex of one cycle gives the same face m times
     faces = dict.fromkeys(tuple(pres.rewrite(rel, start)[0])
-                          for rel in relators for start in range(n))
+                          for rel in relators(cert.signature) for start in range(n))
     tree_cols = {col for _, _, col in tree}
     rows = [[0 if col in tree_cols else v for col, v in enumerate(face)] for face in faces]
     return pres._replace(relation_rows=rows)
@@ -438,14 +430,10 @@ def case_by_label(label):
 def case_certificate(case):
     """Verified genus-2 epimorphism for one of the frozen cover cases."""
     group = construct(case.group_descriptor)
-    images = []
-    for exps in case.image_exponents:
-        img = group.identity
-        for gen, e in zip(group.generators, exps):
-            for _ in range(e):
-                img = group.mul(img, gen)
-        images.append(img)
-    return verify_ske(case.signature, group, tuple(images))
+    words = [[(i, 1) for i, e in enumerate(exps) for _ in range(e)]
+             for exps in case.image_exponents]
+    return verify_ske(case.signature, group,
+                      tuple(evaluate(group, word, group.generators) for word in words))
 
 
 def check_cover_cases(primes=None):

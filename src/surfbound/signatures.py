@@ -1,10 +1,9 @@
 """Exact arithmetic on cocompact Fuchsian signatures.
 
 A signature (g; m_1, ..., m_k) records the orbit genus g and the elliptic
-periods m_j >= 2 of a cocompact Fuchsian group, presented as
-
-    < a_1, b_1, ..., a_g, b_g, c_1, ..., c_k |
-      c_j^{m_j} = 1,  [a_1,b_1]...[a_g,b_g] c_1 ... c_k = 1 >.
+periods m_j >= 2 of a cocompact Fuchsian group; relators states the group's
+presentation once, as words in a_1, b_1, ..., a_g, b_g, c_1, ..., c_k, and
+long_relator is its last word alone, so a verifier never writes c_j^{m_j} out.
 
 All invariants here are exact: each rational, such as the normalized
 measure in units of pi, is a (numerator, denominator) pair of integers,
@@ -89,6 +88,19 @@ class Signature(_SignatureFields):
         if self.genus == 0:
             return f"({body})"
         return f"({self.genus};{body})" if body else f"({self.genus};)"
+
+
+def long_relator(sig):
+    """[a_1,b_1]...[a_g,b_g] c_1 ... c_k as a word of (generator, 1 or -1),
+    with a_1, b_1, ..., a_g, b_g, c_1, ..., c_k numbered from 0."""
+    g = sig.genus
+    return tuple([(2 * i + t, e) for i in range(g) for e in (1, -1) for t in (0, 1)]
+                 + [(2 * g + j, 1) for j in range(len(sig.periods))])
+
+
+def relators(sig):
+    """The defining relators: each c_j^{m_j} written out, then long_relator(sig)."""
+    return [((2 * sig.genus + j, 1),) * m for j, m in enumerate(sig.periods)] + [long_relator(sig)]
 
 
 def _measure_terms(sig):
@@ -386,4 +398,4 @@ def parse_signature(text):
             return Signature(genus, periods)
     except NotDecimal:
         pass
-    raise ValueError(f"cannot parse signature {text!r:.60}")
+    raise ValueError("expected periods like 2,3,7, or a genus like g1p2,2 or g2")

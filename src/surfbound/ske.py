@@ -15,15 +15,16 @@ representatives, solving the last elliptic generator from the long relation
 instead of searching it.  The backtracking is one stream of weighted
 solutions in canonical order; each search mode consumes that stream.
 
-Image tuples are always ordered hyperbolic generators first (a_1, b_1, ...,
-a_g, b_g), then elliptic generators in signature order.
+Image tuples are indexed by the generator numbering of signatures.relators,
+hyperbolic generators first (a_1, b_1, ..., a_g, b_g), then elliptic ones in
+signature order; evaluate reads a relator under such a tuple.
 """
 
 import json
 from typing import NamedTuple
 
 from .groups import DihedralGroup, _cap, _check_order, construct, element_data, element_from_data
-from .signatures import Signature, kernel_genus
+from .signatures import Signature, kernel_genus, long_relator
 
 VERIFIER_VERSION = "1"
 DEFAULT_NODE_BUDGET = 10 ** 9
@@ -114,14 +115,11 @@ def list_field(data, key):
     return tuple(value)
 
 
-def _relation_product(group, genus, hyperbolic, elliptic):
+def evaluate(group, word, images):
+    """The element a word of (generator, 1 or -1) names when generator s maps to images[s]."""
     w = group.identity
-    for t in range(genus):
-        a, b = hyperbolic[2 * t], hyperbolic[2 * t + 1]
-        comm = group.mul(group.mul(a, b), group.mul(group.inv(a), group.inv(b)))
-        w = group.mul(w, comm)
-    for c in elliptic:
-        w = group.mul(w, c)
+    for s, sign in word:
+        w = group.mul(w, images[s] if sign == 1 else group.inv(images[s]))
     return w
 
 
@@ -143,13 +141,12 @@ def verify_ske(sig, group, images):
     for x in images:
         if not group.contains(x):
             raise ValueError(f"image {x!r} is not an element of {group.descriptor!r}")
-    hyperbolic, elliptic = images[: 2 * g], images[2 * g:]
-    for j, (c, m) in enumerate(zip(elliptic, periods), start=1):
+    for j, (c, m) in enumerate(zip(images[2 * g:], periods), start=1):
         actual = group.element_order(c)
         if actual != m:
             raise OrderNotPreserved(f"elliptic generator {j} must map to an element"
                                     f" of order {m}, image has order {actual}")
-    if _relation_product(group, g, hyperbolic, elliptic) != group.identity:
+    if evaluate(group, long_relator(sig), images) != group.identity:
         raise LongRelationFails(f"long relation image is not the identity for {sig}")
     if not group.generates(images):
         raise NotSurjective(f"images generate a proper subgroup of {group.descriptor!r}")
@@ -278,11 +275,14 @@ def search_ske(sig, group, mode="first", dedup=False):
     _check_order(f"the slot count {nslots} of {sig}", [nslots])
     searched_ell = sorted(range(k - 1) if k else [],
                           key=lambda j: (len(by_order[periods[j]]), j))
-    # an admissible signature always leaves at least two searched slots
-    slots = [("e", j) for j in searched_ell] + [("h", i) for i in range(2 * g)]
-    candidates = [by_order[periods[j]] if kind == "e" else elements for kind, j in slots]
-    # the last elliptic image is solved at each leaf, never stored
-    ell, hyp = [None] * max(k - 1, 0), [None] * (2 * g)
+    # an admissible signature always leaves at least two searched slots,
+    # each the number of its generator in the relators' numbering: the
+    # searched generators are 0 .. nslots - 1, and the last elliptic
+    # image, if any, is solved at each leaf
+    slots = [2 * g + j for j in searched_ell] + list(range(2 * g))
+    candidates = [by_order[periods[j]] for j in searched_ell] + [elements] * (2 * g)
+    images = [None] * (2 * g + k)
+    head = long_relator(sig)[:-1]
     nodes = 0
 
     def assign(pos, cand):
@@ -290,23 +290,24 @@ def search_ske(sig, group, mode="first", dedup=False):
         nodes += 1
         if nodes > budget:
             raise SearchSpaceTooLarge(exhausted)
-        kind, j = slots[pos]
-        (ell if kind == "e" else hyp)[j] = cand
+        images[slots[pos]] = cand
 
     def leaf():
-        searched = tuple(hyp) + tuple(ell)
-        w = _relation_product(group, g, hyp, ell)
+        # the long relator is its head times its last letter: c_k, solved
+        # as the head's inverse, or without periods b_g^-1, so b_g must be
+        # the head
+        w = evaluate(group, head, images)
         if periods:
-            last = group.inv(w)
-            if orders[index[last]] != periods[-1]:
+            images[-1] = group.inv(w)
+            if orders[index[images[-1]]] != periods[-1]:
                 return None
-        elif w != group.identity:
+        elif w != images[-1]:
             return None
         # the solved last image is a word in the searched ones, so they
         # generate what all the images generate
-        if not group.generates(searched):
+        if not group.generates(images[:nslots]):
             return None
-        return searched + (last,) if periods else searched
+        return tuple(images)
 
     def below(top):
         # depth first over the slots from top on, one iterator of candidates
@@ -315,9 +316,9 @@ def search_ske(sig, group, mode="first", dedup=False):
         stack, pos = [], top
         while True:
             if pos == len(slots):
-                images = leaf()
-                if images is not None:
-                    yield images
+                found = leaf()
+                if found is not None:
+                    yield found
             else:
                 stack.append(iter(candidates[pos]))
             cand = _END
@@ -343,8 +344,8 @@ def search_ske(sig, group, mode="first", dedup=False):
                                  _centralizer_generators(group, r, class_size))
             for s, orbit_size in orbits:
                 assign(1, s)
-                for images in below(2):
-                    yield images, class_size * orbit_size
+                for found in below(2):
+                    yield found, class_size * orbit_size
 
     if mode == "first":
         return next(stream(), (None,))[0]

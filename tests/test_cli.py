@@ -180,6 +180,13 @@ class TestMeasure:
         assert code == 2
         assert "bad signature" in err
 
+    def test_refused_signature_is_named_once(self, capsys):
+        # the refusal names the text once and shows the accepted forms
+        code, out, err = run(capsys, "measure", "x")
+        assert (code, out) == (2, "")
+        assert err.count("'x'") == 1
+        assert all(form in err for form in ("2,3,7", "g1p2,2", "g2"))
+
 
 class TestConstants:
     def test_values(self, capsys):
@@ -318,6 +325,20 @@ class TestSkeVerify:
                                "--json")
         code, out, _ = run(capsys, "ske", "verify", str(path))
         assert code == 0
+        assert "certificate ok" in out
+
+    def test_astronomical_cyclic_certificate_replays(self, capsys, tmp_path):
+        # (0; N, N, N) -> cyclic:N with N = 10**20 + 1 replays in O(1)
+        # arithmetic per step, never writing the powers c_j^N out
+        n = 10**20 + 1
+        cert = {"type": "ske", "verifier_version": "1",
+                "signature": {"genus": 0, "periods": [n, n, n]},
+                "group": f"cyclic:{n}", "group_order": n,
+                "images": [1, 1, n - 2], "kernel_genus": 1 + (n - 3) // 2}
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(cert))
+        code, out, err = run(capsys, "ske", "verify", str(path))
+        assert (code, err) == (0, "")
         assert "certificate ok" in out
 
     def test_envelope_accepted(self, capsys, tmp_path):

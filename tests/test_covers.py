@@ -1,5 +1,5 @@
 import json
-from itertools import product
+from itertools import combinations_with_replacement, product
 from math import gcd
 
 import pytest
@@ -28,7 +28,8 @@ from surfbound.linalg import (
     nullspace_mod,
     vec_mat_mod,
 )
-from surfbound.signatures import is_prime, parse_signature
+from surfbound import signatures
+from surfbound.signatures import Signature, is_prime, parse_signature
 from surfbound.ske import dihedral_witness_ske, search_ske, verify_certificate, verify_ske
 
 CASES = {case.label: case for case in GENUS2_COVER_CASES}
@@ -285,6 +286,16 @@ class TestKernelPresentation:
         assert seen == []
         assert pres.group is cert.group
 
+    @pytest.mark.parametrize("genus", range(4))
+    def test_signatures_relators_are_the_oracle(self, genus):
+        # the one statement of the presentation, against the words written
+        # out here, for up to 4 periods in 2..9
+        for k in range(5):
+            for periods in combinations_with_replacement(range(2, 10), k):
+                sig = Signature(genus, periods)
+                assert signatures.relators(sig) == relators(sig), sig
+                assert signatures.long_relator(sig) == relators(sig)[-1], sig
+
     @pytest.mark.parametrize("build", [b for _, b in ACT_BASES], ids=[n for n, _ in ACT_BASES])
     def test_act_inv_inverts_act(self, build):
         # act_inv[s] is the inverse permutation of act[s]: c -> c * a_s^-1
@@ -442,6 +453,20 @@ class TestCoverCases:
             cert = case_certificate(case)
             assert cert.kernel_genus == 2
             verify_certificate(cert)
+
+    def test_images_are_the_generator_powers(self):
+        # image j is the product of the group's generators, each raised to
+        # its exponent in image_exponents[j], in generator order
+        for case in GENUS2_COVER_CASES:
+            group = construct(case.group_descriptor)
+            expected = []
+            for exps in case.image_exponents:
+                img = group.identity
+                for gen, e in zip(group.generators, exps):
+                    for _ in range(e):
+                        img = group.mul(img, gen)
+                expected.append(img)
+            assert case_certificate(case).images == tuple(expected), case.label
 
     def test_full_report_matches_predictions(self):
         reports = check_cover_cases()

@@ -1,4 +1,6 @@
 import json
+import random
+import tracemalloc
 from functools import cache
 from itertools import product as iproduct
 
@@ -19,6 +21,7 @@ from surfbound.signatures import (
     NotAdmissible,
     Signature,
     parse_signature,
+    relators,
 )
 from surfbound.ske import (
     LongRelationFails,
@@ -28,6 +31,7 @@ from surfbound.ske import (
     SkeCertificate,
     check_recorded,
     dihedral_witness_ske,
+    evaluate,
     search_ske,
     verify_certificate,
     verify_ske,
@@ -187,12 +191,65 @@ class TestVerify:
             verify_ske(Signature(1, (2, 2)), v,
                        (v.identity, v.identity, (1, 2, 3, 0), (1, 2, 3, 0)))
 
+    def test_genus_two_long_relation_fails(self):
+        # [a_1, b_1] = [(0 1), (0 1 2)] is a 3-cycle, and a_2 = b_2 = 1
+        s3 = construct("S3")
+        images = [(1, 0, 2), (1, 2, 0), (0, 1, 2), (0, 1, 2)]
+        with pytest.raises(LongRelationFails) as err:
+            verify_ske(Signature(2, ()), s3, images)
+        assert str(err.value) == "long relation image is not the identity for (2;)"
+
+    def test_astronomical_periods_verify_in_constant_space(self):
+        # the long relator is evaluated without writing c_j^{m_j} out: at
+        # periods of 10**20 that would not fit in memory
+        n = 10**20 + 1
+        sig = Signature(0, (n, n, n))
+        tracemalloc.start()
+        try:
+            cert = verify_ske(sig, construct(f"cyclic:{n}"), (1, 1, n - 2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cert.kernel_genus == 1 + (n - 3) // 2
+        assert peak < 100_000
+
     def test_order_checked_before_relation(self):
         # defect reporting order: orders, relation, surjectivity
         v = klein_four()
         x = v.generators[0]
         with pytest.raises(OrderNotPreserved):
             verify_ske(Signature(1, (2, 2)), v, (v.identity, v.identity, v.identity, x))
+
+
+def relation_product(group, genus, hyperbolic, elliptic):
+    # reference: the long relation as a product of commutators, then the
+    # elliptic images
+    w = group.identity
+    for t in range(genus):
+        a, b = hyperbolic[2 * t], hyperbolic[2 * t + 1]
+        comm = group.mul(group.mul(a, b), group.mul(group.inv(a), group.inv(b)))
+        w = group.mul(w, comm)
+    for c in elliptic:
+        w = group.mul(w, c)
+    return w
+
+
+class TestEvaluate:
+    @pytest.mark.parametrize("genus", [0, 1, 2])
+    @pytest.mark.parametrize("descriptor", ["S4", "S5"])
+    def test_long_relator_is_the_commutator_product(self, descriptor, genus):
+        group = construct(descriptor)
+        rng = random.Random(f"{descriptor} {genus}")
+        values = set()
+        for _ in range(200):
+            sig = Signature(genus, [rng.randrange(2, 8) for _ in range(rng.randrange(5))])
+            images = [rng.choice(group.elements) for _ in range(2 * genus + len(sig.periods))]
+            value = evaluate(group, relators(sig)[-1], images)
+            assert value == relation_product(group, genus, images[:2 * genus],
+                                             images[2 * genus:]), (sig, images)
+            values.add(value)
+        # the random images reach more than the identity
+        assert len(values) > 1
 
 
 class TestSearchAgainstBruteForce:

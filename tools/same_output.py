@@ -12,7 +12,8 @@ and SURFBOUND_NODE_BUDGET removed from the environment.  Each
 output, is piped into `ske verify - --json` of the same tree, and the
 TAMPERED documents, each a printed certificate with one field changed, into
 `ske verify -`, so refusals are compared as well as acceptances.  Prints every
-command whose exit code, stdout or stderr differs and exits 1 if any does,
+command whose exit code, stdout or stderr differs, with the first line of
+stdout, else stderr, where the two trees part, and exits 1 if any does,
 else 0.
 Commands run one at a time, each once per tree; the whole list takes about
 a minute on two CPUs.
@@ -24,6 +25,7 @@ import math
 import os
 import subprocess
 import sys
+from itertools import zip_longest
 from pathlib import Path
 from typing import NamedTuple
 
@@ -103,14 +105,20 @@ class Tamper(NamedTuple):
 
 
 SEARCH_GL23 = ("ske", "search", "--signature", "2,3,8", "--group", "GL23", "--json")
+SEARCH_G2_S3 = ("ske", "search", "--signature", "g2", "--group", "S3", "--mode", "first", "--json")
 COVER_G7 = ("cover", "--case", "g", "--prime", "7", "--json")
 CERTIFY_22 = ("certify", "--genus", "22", "--json")
 WITNESS = ("witnesses", 1, "certificate")
 # one changed field each, in an epimorphism, in a cover and its base, and in
-# the cover witness of a genus certificate
+# the cover witness of a genus certificate; two keep every image's order and
+# break only the long relation, one with periods (an image replaced by its
+# inverse) and one without (a genus-2 tuple whose first commutator is a 3-cycle)
 TAMPERED = [
     Tamper(SEARCH_GL23, None, ("certificate", "kernel_genus"), 3),
     Tamper(SEARCH_GL23, None, ("certificate", "images", 0), tuple(range(8))),
+    Tamper(SEARCH_GL23, None, ("certificate", "images", 1), (6, 4, 2, 0, 7, 5, 3, 1)),
+    Tamper(SEARCH_G2_S3, None, ("certificate", "images"),
+           ((1, 0, 2), (1, 2, 0), (0, 1, 2), (0, 1, 2))),
     Tamper(COVER_G7, "cover", ("base", "kernel_genus"), 3),
     Tamper(COVER_G7, "cover", ("base", "group"), "C6 * C2"),
     Tamper(COVER_G7, "cover", ("base", "verifier_version"), "2"),
@@ -223,6 +231,16 @@ def shown(argv, stdin):
     return text if stdin is None else f"{text} < ladder line {stdin}"
 
 
+def first_difference(mine, theirs):
+    """(stream, line here, line there) at the first line where stdout, else
+    stderr, differs, a missing line None; None if only the exit codes do."""
+    for stream, a, b in zip(("stdout", "stderr"), mine[1:], theirs[1:]):
+        for x, y in zip_longest(a.splitlines(keepends=True), b.splitlines(keepends=True)):
+            if x != y:
+                return stream, x, y
+    return None
+
+
 def main(args):
     if len(args) != 1 or not (Path(args[0]) / "src" / "surfbound").is_dir():
         print("usage: python3 tools/same_output.py OTHER_CHECKOUT", file=sys.stderr)
@@ -235,6 +253,11 @@ def main(args):
         if mine != theirs:
             differ += 1
             print(f"DIFFERS: {shown(argv, stdin)} (exit {mine[0]} here, {theirs[0]} there)")
+            if diff := first_difference(mine, theirs):
+                stream, *lines = diff
+                for side, line in zip(("here", "there"), lines):
+                    text = "(no line)" if line is None else repr(line.decode(errors="replace"))
+                    print(f"  {stream} {side}: {text:.200}")
     print(f"{len(todo)} commands, {differ} differ")
     return 1 if differ else 0
 
