@@ -32,7 +32,8 @@ code, 2 for a usage error (unparseable or out-of-domain input):
     WitnessSearchFailed                         1  witness search failed: ...
     OrderCapExceeded, SearchSpaceTooLarge       3  resource cap: ...
 
-signatures.decimal reads every integer given as text, in one grammar.
+signatures.decimal reads every integer given as text, in one grammar;
+main reads each resource cap with signatures.resource_cap, as the library does.
 
 Any other exception is a defect and propagates with its traceback.  A stdout
 whose reader went away ends quietly with exit 1, with no traceback.
@@ -506,29 +507,15 @@ def _failures():
             ((OrderCapExceeded, SearchSpaceTooLarge), 3, "resource cap"))
 
 
-def _check_caps():
-    # groups._cap reads each cap with decimal only where the library needs
-    # it; here both are checked, range included, before any command runs
-    from .signatures import MAX_DIGITS, NotDecimal, decimal
-
-    for name in ("SURFBOUND_ORDER_CAP", "SURFBOUND_NODE_BUDGET"):
-        value = os.environ.get(name, "")
-        try:
-            positive = not value or decimal(name, value) > 0
-        except NotDecimal:
-            positive = False
-        if not positive:
-            raise UsageError(f"{name} must be a positive decimal integer of at most"
-                             f" {MAX_DIGITS} digits, got {value!r:.60}")
-
-
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _check_caps()
-        from .signatures import decimal
+        from .signatures import CAPS, decimal, resource_cap
 
+        # every cap is read before any command runs, whether or not it uses it
+        for name in CAPS:
+            resource_cap(name)
         for option in ("genus", "max", "order", "prime"):
             if getattr(args, option, None) is not None:
                 setattr(args, option, decimal(f"--{option}", getattr(args, option)))

@@ -16,40 +16,28 @@ element_order, contains, generates, elements, descriptor):
 V4, Q8 and SD16 are metacyclic permutation groups from one builder,
 _metacyclic, in their left-regular representation.
 
-_cap is the one reader of the resource caps, for the library and the CLI
-alike; each cap is an environment variable, read by signatures.decimal as
-every number in a descriptor is.  Enumeration is bounded by the order cap,
-SURFBOUND_ORDER_CAP (default 10**6), which also bounds the slots ske's
-search stores; the search's nodes by the node budget.  Where the order is
-known from the descriptor (C_n, D_n, S_n, A_n, direct products, and the
-parametric elements) it is compared with the cap before anything is built;
-otherwise the BFS stops when it would pass the cap.  Either way
-OrderCapExceeded is raised.  A group within the cap still stores order x
-degree entries.
+Enumeration is bounded by the order cap, SURFBOUND_ORDER_CAP, which
+signatures.resource_cap reads and which also bounds the slots ske's search
+stores.  Where the order is known from the descriptor (C_n, D_n, S_n, A_n,
+direct products, and the parametric elements) it is compared with the cap
+before anything is built; otherwise the BFS stops when it would pass the
+cap.  Either way OrderCapExceeded is raised.  A group within the cap still
+stores order x degree entries.
 
 Composition convention throughout: (x*y)[i] = x[y[i]], i.e. y acts first.
 Left multiplication in the regular representation is then a homomorphism.
 """
 
-import os
 import re
 from functools import cached_property
 from math import gcd, isqrt, lcm
 from operator import itemgetter
 
-from .signatures import decimal
-
-DEFAULT_ORDER_CAP = 10 ** 6
+from .signatures import decimal, resource_cap
 
 
 class OrderCapExceeded(RuntimeError):
     """Enumerating the group would exceed the configured order cap."""
-
-
-def _cap(name, default):
-    """The resource cap set in environment variable name (by decimal), else default."""
-    value = os.environ.get(name)
-    return decimal(name, value) if value else default
 
 
 def _check_order(what, factors):
@@ -59,7 +47,7 @@ def _check_order(what, factors):
     The product stops at the first partial value above the cap, so orders
     like 10**11! are never formed, and nothing of the group is built.
     """
-    cap = _cap("SURFBOUND_ORDER_CAP", DEFAULT_ORDER_CAP)
+    cap = resource_cap("SURFBOUND_ORDER_CAP")
     order = 1
     for f in factors:
         order *= f
@@ -140,7 +128,7 @@ class PermutationGroup(_Group):
             gens.append(g)
         self.generators = tuple(gens)
         self.identity = tuple(range(degree))
-        cap = _cap("SURFBOUND_ORDER_CAP", DEFAULT_ORDER_CAP)
+        cap = resource_cap("SURFBOUND_ORDER_CAP")
         # eager BFS closure; the visit order is the canonical enumeration
         muls = [_right_mul(g) for g in self.generators]
         elements = [self.identity]

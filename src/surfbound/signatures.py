@@ -12,7 +12,9 @@ form.  No floating point is used anywhere.  This leaf layer imports no
 other surfbound module, and fractions only in measure_class, the one place
 a Fraction is built, so kernel_genus, and with it an epimorphism search,
 does not load it.  Small integers are factored here, is_prime lives here
-too, and so does decimal, the one reader of an integer given as text.
+too, and so does decimal, the one reader of an integer given as text, and
+resource_cap, the one reader of the resource caps CAPS states, for the
+library and the CLI alike.
 
 The module also ships a plain-text table of the arithmetic signatures with
 measure below pi; the loader re-verifies every row on load, cross-multiplying
@@ -23,6 +25,7 @@ table's invariants (bound_constants) live beside it.
 
 from functools import cache
 from math import gcd, lcm
+import os
 import re
 from typing import NamedTuple
 
@@ -57,6 +60,24 @@ def decimal(what, text):
     if len(digits) > MAX_DIGITS:
         raise NotDecimal(f"{what} has more than {MAX_DIGITS} digits")
     return int(text)
+
+
+# each resource cap's environment variable and its default
+CAPS = {"SURFBOUND_ORDER_CAP": 10 ** 6, "SURFBOUND_NODE_BUDGET": 10 ** 9}
+
+
+def resource_cap(name):
+    """The cap set in environment variable name, read by decimal, or CAPS[name]
+    when it is unset or empty; NotDecimal unless the cap is positive."""
+    value = os.environ.get(name, "")
+    try:
+        cap = decimal(name, value) if value else CAPS[name]
+    except NotDecimal:
+        cap = 0
+    if cap < 1:
+        raise NotDecimal(f"{name} must be a positive decimal integer of at most"
+                         f" {MAX_DIGITS} digits, got {value!r:.60}")
+    return cap
 
 
 class _SignatureFields(NamedTuple):

@@ -13,7 +13,8 @@ a certificate carrying the kernel genus 1 + |G| * q.  search_ske enumerates
 image tuples by backtracking over conjugacy-class and centralizer-orbit
 representatives, solving the last elliptic generator from the long relation
 instead of searching it.  The backtracking is one stream of weighted
-solutions in canonical order; each search mode consumes that stream.
+solutions in canonical order; each search mode consumes that stream, within
+the node budget SURFBOUND_NODE_BUDGET that signatures.resource_cap reads.
 
 Image tuples are indexed by the generator numbering of signatures.relators,
 hyperbolic generators first (a_1, b_1, ..., a_g, b_g), then elliptic ones in
@@ -23,11 +24,10 @@ signature order; evaluate reads a relator under such a tuple.
 import json
 from typing import NamedTuple
 
-from .groups import DihedralGroup, _cap, _check_order, construct, element_data, element_from_data
-from .signatures import Signature, kernel_genus, long_relator
+from .groups import DihedralGroup, _check_order, construct, element_data, element_from_data
+from .signatures import Signature, kernel_genus, long_relator, resource_cap
 
 VERIFIER_VERSION = "1"
-DEFAULT_NODE_BUDGET = 10 ** 9
 
 
 class OrderNotPreserved(ValueError):
@@ -244,10 +244,11 @@ def search_ske(sig, group, mode="first", dedup=False):
 
     A node is one assignment to one slot: a class representative in slot 0,
     an orbit representative in slot 1, or a candidate element in any deeper
-    slot.  Each costs one node against the budget (SURFBOUND_NODE_BUDGET,
-    default 10**9); exceeding it raises SearchSpaceTooLarge.  The slots are
-    stored, so more of them than the order cap (SURFBOUND_ORDER_CAP) raises
-    OrderCapExceeded before the search starts.
+    slot.  Each costs one node against the budget, SURFBOUND_NODE_BUDGET as
+    signatures.resource_cap reads it; exceeding it raises
+    SearchSpaceTooLarge.  The slots are stored, so more of them than the
+    order cap (SURFBOUND_ORDER_CAP) raises OrderCapExceeded before the
+    search starts.
 
     Raises NotAdmissible immediately for a signature of measure <= 0, and
     NonIntegralGenus when |G| is incompatible with the signature (no
@@ -256,7 +257,7 @@ def search_ske(sig, group, mode="first", dedup=False):
     if mode not in ("first", "count"):
         raise ValueError(f"unknown search mode {mode!r}")
     kernel_genus(sig, group.order)
-    budget = _cap("SURFBOUND_NODE_BUDGET", DEFAULT_NODE_BUDGET)
+    budget = resource_cap("SURFBOUND_NODE_BUDGET")
     elements, index = tuple(group.elements), group.index
     orders = [group.element_order(e) for e in elements]
     g, periods = sig.genus, sig.periods

@@ -1134,6 +1134,25 @@ class TestResourceCaps:
         assert code == 3
         assert "resource cap" in err
 
+    @pytest.mark.parametrize("value", [None, ""])
+    def test_unset_or_empty_cap_is_its_default(self, monkeypatch, value):
+        for name in signatures.CAPS:
+            if value is None:
+                monkeypatch.delenv(name, raising=False)
+            else:
+                monkeypatch.setenv(name, value)
+        assert signatures.resource_cap("SURFBOUND_ORDER_CAP") == 10 ** 6
+        assert signatures.resource_cap("SURFBOUND_NODE_BUDGET") == 10 ** 9
+
+    @pytest.mark.parametrize("name", sorted(signatures.CAPS))
+    @pytest.mark.parametrize("value", ["0", "-3", "abc", "+7", "9" * 1001])
+    def test_library_and_cli_refuse_alike(self, capsys, monkeypatch, name, value):
+        # one reader: the CLI's error line is the library's refusal
+        monkeypatch.setenv(name, value)
+        with pytest.raises(signatures.NotDecimal) as info:
+            signatures.resource_cap(name)
+        assert run(capsys, "constants") == (2, "", f"error: {info.value}\n")
+
     @pytest.mark.parametrize("flag", ["--order-cap", "--node-budget"])
     def test_cap_flag_is_a_usage_error(self, capsys, flag):
         # the variables are the one input for each cap; no flag sets them

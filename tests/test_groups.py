@@ -27,6 +27,7 @@ from surfbound.groups import (
     semidihedral16,
     symmetric,
 )
+from surfbound.signatures import NotDecimal
 
 
 class TestPermBasics:
@@ -340,6 +341,18 @@ class TestEnumeration:
         monkeypatch.setenv("SURFBOUND_ORDER_CAP", str(order - 1))
         with pytest.raises(OrderCapExceeded, match=f"exceeds order cap {order - 1}"):
             construct(desc).elements
+
+    # refused by the one cap reader, with the CLI's message, not OrderCapExceeded
+    BAD_CAPS = ("0", "-0", "-3", "abc", "1e9", "5_000", " 7", "+7", "\u0662\u0664", "9" * 1001)
+
+    @pytest.mark.parametrize("value", BAD_CAPS,
+                             ids=lambda v: v if len(v) < 9 else f"{len(v)}-digits")
+    def test_bad_order_cap_is_refused_with_the_cli_message(self, value, monkeypatch):
+        monkeypatch.setenv("SURFBOUND_ORDER_CAP", value)
+        with pytest.raises(NotDecimal) as info:
+            construct("C5")
+        assert str(info.value) == ("SURFBOUND_ORDER_CAP must be a positive decimal integer"
+                                   f" of at most 1000 digits, got {value!r:.60}")
 
     def test_generates_requires_membership(self):
         g = klein_four()

@@ -19,6 +19,7 @@ from surfbound.groups import (
 from surfbound.signatures import (
     NonIntegralGenus,
     NotAdmissible,
+    NotDecimal,
     Signature,
     parse_signature,
     relators,
@@ -388,6 +389,21 @@ class TestSearchControls:
         # answer, although the eleven searched slots outnumber the budget
         monkeypatch.setenv("SURFBOUND_NODE_BUDGET", "1")
         assert search_ske(Signature(3, (2, 2, 2, 2, 5, 5)), cyclic_perm(5), mode=mode) == empty
+
+    # refused by the one cap reader, with the CLI's message, not a cap exceeded
+    BAD_CAPS = ("0", "-0", "-3", "abc", "1e9", "5_000", " 7", "+7", "\u0662\u0664", "9" * 1001)
+
+    @pytest.mark.parametrize("name", ["SURFBOUND_NODE_BUDGET", "SURFBOUND_ORDER_CAP"])
+    @pytest.mark.parametrize("value", BAD_CAPS,
+                             ids=lambda v: v if len(v) < 9 else f"{len(v)}-digits")
+    def test_bad_cap_is_refused_with_the_cli_message(self, monkeypatch, name, value):
+        # the group is built first, so the search itself reads both caps
+        group = construct("A5")
+        monkeypatch.setenv(name, value)
+        with pytest.raises(NotDecimal) as info:
+            search_ske(Signature(0, (2, 5, 5)), group, mode="count")
+        assert str(info.value) == (f"{name} must be a positive decimal integer"
+                                   f" of at most 1000 digits, got {value!r:.60}")
 
     BUDGET_CASES = [
         (Signature(0, (2, 2, 2, 3)), lambda: dihedral_perm(6)),

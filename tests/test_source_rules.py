@@ -137,10 +137,10 @@ ENVIRONMENT = {"environ", "environb", "getenv", "getenvb", "putenv", "unsetenv"}
 
 
 def test_only_the_cap_readers_touch_the_environment():
-    # each resource cap has one input, its variable: groups._cap reads it for
-    # the library and cli._check_caps vets it for the commands.  The one form
-    # allowed is a call of os.environ.get in those two, so nothing sets, pops
-    # or deletes a variable
+    # each resource cap has one input, its variable, and one reader,
+    # signatures.resource_cap, for the library and the commands alike.  The
+    # one form allowed is a call of os.environ.get there, so nothing sets,
+    # pops or deletes a variable
     package = os.path.dirname(os.path.abspath(surfbound.__file__))
     readers, other = set(), []
     for name in sorted(n for n in os.listdir(package) if n.endswith(".py")):
@@ -157,7 +157,7 @@ def test_only_the_cap_readers_touch_the_environment():
                     readers.add(f"{name[:-3]}.{gets[id(node)]}")
                 else:
                     other.append(f"{name}:{node.lineno}: {ast.unparse(node)}")
-    assert readers == {"groups._cap", "cli._check_caps"}
+    assert readers == {"signatures.resource_cap"}
     assert other == []
 
 

@@ -4,10 +4,12 @@ Usage: python3 tools/same_output.py OTHER_CHECKOUT
 
 Runs each command below (the golden ones, certify piped into ske verify,
 catalog, attained, cover, table, constants, measure, ske search, and the
-FAILING commands, which each end in an error line and a nonzero exit) as
-`python3 -m surfbound.cli ...` once against this tree's src/ and once
-against OTHER_CHECKOUT/src/, with SURFBOUND_ORDER_CAP
-and SURFBOUND_NODE_BUDGET removed from the environment.  Each
+FAILING and CAPPED commands, which each end in an error line and a nonzero
+exit) as `python3 -m surfbound.cli ...` once against this tree's src/ and
+once against OTHER_CHECKOUT/src/, with SURFBOUND_ORDER_CAP and
+SURFBOUND_NODE_BUDGET removed from the environment.  A command's leading
+NAME=value words set a variable for that command alone, as on a shell's
+command line, so the CAPPED ones compare the cap refusals.  Each
 `certify --genus g --json` output, and each first-mode `ske search ... --json`
 output, is piped into `ske verify - --json` of the same tree, and the
 TAMPERED documents, each a printed certificate with one field changed, into
@@ -91,6 +93,18 @@ FAILING = [
     ("certify", "--genus", "9" * 1001),
     ("attained", "--max", "2000000"),
     ("ske", "verify", "/nonexistent.json"),
+]
+
+
+CAPS = ("SURFBOUND_ORDER_CAP", "SURFBOUND_NODE_BUDGET")
+SEARCH_A5 = ("ske", "search", "--signature", "2,5,5", "--group", "A5", "--mode", "count")
+# each cap refused at start-up and by a search, then each cap hit
+CAPPED = [(f"{name}={value}", *argv) for name in CAPS for value in ("abc", "0", "-3", "5_000")
+          for argv in (("constants",), SEARCH_A5)] + [
+    ("SURFBOUND_ORDER_CAP=100", "ske", "search", "--signature", "2,3,8", "--group", "S8",
+     "--mode", "count"),
+    ("SURFBOUND_NODE_BUDGET=5", "ske", "search", "--signature", "2,2,2,6", "--group", "S3*D11",
+     "--mode", "count"),
 ]
 
 
@@ -184,7 +198,7 @@ def commands():
     out += [(("cover", "--case", c, "--prime", "103", "--json"), None) for c in "fg"]
     out += [(("ske", "verify", "-", "--json"), n)
             for n in range(1, len(LADDER.read_text().splitlines()) + 1)]
-    out += [(argv, None) for argv in FAILING]
+    out += [(argv, None) for argv in FAILING + CAPPED]
     out += [(("ske", "verify", "-"), tamper) for tamper in TAMPERED]
     return list(dict.fromkeys(out))
 
@@ -194,8 +208,7 @@ class Tree:
 
     def __init__(self, root):
         self.root = root
-        self.env = {k: v for k, v in os.environ.items()
-                    if k not in ("SURFBOUND_ORDER_CAP", "SURFBOUND_NODE_BUDGET")}
+        self.env = {k: v for k, v in os.environ.items() if k not in CAPS}
         self.env["PYTHONPATH"] = str(root / "src")
         self.seen = {}
 
@@ -214,8 +227,12 @@ class Tree:
             stdin = LADDER.read_bytes().splitlines()[stdin - 1]
         key = (argv, stdin)
         if key not in self.seen:
+            env = dict(self.env)
+            while "=" in argv[0]:
+                name, _, value = argv[0].partition("=")
+                env[name], argv = value, argv[1:]
             proc = subprocess.run([sys.executable, "-m", "surfbound.cli", *argv], input=stdin,
-                                  capture_output=True, env=self.env, cwd=self.root)
+                                  capture_output=True, env=env, cwd=self.root)
             self.seen[key] = proc.returncode, proc.stdout, proc.stderr
         return self.seen[key]
 
