@@ -527,13 +527,20 @@ def main(argv=None):
         # point stdout at devnull, so the flush at exit has nowhere to fail
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+    except MemoryError:
+        # print only once out of the handler: its traceback holds the frames,
+        # and so the memory, that ran out
+        pass
     except Exception as exc:
         for classes, code, prefix in _failures():
             if isinstance(exc, classes):
                 print(f"{prefix}: {exc}", file=sys.stderr)
                 return code
         raise
-    return 0 if payload.get("ok", True) else 1
+    else:
+        return 0 if payload.get("ok", True) else 1
+    print("resource cap: out of memory", file=sys.stderr)
+    return 3
 
 
 if __name__ == "__main__":

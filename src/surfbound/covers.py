@@ -17,7 +17,8 @@ M < K that is normal in Gamma, i.e. a degree-p unramified cover of the
 quotient surface on which Q lifts: the cover has genus 1 + p*(genus(K) - 1)
 and carries p*|Q| automorphisms.  f is an eigencovector of each generator
 matrix M_g, and M_g^ord(g) = I, so its eigenvalues are roots of unity: at
-most ord(g) candidates whatever p is.  Only the least such f is built.
+most ord(g) candidates whatever p is.  A cover's covector is derived like
+its genus: only the least such f is built, and only it verifies.
 quotient_ske_from_cover builds the p*|Q| group as the monodromy of the p-fold
 cover of X on Q x F_p and verifies the induced epimorphism on its own.
 lift(cert, p) is one whole cover step, the cover and its quotient from one
@@ -30,7 +31,7 @@ from math import gcd
 from typing import NamedTuple
 
 from .groups import _check_order, construct, perm_group, perm_inv
-from .linalg import nullspace_mod, rref_mod, vec_mat_mod
+from .linalg import nullspace_mod, rref_mod
 from .signatures import Signature, is_prime, kernel_genus, relators
 from .ske import (SkeCertificate, check_recorded, evaluate, int_field, list_field,
                   verify_certificate, verify_ske)
@@ -41,7 +42,7 @@ class NotSurfaceKernel(ValueError):
 
 
 class NotInvariant(ValueError):
-    """The requested hyperplane is not preserved by the group action."""
+    """No hyperplane of the homology is preserved by the group action."""
 
 
 class KernelPresentation(NamedTuple):
@@ -177,31 +178,6 @@ def homology_action(pres, p):
                           cocycles=cocycles)
 
 
-def _normalize_covector(f, p):
-    f = tuple(v % p for v in f)
-    for v in f:
-        if v:
-            inv = pow(v, -1, p)
-            return tuple(x * inv % p for x in f)
-    raise ValueError("zero covector")
-
-
-def _check_invariant(covector, action):
-    """NotInvariant unless the normalized covector is an eigencovector of
-    every generator matrix, i.e. its hyperplane is preserved by Q."""
-    p = action.prime
-    if len(covector) != action.dim:
-        raise NotInvariant(
-            f"covector has {len(covector)} entries, homology mod {p} has dimension {action.dim}"
-        )
-    lead = next(i for i, v in enumerate(covector) if v)
-    for m in action.matrices:
-        image = vec_mat_mod(covector, m, p)
-        # the leading entry is 1, so image[lead] is the eigenvalue
-        if tuple(v * image[lead] % p for v in covector) != image:
-            raise NotInvariant(f"hyperplane {covector} is not preserved mod {p}")
-
-
 def _roots_of_unity(n, p):
     """The x in F_p with x**n == 1: a cyclic group of order e = gcd(n, p-1),
     closed up from the ((p-1)/e)-th powers of 2, 3, ..."""
@@ -272,15 +248,11 @@ class CoverCertificate(NamedTuple):
         )
 
 
-def _hyperplane(cert, p, covector, presentation):
-    """(action, covector): the homology action mod p, and the covector
-    normalized and checked invariant, or the least invariant one if None."""
+def _hyperplane(cert, p, presentation=None):
+    """The homology action mod p and its least invariant covector, else NotInvariant."""
     pres = presentation if presentation is not None else kernel_presentation(cert)
     action = homology_action(pres, p)
-    if covector is not None:
-        covector = _normalize_covector(covector, p)
-        _check_invariant(covector, action)
-    elif (covector := invariant_hyperplanes(action)) is None:
+    if (covector := invariant_hyperplanes(action)) is None:
         raise NotInvariant(f"no invariant hyperplane mod {p} for {cert.signature} -> "
                            f"{cert.group_descriptor}")
     return action, covector
@@ -299,24 +271,20 @@ def lift(cert, p):
     record and its verified order p*|Q| quotient (quotient_ske_from_cover).
     NotInvariant when no hyperplane is invariant mod p.
     """
-    action, covector = _hyperplane(cert, p, None, None)
+    action, covector = _hyperplane(cert, p)
     cover = _cover_record(cert, p, covector)
     return cover, _extension(action, covector, cover.cover_genus)
 
 
-def build_cover(cert, p, covector=None, presentation=None):
-    """Certify a degree-p cover from an invariant hyperplane.
-
-    Picks the least invariant hyperplane unless a covector is supplied,
-    which is then checked against the generator matrices before the
-    certificate is issued.
-    """
-    return _cover_record(cert, p, _hyperplane(cert, p, covector, presentation)[1])
+def build_cover(cert, p, presentation=None):
+    """The cover certificate of the least invariant hyperplane mod p, its
+    covector derived like its genus; NotInvariant when there is none."""
+    return _cover_record(cert, p, _hyperplane(cert, p, presentation)[1])
 
 
 def verify_cover_certificate(cover):
-    """Replay a cover certificate from scratch, its base first."""
-    fresh = build_cover(verify_certificate(cover.base), cover.prime, covector=cover.covector)
+    """Replay a cover certificate, its base first: only the least covector verifies."""
+    fresh = build_cover(verify_certificate(cover.base), cover.prime)
     check_recorded(cover.to_dict(), fresh.to_dict())
     return fresh
 
@@ -330,14 +298,15 @@ def quotient_ske_from_cover(cover, presentation=None):
     inverses go through verify_ske, so the returned certificate is independent
     evidence that the cover carries the claimed automorphism count.
 
-    The cover's base is a certificate a verifier returned.  The covector is
-    checked invariant first (else the monodromy closure runs to the order cap
-    before it fails), and the quotient's kernel genus against the cover's
+    The cover's base is a certificate a verifier returned.  The quotient is
+    built on the least invariant covector, and a cover stating another is
+    refused first; the quotient's kernel genus is checked against the cover's
     after.  The kernel genus is strictly increasing in the group order, so
     against a cover genus computed at order p*|Q| that check also refuses an
     extension of any other order.
     """
-    action, f = _hyperplane(cover.base, cover.prime, cover.covector, presentation)
+    action, f = _hyperplane(cover.base, cover.prime, presentation)
+    check_recorded({"covector": list(cover.covector)}, {"covector": list(f)})
     return _extension(action, f, cover.cover_genus)
 
 

@@ -3,8 +3,9 @@
 Everything here works on plain Python ints (arbitrary precision), lists of
 lists for matrices.  No floating point anywhere: these routines back the
 homology computations, where a single rounding error would silently corrupt
-a certificate.  At runtime only the covers layer calls it (rref_mod,
-nullspace_mod, vec_mat_mod), so a command without a cover or a discharge
+a certificate.  At runtime only the covers layer calls it (rref_mod and
+nullspace_mod, to find the least invariant hyperplane, the one covector a
+cover certificate may state), so a command without a cover or a discharge
 ledger never compiles it.  smith_normal_form, cokernel_invariants,
 mat_mul_mod, invert_mod and identity_matrix have no runtime caller: they
 are test oracles, and the benchmark's tracer names the first four.
@@ -122,11 +123,6 @@ def mat_mul_mod(x, y, p):
             row.append(s % p)
         out.append(row)
     return out
-
-
-def vec_mat_mod(vec, m, p):
-    n = len(m[0])
-    return tuple(sum(vec[i] * m[i][j] for i in range(len(vec))) % p for j in range(n))
 
 
 def identity_matrix(n):

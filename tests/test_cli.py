@@ -506,7 +506,7 @@ class TestSkeVerify:
 
     HOSTILE_COVERS = {
         # field, tampering, exit code, named defect
-        "covector-too-long": ("covector", lambda v: v + [0], 1, "dimension"),
+        "covector-too-long": ("covector", lambda v: v + [0], 1, "covector"),
         "covector-float": ("covector", lambda v: [float(x) for x in v], 2, "covector entries"),
         "covector-string": ("covector", lambda v: [str(x) for x in v], 2, "covector entries"),
         "prime-string": ("prime", lambda v: str(v), 2, "prime must be an integer"),
@@ -526,6 +526,19 @@ class TestSkeVerify:
         code, out, err = run(capsys, "ske", "verify", str(path))
         assert code == expected
         assert defect in (out if expected == 1 else err)
+
+    def test_other_invariant_covector_exits_1(self, capsys, tmp_path):
+        # [1,2,3,1] is invariant mod 7 too, but no command prints it: the
+        # covector is derived, so only the least one verifies
+        _, data, _ = run_json(capsys, "cover", "--case", "g", "--prime", "7", "--json")
+        doc = data["cover"]
+        assert doc["covector"] == [1, 1, 5, 3]
+        doc["covector"] = [1, 2, 3, 1]
+        path = tmp_path / "cover.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "ske", "verify", str(path))
+        assert (code, err) == (1, "")
+        assert out.startswith("verification failed: certificate states covector")
 
     @pytest.mark.parametrize("group", [5, ["C5"], None])
     def test_ske_group_not_a_string_exits_2(self, capsys, tmp_path, group):
@@ -1189,22 +1202,42 @@ class TestResourceCaps:
         "huge-genus-no-order-2": ("g99999999999999999p2,2,2,2,5,5", "C5", "count", 0, "none"),
     }
 
-    @pytest.mark.parametrize("variant", sorted(DEEP_SEARCHES))
-    def test_deep_search_answers(self, variant):
-        sig, group, mode, code, text = self.DEEP_SEARCHES[variant]
-        limit = 800 * 2 ** 20
+    @staticmethod
+    def run_limited(argv, mib):
+        """The CLI in a child whose address space is limited to mib MiB."""
+        limit = mib * 2 ** 20
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(surfbound.__file__)))
         env.pop("SURFBOUND_ORDER_CAP", None)
         env.pop("SURFBOUND_NODE_BUDGET", None)
-        proc = subprocess.run(
-            [sys.executable, "-m", "surfbound.cli", "ske", "search", "--signature", sig,
-             "--group", group, "--mode", mode],
+        return subprocess.run(
+            [sys.executable, "-m", "surfbound.cli", *argv],
             capture_output=True, text=True, env=env, timeout=30,
-            # bounds the child alone, so a search that builds O(g) lists fails fast
+            # bounds the child alone, so a command that builds large lists fails fast
             preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+
+    @pytest.mark.parametrize("variant", sorted(DEEP_SEARCHES))
+    def test_deep_search_answers(self, variant):
+        sig, group, mode, code, text = self.DEEP_SEARCHES[variant]
+        proc = self.run_limited(("ske", "search", "--signature", sig, "--group", group,
+                                 "--mode", mode), 800)
         assert proc.returncode == code, proc.stderr
         assert text in proc.stdout + proc.stderr
         assert "Traceback" not in proc.stderr
+
+    # each ended in a MemoryError traceback with exit 1; the cover raised a
+    # second MemoryError while main imported the layers that name failures
+    OUT_OF_MEMORY = {
+        "search": ("ske", "search", "--signature", "2,2,3,3", "--group", "C999999",
+                   "--mode", "count"),
+        "cover": ("cover", "--case", "g", "--prime", "1009"),
+    }
+
+    @pytest.mark.skipif(not hasattr(resource, "RLIMIT_AS"), reason="no address-space limit")
+    @pytest.mark.parametrize("variant", sorted(OUT_OF_MEMORY))
+    def test_out_of_memory_exits_3(self, variant):
+        proc = self.run_limited(self.OUT_OF_MEMORY[variant], 256)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            3, "", "resource cap: out of memory\n")
 
     SEARCH_S7 = ("ske", "search", "--signature", "2,3,7", "--group", "S7")
     # variable, its value, command; each ended in a traceback or blamed the group

@@ -26,7 +26,6 @@ from surfbound.linalg import (
     identity_matrix,
     mat_mul_mod,
     nullspace_mod,
-    vec_mat_mod,
 )
 from surfbound import signatures
 from surfbound.signatures import Signature, is_prime, parse_signature
@@ -142,6 +141,11 @@ def full_action(action):
         for g in group.generators:
             assert mat_mul_mod(mats[q], mats[g], p) == mats[group.mul(q, g)]
     return mats
+
+
+def vec_mat_mod(vec, m, p):
+    # the row action f*M over F_p, on covectors; nothing in the package needs it
+    return tuple(sum(vec[i] * m[i][j] for i in range(len(vec))) % p for j in range(len(m[0])))
 
 
 def brute_invariant_covectors(action):
@@ -446,6 +450,10 @@ class TestInvariantHyperplanes:
             # compared at once: a search over F_p would not end at 10**12 + 39
             assert counts[-1] == counts[0], (action.prime, counts)
 
+    def test_vec_mat_is_row_action(self):
+        # the oracle's product is (1, 1) times the rows, not the rows times (1, 1)
+        assert vec_mat_mod([1, 1], [[1, 2], [3, 4]], 5) == (4, 1)
+
 
 class TestCoverCases:
     def test_all_case_certificates_verify(self):
@@ -576,16 +584,15 @@ class TestBuildCover:
 
     def test_non_invariant_covector_rejected(self):
         cert = case_certificate(CASES["d"])
-        pres = kernel_presentation(cert)
-        action = homology_action(pres, 11)
+        action = homology_action(kernel_presentation(cert), 11)
         good = set(brute_invariant_covectors(action))
         bad = next(
             f for f in ((1, c2, c3, c4)
                         for c2 in range(11) for c3 in range(11) for c4 in range(11))
             if f not in good
         )
-        with pytest.raises(NotInvariant):
-            build_cover(cert, 11, covector=bad, presentation=pres)
+        with pytest.raises(ValueError, match="certificate states covector"):
+            verify_cover_certificate(build_cover(cert, 11)._replace(covector=bad))
 
     def test_round_trip_and_replay(self):
         cert = case_certificate(CASES["d"])
@@ -646,6 +653,15 @@ class TestQuotient:
             cover = build_cover(cert, p, presentation=pres)
             quotient = quotient_ske_from_cover(cover, presentation=pres)
             assert quotient.group_order == cover.cover_group_order == p * cert.group_order
+
+    def test_other_invariant_covector_refused(self):
+        # (1, 2, 3, 1) is invariant too, but the cover states the least one
+        cert = case_certificate(CASES["g"])
+        invariant = brute_invariant_covectors(homology_action(kernel_presentation(cert), 7))
+        assert invariant[0] == (1, 1, 5, 3) and (1, 2, 3, 1) in invariant
+        cover = build_cover(cert, 7)
+        with pytest.raises(ValueError, match=r"states covector\[1\] 2, recomputed 1"):
+            quotient_ske_from_cover(cover._replace(covector=(1, 2, 3, 1)))
 
     def test_tampered_cover_genus_refused(self):
         cover = build_cover(case_certificate(CASES["d"]), 5)

@@ -12,7 +12,6 @@ from surfbound.linalg import (
     nullspace_mod,
     rref_mod,
     smith_normal_form,
-    vec_mat_mod,
 )
 
 
@@ -191,8 +190,3 @@ class TestModP:
             a = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
             b = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
             assert det_mod(mat_mul_mod(a, b, p), p) == det_mod(a, p) * det_mod(b, p) % p
-
-    def test_vec_mat_is_row_action(self):
-        m = [[1, 2], [3, 4]]
-        assert vec_mat_mod([1, 1], m, 5) == (4, 1)
-        assert mat_vec_mod(m, [1, 1], 5) == (3, 2)

@@ -7,6 +7,7 @@ code that no test runs is still caught.
 import ast
 import os
 import sys
+from collections import Counter
 
 import surfbound
 
@@ -177,3 +178,44 @@ def test_decimal_alone_reads_integers_from_text():
                     and _word(node.value) == "int"]
     assert calls == ["signatures.decimal"]
     assert options == []
+
+
+def _perfbench_names():
+    # what the benchmark reaches in the package, read by path: the dotted
+    # names in trace_child.TARGETS, and the names crosscheck.py and
+    # workloads.py import or look up as attributes
+    root = os.path.join(os.path.dirname(os.path.abspath(surfbound.__file__)), "..", "..",
+                        "perfbench")
+    names = set()
+    for name in ("trace_child.py", "crosscheck.py", "workloads.py"):
+        with open(os.path.join(root, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=name)
+        if name == "trace_child.py":
+            targets = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                           and _word(node.targets[0]) == "TARGETS")
+            names.update(part for node in ast.walk(targets) if isinstance(node, ast.Constant)
+                         and isinstance(node.value, str) for part in node.value.split("."))
+        else:
+            names.update(_word(node) for node in ast.walk(tree)
+                         if isinstance(node, (ast.alias, ast.Attribute)))
+    return names
+
+
+def test_every_definition_has_a_caller():
+    # a function, method or class that nothing in the package names outside
+    # its own body is dead code, unless the benchmark uses it or it is the
+    # catalog the acceptance test c08 reads; dunder methods are called by
+    # Python itself
+    package = os.path.dirname(os.path.abspath(surfbound.__file__))
+    trees = {name: _parse(name) for name in sorted(os.listdir(package)) if name.endswith(".py")}
+    named = Counter(_word(node) for tree in trees.values() for node in ast.walk(tree))
+    allowed = _perfbench_names() | {"small_genus_catalog"}
+    uncalled = []
+    for name, tree in trees.items():
+        for fn in ast.walk(tree):
+            if (isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and not fn.name.startswith("__") and fn.name not in allowed):
+                inside = sum(_word(node) == fn.name for node in ast.walk(fn))
+                if named[fn.name] == inside:
+                    uncalled.append(f"{name[:-3]}.{fn.name}")
+    assert uncalled == []

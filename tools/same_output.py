@@ -124,8 +124,9 @@ COVER_G7 = ("cover", "--case", "g", "--prime", "7", "--json")
 CERTIFY_22 = ("certify", "--genus", "22", "--json")
 WITNESS = ("witnesses", 1, "certificate")
 # one changed field each, in an epimorphism, in a cover and its base, and in
-# the cover witness of a genus certificate; two keep every image's order and
-# break only the long relation, one with periods (an image replaced by its
+# the cover witness of a genus certificate; one cover states its other
+# invariant hyperplane, which no command prints; two keep every image's order
+# and break only the long relation, one with periods (an image replaced by its
 # inverse) and one without (a genus-2 tuple whose first commutator is a 3-cycle)
 TAMPERED = [
     Tamper(SEARCH_GL23, None, ("certificate", "kernel_genus"), 3),
@@ -137,6 +138,7 @@ TAMPERED = [
     Tamper(COVER_G7, "cover", ("base", "group"), "C6 * C2"),
     Tamper(COVER_G7, "cover", ("base", "verifier_version"), "2"),
     Tamper(COVER_G7, "cover", ("covector", 0), 2),
+    Tamper(COVER_G7, "cover", ("covector",), (1, 2, 3, 1)),
     Tamper(CERTIFY_22, "certificate", (*WITNESS, "kernel_genus"), 21),
     Tamper(CERTIFY_22, "certificate", (*WITNESS, "group"), "S3*D11"),
 ]
