@@ -6,6 +6,7 @@ Two layers:
   dihedral witness meets 4(g-1) and a discharge report shows, bound value by
   bound value, why nothing larger can act: Sylow counting, Frobenius
   complements against abelianizations, or the degree-24 orbit embedding.
+  That report is the whole record of its genus, as attained_genera returns it.
   The cover-congruence shield checks that none of the seven catalogued
   genus-2 cover cases lifts mod p.  They are not every genus-2 action: D4 on
   (2,2,2,4) and S3 on (2,2,3,3) contain none of the seven groups and go
@@ -146,10 +147,22 @@ class DischargeEntry(NamedTuple):
 
 
 class DischargeReport(NamedTuple):
+    """The ledger of prime p, the whole record of the attained genus p + 1:
+    bound is the order 4p the dihedral witness attains there, and the bounds
+    field holds the table values s whose orders p*s the entries discharge."""
+
     prime: int
     bounds: tuple
     entries: tuple
     complete: bool
+
+    @property
+    def genus(self):
+        return self.prime + 1
+
+    @property
+    def bound(self):
+        return 4 * self.prime
 
     def to_dict(self):
         return dict(self._asdict(), bounds=list(self.bounds),
@@ -213,26 +226,9 @@ def discharge_prime(p):
                            complete=complete)
 
 
-class AttainedGenus(NamedTuple):
-    genus: int
-    prime: int
-    bound: int
-    discharge: DischargeReport
-
-    @property
-    def complete(self):
-        return self.discharge.complete
-
-
 def attained_genera(limit):
-    """All genera g <= limit where the bound 4(g-1) is met exactly."""
-    out = []
-    for g in range(2, limit + 1):
-        p = g - 1
-        if attained_prime(p):
-            out.append(AttainedGenus(genus=g, prime=p, bound=4 * p,
-                                     discharge=discharge_prime(p)))
-    return out
+    """The ledgers of the genera g <= limit where 4(g-1) is exact, ascending."""
+    return [discharge_prime(p) for p in range(1, limit) if attained_prime(p)]
 
 
 class GenusWitness(NamedTuple):
@@ -287,9 +283,6 @@ class GenusCertificate(NamedTuple):
         )
 
 
-CATALOG_RANGE = range(2, 24)
-
-
 def _search_witness(sig, descriptor):
     group = construct(descriptor)
     images = search_ske(sig, group, mode="first")
@@ -339,12 +332,10 @@ CATALOG_ROUTES = {
 def certify_genus(g):
     """Certificate for the best known automorphism count at genus g.
 
-    Always contains the dihedral witness of order 4(g-1); catalogued genera
-    add the stronger explicit action.  For attained genera the discharge
-    report documents exactness of 4(g-1).
+    Always contains the dihedral witness of order 4(g-1), whose builder
+    refuses g < 2; catalogued genera add the stronger explicit action.  For
+    attained genera the discharge report documents exactness of 4(g-1).
     """
-    if g < 2:
-        raise ValueError(f"need genus >= 2, got {g}")
     witnesses = [GenusWitness(route="dihedral-family", certificate=dihedral_witness_ske(g))]
     witnesses += [build(*args) for build, *args in CATALOG_ROUTES.get(g, ())]
     return _genus_certificate(g, witnesses)
@@ -354,7 +345,7 @@ def _genus_certificate(genus, witnesses):
     """What these witnesses certify at this genus: the bound is their largest
     order, and an attained genus carries its discharge ledger.  ValueError
     unless the dihedral witness is among them and, at an attained genus, the
-    bound is exactly 4(g-1) and the ledger complete."""
+    bound is exactly the ledger's and the ledger complete."""
     if not witnesses:
         raise ValueError("certificate has no witnesses")
     if "dihedral-family" not in [w.route for w in witnesses]:
@@ -362,7 +353,7 @@ def _genus_certificate(genus, witnesses):
     bound = max(w.certificate.group_order for w in witnesses)
     attained = attained_prime(genus - 1)
     discharge = discharge_prime(genus - 1) if attained else None
-    if attained and bound != 4 * (genus - 1):
+    if attained and bound != discharge.bound:
         raise ValueError("attained genus must have bound exactly 4(g-1)")
     if attained and not discharge.complete:
         raise ValueError("attained genus lacks a complete discharge report")
@@ -396,7 +387,7 @@ def verify_genus_certificate(cert):
 
 
 def small_genus_catalog():
-    """Certificates keyed by genus for CATALOG_RANGE, acceptance test c08's
-    entry point; the `catalog` command certifies one genus at a time instead
-    (cli._catalog_row), so as not to hold every witness group at once."""
-    return {g: certify_genus(g) for g in CATALOG_RANGE}
+    """Certificates keyed by the genera of CATALOG_ROUTES, acceptance test
+    c08's entry point; the `catalog` command certifies one genus at a time
+    instead (cli._catalog_row), so as not to hold every witness group at once."""
+    return {g: certify_genus(g) for g in CATALOG_ROUTES}

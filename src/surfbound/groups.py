@@ -1,7 +1,8 @@
 """Finite group backends for surface-kernel work.
 
 Two element models share one informal protocol (mul, inv, identity,
-element_order, contains, generates, elements, descriptor):
+element_order, contains, generates, elements, descriptor; _Group adds
+equality by descriptor and index, each element's position in elements):
 
 * PermutationGroup: elements are image tuples, eagerly enumerated by BFS
   over the generators (deterministic order).  A product x*y is one C-level
@@ -30,10 +31,10 @@ Left multiplication in the regular representation is then a homomorphism.
 
 import re
 from functools import cached_property
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 from operator import itemgetter
 
-from .signatures import decimal, resource_cap
+from .signatures import _factor, decimal, resource_cap
 
 
 class OrderCapExceeded(RuntimeError):
@@ -114,6 +115,10 @@ class _Group:
     def __hash__(self):
         return hash(self.descriptor)
 
+    @cached_property
+    def index(self):
+        return {x: i for i, x in enumerate(self.elements)}
+
 
 class PermutationGroup(_Group):
     def __init__(self, degree, generators, descriptor):
@@ -162,8 +167,7 @@ class PermutationGroup(_Group):
         # |G|/q for the least prime q dividing |G|: the largest order of a
         # proper subgroup allowed by Lagrange; 0 for the trivial group
         n = self.order
-        q = next((d for d in range(2, isqrt(n) + 1) if n % d == 0), n)
-        return n // q if n > 1 else 0
+        return n // next(iter(_factor(n))) if n > 1 else 0
 
     def generates(self, xs):
         """Whether the given elements generate the whole group.
@@ -233,10 +237,6 @@ class CyclicGroup(_Group):
         _check_order(self.descriptor, (self.n,))
         return tuple(range(self.n))
 
-    @cached_property
-    def index(self):
-        return {k: k for k in self.elements}
-
 
 class DihedralGroup(_Group):
     """D_n of order 2n, elements (i, e) standing for rotation^i * reflection^e.
@@ -303,10 +303,6 @@ class DihedralGroup(_Group):
     def elements(self):
         _check_order(self.descriptor, (2, self.n))
         return tuple((i, e) for e in (0, 1) for i in range(self.n))
-
-    @cached_property
-    def index(self):
-        return {k: i for i, k in enumerate(self.elements)}
 
 
 def perm_group(degree, generators):

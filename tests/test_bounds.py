@@ -7,9 +7,7 @@ import pytest
 
 from surfbound.bounds import (
     ATTAINED_RESIDUES,
-    CATALOG_RANGE,
     CATALOG_ROUTES,
-    AttainedGenus,
     GenusCertificate,
     GenusWitness,
     WitnessSearchFailed,
@@ -304,6 +302,12 @@ class TestAttainedGenera:
         for a in attained_genera(120):
             assert a.bound == 4 * a.prime == 4 * (a.genus - 1)
 
+    def test_genera_are_their_ledgers(self):
+        # the ledger is the whole record; test_bound_is_4p reads its genus
+        # and bound from its prime
+        ledgers = [discharge_prime(p) for p in range(300) if attained_prime(p)]
+        assert attained_genera(300) == ledgers
+
 
 EXPECTED_CATALOG_BOUNDS = {
     2: 48, 3: 32, 4: 36, 5: 24, 6: 50, 7: 36, 8: 84, 9: 48, 10: 72,
@@ -314,7 +318,7 @@ EXPECTED_CATALOG_BOUNDS = {
 
 class TestCatalog:
     def test_routes_cover_catalog_range(self):
-        assert set(CATALOG_ROUTES) == set(CATALOG_RANGE)
+        assert list(CATALOG_ROUTES) == list(range(2, 24))
 
     def test_genus10_action_is_canonical_first(self):
         # re-derive the frozen genus-10 descriptor: lexicographically first
@@ -630,10 +634,3 @@ class TestWitnessSerialization:
         back = GenusCertificate.from_dict(data)
         verify_genus_certificate(back)
         assert back.to_dict() == cert.to_dict()
-
-
-class TestAttainedGenusDataclass:
-    def test_complete_property(self):
-        a = attained_genera(24)[0]
-        assert isinstance(a, AttainedGenus)
-        assert a.complete == a.discharge.complete

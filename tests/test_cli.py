@@ -327,19 +327,54 @@ class TestSkeVerify:
         assert code == 0
         assert "certificate ok" in out
 
-    def test_astronomical_cyclic_certificate_replays(self, capsys, tmp_path):
-        # (0; N, N, N) -> cyclic:N with N = 10**20 + 1 replays in O(1)
-        # arithmetic per step, never writing the powers c_j^N out
-        n = 10**20 + 1
-        cert = {"type": "ske", "verifier_version": "1",
+    @staticmethod
+    def _cyclic(n):
+        """The certificate of (0; n, n, n) -> cyclic:n, images 1, 1, n - 2."""
+        return {"type": "ske", "verifier_version": "1",
                 "signature": {"genus": 0, "periods": [n, n, n]},
                 "group": f"cyclic:{n}", "group_order": n,
                 "images": [1, 1, n - 2], "kernel_genus": 1 + (n - 3) // 2}
+
+    def test_astronomical_cyclic_certificate_replays(self, capsys, tmp_path):
+        # N = 10**20 + 1 replays in O(1) arithmetic per step, never writing
+        # the powers c_j^N out
         path = tmp_path / "cert.json"
-        path.write_text(json.dumps(cert))
+        path.write_text(json.dumps(self._cyclic(10**20 + 1)))
         code, out, err = run(capsys, "ske", "verify", str(path))
         assert (code, err) == (0, "")
         assert "certificate ok" in out
+
+    def test_cap_hit_in_replay_exits_3(self, capsys, tmp_path):
+        # the base replays alone, but the cover's homology action enumerates
+        # its group, past the order cap: a resource cap, not a refusal
+        _, data, _ = run_json(capsys, "cover", "--case", "g", "--prime", "7", "--json")
+        doc = dict(data["cover"], base=self._cyclic(10**12 + 1))
+        path = tmp_path / "cover.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "ske", "verify", str(path))
+        assert (code, out) == (3, "")
+        assert err == "resource cap: cyclic:1000000000001 exceeds order cap 1000000\n"
+
+    def test_every_nesting_depth_is_one_line(self, capsys, tmp_path):
+        # a genus certificate's attained flag nested ever deeper: the
+        # comparison refuses it (exit 1), also where its encoder, which runs
+        # deeper in the stack than the reader, passes the recursion limit,
+        # until the reader refuses the document (exit 2)
+        _, data, _ = run_json(capsys, "certify", "--genus", "2", "--json")
+        head, tail = json.dumps(dict(data["certificate"], attained="@")).split('"@"')
+        path = tmp_path / "deep.json"
+        refusals = []
+        for depth in range(1, sys.getrecursionlimit() + 1):
+            path.write_text(head + "[" * depth + "]" * depth + tail)
+            code, out, err = run(capsys, "ske", "verify", str(path))
+            assert code in (1, 2) and (out + err).count("\n") == 1, (depth, out, err)
+            assert "Traceback" not in err
+            if code == 2:
+                break
+            refusals.append(out)
+        assert (code, out) == (2, "") and err.startswith("error: not valid JSON: ")
+        assert refusals[0].startswith("verification failed: certificate states attained")
+        assert "maximum recursion depth" in refusals[-1]
 
     def test_envelope_accepted(self, capsys, tmp_path):
         _, data, _ = run_json(capsys, "ske", "search", "--signature", "2,3,8",

@@ -12,7 +12,7 @@ NAME=value words set a variable for that command alone, as on a shell's
 command line, so the CAPPED ones compare the cap refusals.  Each
 `certify --genus g --json` output, and each first-mode `ske search ... --json`
 output, is piped into `ske verify - --json` of the same tree, and the
-TAMPERED documents, each a printed certificate with one field changed, into
+TAMPERED documents, each a printed certificate with one field set, into
 `ske verify -`, so refusals are compared as well as acceptances.  Prints every
 command whose exit code, stdout or stderr differs, with the first line of
 stdout, else stderr, where the two trees part, and exits 1 if any does,
@@ -50,12 +50,15 @@ def _workload_searches():
 
 
 # the benchmark's searches, then one in first mode, a search without periods
-# on a non-abelian group, then a witness and the count up to conjugation on
-# groups built through the numbered names, the aliases and the metacyclic
-# builder: (signature, group, options...)
+# on a non-abelian group, a search each way whose kernel genus is not an
+# integer, then a witness and the count up to conjugation on groups built
+# through the numbered names, the aliases and the metacyclic builder:
+# (signature, group, options...)
 SEARCHES = _workload_searches() + [
     ("2,3,8", "GL23"),
     ("g2", "S3", "--mode", "count", "--json"),
+    ("2,2,2,2,2", "dihedral:1"),
+    ("2,2,2,2,2", "dihedral:1", "--mode", "count"),
 ] + [(sig, group, *options) for sig, group in [
     ("2,2,2,3", "dihedral:6"),
     ("2,2,3,3", "A4"),
@@ -118,16 +121,31 @@ class Tamper(NamedTuple):
     value: object
 
 
+class Frozen(dict):
+    """A JSON object a Tamper can set, hashed by its canonical JSON."""
+
+    def __hash__(self):
+        return hash(json.dumps(self, sort_keys=True))
+
+
 SEARCH_GL23 = ("ske", "search", "--signature", "2,3,8", "--group", "GL23", "--json")
 SEARCH_G2_S3 = ("ske", "search", "--signature", "g2", "--group", "S3", "--mode", "first", "--json")
 COVER_G7 = ("cover", "--case", "g", "--prime", "7", "--json")
 CERTIFY_22 = ("certify", "--genus", "22", "--json")
 WITNESS = ("witnesses", 1, "certificate")
+BIG = 10 ** 12 + 1
+# (0; BIG, BIG, BIG) -> cyclic:BIG replays alone, but a cover of it must
+# enumerate the group, past the order cap
+CYCLIC_BASE = Frozen(type="ske", verifier_version="1",
+                     signature={"genus": 0, "periods": [BIG] * 3}, group=f"cyclic:{BIG}",
+                     group_order=BIG, images=[1, 1, BIG - 2], kernel_genus=(BIG - 1) // 2)
 # one changed field each, in an epimorphism, in a cover and its base, and in
-# the cover witness of a genus certificate; one cover states its other
-# invariant hyperplane, which no command prints; two keep every image's order
-# and break only the long relation, one with periods (an image replaced by its
-# inverse) and one without (a genus-2 tuple whose first commutator is a 3-cycle)
+# the cover witness of a genus certificate, which also gains a key the rebuild
+# lacks; one cover states its other invariant hyperplane, which no command
+# prints, and one has a base that hits a resource cap; two keep every image's
+# order and break only the long relation, one with periods (an image replaced
+# by its inverse) and one without (a genus-2 tuple whose first commutator is a
+# 3-cycle)
 TAMPERED = [
     Tamper(SEARCH_GL23, None, ("certificate", "kernel_genus"), 3),
     Tamper(SEARCH_GL23, None, ("certificate", "images", 0), tuple(range(8))),
@@ -139,8 +157,10 @@ TAMPERED = [
     Tamper(COVER_G7, "cover", ("base", "verifier_version"), "2"),
     Tamper(COVER_G7, "cover", ("covector", 0), 2),
     Tamper(COVER_G7, "cover", ("covector",), (1, 2, 3, 1)),
+    Tamper(COVER_G7, "cover", ("base",), CYCLIC_BASE),
     Tamper(CERTIFY_22, "certificate", (*WITNESS, "kernel_genus"), 21),
     Tamper(CERTIFY_22, "certificate", (*WITNESS, "group"), "S3*D11"),
+    Tamper(CERTIFY_22, "certificate", (*WITNESS, "hurwitz"), True),
 ]
 
 
