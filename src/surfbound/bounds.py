@@ -35,8 +35,8 @@ from .groups import construct
 # crosscheck and tracer import it from this module
 from .signatures import (Signature, _divisors, _factor, abelianization, bound_constants,
                          is_prime, signature_table)
-from .ske import (DIHEDRAL_SIGNATURE, SkeCertificate, check_recorded, dihedral_witness_ske,
-                  int_field, list_field, search_ske, verify_certificate, verify_ske)
+from .ske import (DIHEDRAL_SIGNATURE, SKE, Schema, SkeCertificate, dihedral_witness_ske,
+                  search_ske, verify_certificate, verify_ske)
 
 ATTAINED_RESIDUES = (23, 47, 59)
 
@@ -135,16 +135,6 @@ class DischargeEntry(NamedTuple):
     def to_dict(self):
         return dict(self._asdict(), bounds_covered=list(self.bounds_covered))
 
-    @staticmethod
-    def from_dict(data):
-        return DischargeEntry(
-            prime=data["prime"],
-            method=data["method"],
-            bounds_covered=list_field(data, "bounds_covered"),
-            facts=data["facts"],
-            ok=data["ok"],
-        )
-
 
 class DischargeReport(NamedTuple):
     """The ledger of prime p, the whole record of the attained genus p + 1:
@@ -167,15 +157,6 @@ class DischargeReport(NamedTuple):
     def to_dict(self):
         return dict(self._asdict(), bounds=list(self.bounds),
                     entries=[e.to_dict() for e in self.entries])
-
-    @staticmethod
-    def from_dict(data):
-        return DischargeReport(
-            prime=data["prime"],
-            bounds=list_field(data, "bounds"),
-            entries=tuple(DischargeEntry.from_dict(e) for e in list_field(data, "entries")),
-            complete=data["complete"],
-        )
 
 
 def discharge_prime(p):
@@ -234,9 +215,9 @@ def attained_genera(limit):
 class GenusWitness(NamedTuple):
     """A route name and its certificate, which is the whole evidence.
 
-    from_dict reads only those two keys.  The "detail" key that older
-    versions wrote was never verified, and `ske verify` refuses a document
-    that still carries it, since no rebuild prints it.
+    The "detail" key that older versions wrote was never verified, and
+    `ske verify` refuses a document that still carries it, since no rebuild
+    prints it.
     """
 
     route: str
@@ -245,42 +226,44 @@ class GenusWitness(NamedTuple):
     def to_dict(self):
         return dict(self._asdict(), certificate=self.certificate.to_dict())
 
-    @staticmethod
-    def from_dict(data):
-        if data["route"] not in ("dihedral-family", "ske-search", "homology-cover"):
-            raise ValueError(f"unknown witness route {data['route']!r:.60}")
-        return GenusWitness(
-            route=data["route"],
-            certificate=SkeCertificate.from_dict(data["certificate"]),
-        )
+
+def _witness(route, certificate):
+    if route not in ("dihedral-family", "ske-search", "homology-cover"):
+        raise ValueError(f"unknown witness route {route!r:.60}")
+    return GenusWitness(route, certificate)
 
 
 class GenusCertificate(NamedTuple):
-    """Best certified automorphism count for one genus, with all evidence."""
+    """Best certified automorphism count for one genus, with all evidence;
+    it is attained exactly when it carries the discharge ledger.  Read from
+    JSON, bound and discharge are None until verify_genus_certificate
+    rebuilds it."""
 
     genus: int
-    bound: int
     witnesses: tuple
-    attained: bool
-    discharge: object
+    bound: int = None
+    discharge: object = None
+
+    @property
+    def attained(self):
+        return self.discharge is not None
 
     def to_dict(self):
-        return dict(self._asdict(), type="genus",
+        return dict(self._asdict(), type="genus", attained=self.attained,
                     witnesses=[w.to_dict() for w in self.witnesses],
                     discharge=self.discharge.to_dict() if self.discharge else None)
 
-    @staticmethod
-    def from_dict(data):
-        if data.get("type") != "genus":
-            raise ValueError(f"not a genus certificate: {data.get('type')!r}")
-        return GenusCertificate(
-            genus=int_field(data, "genus"),
-            bound=int_field(data, "bound"),
-            witnesses=tuple(GenusWitness.from_dict(w) for w in list_field(data, "witnesses")),
-            attained=data["attained"],
-            discharge=(None if data["discharge"] is None
-                       else DischargeReport.from_dict(data["discharge"])),
-        )
+
+# the ledger is typed, as a malformed one is refused before any replay, but
+# never decoded: it is only rebuilt and compared
+_ENTRY = Schema(None, {}, {"prime": object, "method": object, "bounds_covered": list,
+                           "facts": object, "ok": object})
+_LEDGER = Schema(None, {}, {"prime": object, "bounds": list, "entries": [_ENTRY],
+                            "complete": object})
+GENUS = Schema("genus",
+               {"genus": int,
+                "witnesses": [Schema(None, {"route": object, "certificate": SKE}, {}, _witness)]},
+               {"bound": int, "attained": object, "discharge": (None, _LEDGER)}, GenusCertificate)
 
 
 def _search_witness(sig, descriptor):
@@ -351,39 +334,37 @@ def _genus_certificate(genus, witnesses):
     if "dihedral-family" not in [w.route for w in witnesses]:
         raise ValueError("certificate is missing the dihedral witness")
     bound = max(w.certificate.group_order for w in witnesses)
-    attained = attained_prime(genus - 1)
-    discharge = discharge_prime(genus - 1) if attained else None
-    if attained and bound != discharge.bound:
+    discharge = discharge_prime(genus - 1) if attained_prime(genus - 1) else None
+    if discharge and bound != discharge.bound:
         raise ValueError("attained genus must have bound exactly 4(g-1)")
-    if attained and not discharge.complete:
+    if discharge and not discharge.complete:
         raise ValueError("attained genus lacks a complete discharge report")
-    return GenusCertificate(genus, bound, tuple(witnesses), attained, discharge)
+    return GenusCertificate(genus, tuple(witnesses), bound, discharge)
 
 
 def verify_genus_certificate(cert):
-    """Replay every witness of a genus certificate (arithmetic signature,
-    replay, kernel genus), rebuild the certificate from them with the
-    builder, which makes the genus-level refusals, and compare the two
-    documents whole (check_recorded); returns cert itself."""
+    """Rebuild a genus certificate from its genus and witnesses: each witness
+    is checked (arithmetic signature, replay, kernel genus), and the builder,
+    which makes the genus-level refusals, rebuilds the record from the
+    replayed witnesses, bound and ledger included."""
     arithmetic = {row.signature for row in signature_table()}
+    replayed = []
     for w in cert.witnesses:
         sig = w.certificate.signature
         if sig not in arithmetic and (w.route, sig) != ("dihedral-family", DIHEDRAL_SIGNATURE):
             raise ValueError(f"witness {w.route} has signature {sig}, not an arithmetic one")
-        replayed = verify_certificate(w.certificate)
-        if replayed.kernel_genus != cert.genus:
+        replayed.append(w._replace(certificate=verify_certificate(w.certificate)))
+        if replayed[-1].certificate.kernel_genus != cert.genus:
             raise ValueError(
-                f"witness {w.route} has kernel genus {replayed.kernel_genus}, "
+                f"witness {w.route} has kernel genus {replayed[-1].certificate.kernel_genus}, "
                 f"certificate claims genus {cert.genus}"
             )
     # rebuilt from the certificate's own witnesses, which need not be the
     # catalog's, but with the dihedral witness of this genus for each
     # dihedral-family one
     dihedral = GenusWitness("dihedral-family", dihedral_witness_ske(cert.genus))
-    fresh = _genus_certificate(cert.genus, [dihedral if w.route == dihedral.route else w
-                                            for w in cert.witnesses])
-    check_recorded(cert.to_dict(), fresh.to_dict())
-    return cert
+    return _genus_certificate(cert.genus, [dihedral if w.route == dihedral.route else w
+                                           for w in replayed])
 
 
 def small_genus_catalog():

@@ -12,8 +12,9 @@ certificates that need a cover witness or a discharge ledger load covers and
 linalg.
 
 `ske verify` takes a certificate bare or in the --json output of `certify`
-or a first-mode `ske search`, and passes it exactly when its rebuild prints
-the same canonical JSON, every key of that output around it included.  A
+or a first-mode `ske search`, reads it by the schema its type names
+(CERTIFICATES), and passes it exactly when its rebuild prints the same
+canonical JSON, every key of that output around it included.  A
 corrupt packaged table fails the verifier, not the certificate: it ends
 `ske verify` as it ends every other reader of the table, with exit 1 and
 "table data corrupt".
@@ -209,28 +210,27 @@ def cmd_ske_search(args):
         f"images {[element_data(x) for x in result]}",
         f"kernel genus {cert.kernel_genus}",
     ]
-    return _search_payload(sig, group.descriptor, args.mode, args.dedup, cert), lines
+    return _search_payload(sig, group.descriptor, args.mode, args.dedup, cert.to_dict()), lines
 
 
-def _search_payload(sig, descriptor, mode, dedup, cert=None):
+def _search_payload(sig, descriptor, mode, dedup, doc=None):
     # what ske search --json prints before its answer, and all of it when a
-    # first-mode search found cert
+    # first-mode search found the certificate printed as doc
     payload = {"command": "ske-search", "signature": str(sig), "group": descriptor,
                "mode": mode, "dedup": dedup}
-    return payload if cert is None else dict(payload, found=True, certificate=cert.to_dict())
+    return payload if doc is None else dict(payload, found=True, certificate=doc)
 
 
-def _certify_payload(cert):
-    return {"command": "certify", "certificate": cert.to_dict(),
-            "lower_bound_only": not cert.attained}
+def _certify_payload(cert, doc):
+    return {"command": "certify", "certificate": doc, "lower_bound_only": not cert.attained}
 
 
-def _envelope(kind, cert):
-    # what prints cert under "certificate": certify a genus certificate, a
-    # first-mode search an epimorphism, and no command a cover certificate
-    payload = (_certify_payload(cert) if kind == "genus" else
-               _search_payload(cert.signature, cert.group_descriptor, "first", False, cert)
-               if kind == "ske" else {"certificate": cert.to_dict()})
+def _envelope(kind, cert, doc):
+    # what prints cert, as doc, under "certificate": certify a genus
+    # certificate, a first-mode search an epimorphism, and no command a cover
+    payload = (_certify_payload(cert, doc) if kind == "genus" else
+               _search_payload(cert.signature, cert.group_descriptor, "first", False, doc)
+               if kind == "ske" else {"certificate": doc})
     return dict(payload, schema_version=SCHEMA_VERSION)
 
 
@@ -247,9 +247,24 @@ def _load_json(path):
         raise UsageError(f"not valid JSON: {exc}")
 
 
+# each certificate type: the module that defines it, its schema there, its
+# verifier, which rebuilds the record from the inputs the schema decodes,
+# and the summary of a verified one
+CERTIFICATES = {
+    "ske": ("ske", "SKE", "verify_certificate",
+            lambda c: f"ske {c.signature} -> {c.group_descriptor}"
+                      f" (order {c.group_order}, kernel genus {c.kernel_genus})"),
+    "cover": ("covers", "COVER", "verify_cover_certificate",
+              lambda c: f"cover of {c.base.signature} -> {c.base.group_descriptor}"
+                        f" mod {c.prime}: genus {c.cover_genus}, order {c.cover_group_order}"),
+    "genus": ("bounds", "GENUS", "verify_genus_certificate",
+              lambda c: f"genus {c.genus}: bound {c.bound}"),
+}
+
+
 def cmd_ske_verify(args):
     from .signatures import TableCorrupt
-    from .ske import check_recorded
+    from .ske import check_recorded, read, replay
 
     data = _load_json(args.file)
     envelope = None
@@ -258,36 +273,24 @@ def cmd_ske_verify(args):
     if not isinstance(data, dict):
         raise UsageError("certificate must be a JSON object")
     kind = data.get("type")
-    # only the module that defines the certificate type is imported
-    if kind == "ske":
-        from .ske import SkeCertificate as record, verify_certificate as verify
-    elif kind == "cover":
-        from .covers import CoverCertificate as record, verify_cover_certificate as verify
-    elif kind == "genus":
-        from .bounds import GenusCertificate as record, verify_genus_certificate as verify
-    else:
+    if type(kind) is not str or kind not in CERTIFICATES:
         raise UsageError(f"unknown certificate type {kind!r}")
+    # only the module that defines the certificate type is imported
+    name, schema, verify, describe = CERTIFICATES[kind]
+    module = __import__(f"{__package__}.{name}", fromlist=[verify])
     try:
-        cert = record.from_dict(data)
+        cert = read(getattr(module, schema), data)
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"malformed certificate: {exc!r}")
     try:
-        # the verifier compares what the parser kept, then the document read
-        # is compared whole, and an envelope by each key it has
-        cert = verify(cert)
-        check_recorded(data, cert.to_dict())
+        # the document read is compared whole with the rebuild, then an
+        # envelope by each other key it has
+        cert = replay(getattr(module, verify), cert, data)
         if envelope is not None:
-            rebuilt = _envelope(kind, cert)
+            # around the document read, which is the rebuild's now
+            rebuilt = _envelope(kind, cert, data)
             check_recorded(envelope, {key: rebuilt[key] for key in envelope if key in rebuilt})
-        if kind == "ske":
-            summary = (f"ske {cert.signature} -> {cert.group_descriptor}"
-                       f" (order {cert.group_order}, kernel genus {cert.kernel_genus})")
-        elif kind == "cover":
-            summary = (f"cover of {cert.base.signature} -> {cert.base.group_descriptor}"
-                       f" mod {cert.prime}: genus {cert.cover_genus},"
-                       f" order {cert.cover_group_order}")
-        else:
-            summary = f"genus {cert.genus}: bound {cert.bound}"
+        summary = describe(cert)
     except TableCorrupt:
         # the verifier's own data failed, not the certificate: main reports it
         raise
@@ -384,7 +387,7 @@ def cmd_certify(args):
     for w in cert.witnesses:
         lines.append(f"  {w.route:<16} order {w.certificate.group_order:>6}"
                      f"  {w.certificate.signature} -> {w.certificate.group_descriptor}")
-    return _certify_payload(cert), lines
+    return _certify_payload(cert, cert.to_dict()), lines
 
 
 def cmd_attained(args):

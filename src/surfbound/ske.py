@@ -19,6 +19,11 @@ the node budget SURFBOUND_NODE_BUDGET that signatures.resource_cap reads.
 Image tuples are indexed by the generator numbering of signatures.relators,
 hyperbolic generators first (a_1, b_1, ..., a_g, b_g), then elliptic ones in
 signature order; evaluate reads a relator under such a tuple.
+
+A certificate is its inputs.  Each certificate type has one Schema (SKE
+here, COVER in covers, GENUS in bounds), and read type-checks a JSON
+document against it and decodes the inputs alone; a verifier rebuilds the
+record from them, and replay compares the document with the rebuild, once.
 """
 
 import json
@@ -48,7 +53,9 @@ class SearchSpaceTooLarge(RuntimeError):
 
 class SkeCertificate(NamedTuple):
     """A surface-kernel epimorphism, replayable from its own data, with the
-    group verify_ske checked it in or from_dict read it in (not serialized)."""
+    group verify_ske checked it in or read decoded it in (not serialized).
+    Read from JSON, group_order and kernel_genus are None until
+    verify_certificate rebuilds it."""
 
     signature: Signature
     group_descriptor: str
@@ -74,45 +81,77 @@ class SkeCertificate(NamedTuple):
 
     @staticmethod
     def from_dict(data):
-        if not isinstance(data, dict):
-            raise TypeError("an ske certificate must be a JSON object")
-        if data.get("type") != "ske":
-            raise ValueError(f"not an ske certificate: {data.get('type')!r}")
-        sig = Signature(data["signature"]["genus"], list_field(data["signature"], "periods"))
-        if list(sig.periods) != data["signature"]["periods"]:
-            raise ValueError(f"periods must be sorted, got {data['signature']['periods']!r:.60}")
-        if not isinstance(data["group"], str):
-            raise TypeError(f"group must be a descriptor string, got {data['group']!r:.60}")
-        if not isinstance(data["verifier_version"], str):
-            raise TypeError("verifier_version must be a string, "
-                            f"got {data['verifier_version']!r:.60}")
-        group = construct(data["group"])
-        images = tuple(element_from_data(group, x) for x in list_field(data, "images"))
-        return SkeCertificate(
-            signature=sig,
-            group_descriptor=data["group"],
-            images=images,
-            group_order=int_field(data, "group_order"),
-            kernel_genus=int_field(data, "kernel_genus"),
-            group=group,
-            verifier_version=data["verifier_version"],
-        )
+        """The record of an ske certificate's inputs (read by SKE)."""
+        return read(SKE, data)
 
 
-def int_field(data, key):
-    """data[key] if it is an integer (not a bool); TypeError naming key otherwise."""
-    value = data[key]
-    if type(value) is not int:
-        raise TypeError(f"{key} must be an integer, got {value!r:.60}")
+class Schema(NamedTuple):
+    """How a record is written as a JSON object: the value of its "type" key
+    (None if it has none), the type of each input key and of each derived
+    key, and build, which makes the record from the decoded inputs alone.
+    A type is int, str, list or object (any JSON value), [t] a list of t's,
+    (None, t) null or a t, or a schema."""
+
+    tag: object
+    inputs: dict
+    derived: dict
+    build: object = None
+
+
+def read(schema, data, path=""):
+    """The record schema.build makes of data's inputs, an input of a nested
+    schema read by it first.  Every key the schema names is type-checked,
+    but only the inputs are decoded; a key it does not name is left to the
+    comparison with the rebuild.  KeyError names a missing key by its path,
+    TypeError a mistyped value, ValueError a value that does not decode."""
+    if type(data) is not dict:
+        raise TypeError(f"{path or 'certificate'} must be a JSON object, got {data!r:.60}")
+    at = f"{path}." if path else ""
+    if schema.tag is not None and data.get("type") != schema.tag:
+        raise ValueError(f"{at}type must be {schema.tag!r}, got {data.get('type')!r:.60}")
+    inputs = {}
+    for key, kind in {**schema.inputs, **schema.derived}.items():
+        if key not in data:
+            raise KeyError(at + key)
+        value = _typed(kind, data[key], at + key)
+        if key in schema.inputs:
+            inputs[key] = value
+    return schema.build(**inputs) if schema.build else None
+
+
+_NOUNS = {int: "an integer", str: "a string", list: "a list"}
+
+
+def _typed(kind, value, path):
+    if isinstance(kind, Schema):
+        return read(kind, value, path)
+    if type(kind) is tuple:
+        return None if value is None else _typed(kind[1], value, path)
+    if isinstance(kind, list):
+        return tuple(_typed(kind[0], v, f"{path}[{i}]")
+                     for i, v in enumerate(_typed(list, value, path)))
+    if kind is not object and type(value) is not kind:
+        raise TypeError(f"{path} must be {_NOUNS[kind]}, got {value!r:.60}")
     return value
 
 
-def list_field(data, key):
-    """data[key] as a tuple if it is a list; TypeError naming key otherwise."""
-    value = data[key]
-    if type(value) is not list:
-        raise TypeError(f"{key} must be a list, got {value!r:.60}")
-    return tuple(value)
+def _signature(genus, periods):
+    sig = Signature(genus, periods)
+    if sig.periods != periods:
+        raise ValueError(f"periods must be sorted, got {list(periods)!r:.60}")
+    return sig
+
+
+def _ske_inputs(signature, group, images, verifier_version):
+    built = construct(group)
+    return SkeCertificate(signature, group, tuple(element_from_data(built, x) for x in images),
+                          None, None, built, verifier_version)
+
+
+SKE = Schema("ske",
+             {"signature": Schema(None, {"genus": int, "periods": [int]}, {}, _signature),
+              "group": str, "images": list, "verifier_version": str},
+             {"group_order": int, "kernel_genus": int}, _ske_inputs)
 
 
 def evaluate(group, word, images):
@@ -162,14 +201,21 @@ def verify_ske(sig, group, images):
 
 
 def verify_certificate(cert):
-    """Replay a certificate in the group it holds; returns the fresh twin."""
+    """Replay a certificate's inputs in the group it holds; returns the
+    rebuilt record, which replay compares with what the certificate states."""
     if cert.verifier_version != VERIFIER_VERSION:
         raise ValueError(
             f"unsupported verifier_version {cert.verifier_version!r:.60}, "
             f"this verifier replays version {VERIFIER_VERSION!r}"
         )
-    fresh = verify_ske(cert.signature, cert.group, cert.images)
-    check_recorded(cert.to_dict(), fresh.to_dict())
+    return verify_ske(cert.signature, cert.group, cert.images)
+
+
+def replay(verify, cert, stated):
+    """verify's rebuild of cert, a record read from the JSON document stated,
+    once stated is found to be that rebuild's document (check_recorded)."""
+    fresh = verify(cert)
+    check_recorded(stated, fresh.to_dict())
     return fresh
 
 

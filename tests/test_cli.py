@@ -15,6 +15,10 @@ from surfbound import bounds, covers, signatures
 from surfbound.cli import build_parser, main
 
 
+# a HOSTILE_* value that deletes the key instead of setting it
+DELETE = object()
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -486,6 +490,40 @@ class TestSkeVerify:
         assert run(capsys, "ske", "verify", "-") == (0, "certificate ok: genus 22: bound 252\n", "")
         assert [d.split(":")[:2] for d in built] == [["perm", "252"]]
 
+    @staticmethod
+    def count_calls(monkeypatch, records):
+        # every call of check_recorded, wherever it is looked up, and of the
+        # to_dict of each record class
+        calls = []
+        for name, module in list(sys.modules.items()):
+            if name.startswith("surfbound") and hasattr(module, "check_recorded"):
+                original = module.check_recorded
+                monkeypatch.setattr(module, "check_recorded", lambda *a, original=original:
+                                    calls.append("check_recorded") or original(*a))
+        for record in records:
+            original = record.to_dict
+            monkeypatch.setattr(record, "to_dict", lambda self, record=record, original=original:
+                                calls.append(record.__name__) or original(self))
+        return calls
+
+    @pytest.mark.parametrize("argv, fed, record, compared", [
+        (("certify", "--genus", "22"), "certificate", "GenusCertificate", 1),
+        (("cover", "--case", "g", "--prime", "7"), "cover", "CoverCertificate", 1),
+        (("certify", "--genus", "22"), None, "GenusCertificate", 2),
+    ], ids=["genus-bare", "cover-bare", "genus-enveloped"])
+    def test_document_compared_once_with_its_rebuild(self, capsys, monkeypatch, argv, fed,
+                                                     record, compared):
+        # the reader decodes the inputs alone, so the rebuild is the one
+        # record serialized and the document read is compared with it once;
+        # an envelope adds one comparison, of its own keys
+        _, doc, _ = run_json(capsys, *argv, "--json")
+        doc = doc[fed] if fed else doc
+        calls = self.count_calls(monkeypatch, [bounds.GenusCertificate, covers.CoverCertificate])
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+        code, out, _ = run(capsys, "ske", "verify", "-")
+        assert code == 0 and out.startswith("certificate ok: ")
+        assert sorted(calls) == sorted([record] + ["check_recorded"] * compared)
+
     def test_missing_file_exits_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "ske", "verify", str(tmp_path / "none.json"))
         assert code == 2
@@ -542,12 +580,15 @@ class TestSkeVerify:
     HOSTILE_COVERS = {
         # field, tampering, exit code, named defect
         "covector-too-long": ("covector", lambda v: v + [0], 1, "covector"),
-        "covector-float": ("covector", lambda v: [float(x) for x in v], 2, "covector entries"),
-        "covector-string": ("covector", lambda v: [str(x) for x in v], 2, "covector entries"),
+        "covector-float": ("covector", lambda v: [float(x) for x in v], 2,
+                           "covector[0] must be an integer"),
+        "covector-string": ("covector", lambda v: [str(x) for x in v], 2,
+                            "covector[0] must be an integer"),
         "prime-string": ("prime", lambda v: str(v), 2, "prime must be an integer"),
         "prime-float": ("prime", lambda v: float(v), 2, "prime must be an integer"),
         "genus-string": ("cover_genus", lambda v: str(v), 2, "cover_genus must be"),
         "base-list": ("base", lambda v: [v], 2, "JSON object"),
+        "order-deleted": ("cover_group_order", DELETE, 2, "KeyError('cover_group_order')"),
     }
 
     @pytest.mark.parametrize("variant", sorted(HOSTILE_COVERS))
@@ -555,7 +596,10 @@ class TestSkeVerify:
         field, tamper, expected, defect = self.HOSTILE_COVERS[variant]
         _, data, _ = run_json(capsys, "cover", "--case", "d", "--prime", "5", "--json")
         doc = data["cover"]
-        doc[field] = tamper(doc[field])
+        if tamper is DELETE:
+            del doc[field]
+        else:
+            doc[field] = tamper(doc[field])
         path = tmp_path / "cover.json"
         path.write_text(json.dumps(doc))
         code, out, err = run(capsys, "ske", "verify", str(path))
@@ -584,7 +628,7 @@ class TestSkeVerify:
         path.write_text(json.dumps(doc))
         code, _, err = run(capsys, "ske", "verify", str(path))
         assert code == 2
-        assert "group must be a descriptor string" in err
+        assert "group must be a string" in err
 
     # the command each tampered ske certificate comes from, and the keys
     # that lead to it in the command's JSON output
@@ -626,6 +670,8 @@ class TestSkeVerify:
         "perm-false": ("GL23", "images",
                        lambda v: [[False if e == 0 else e for e in v[0]]] + v[1:], 2,
                        "not in group 'GL23'"),
+        "kernel-genus-deleted": ("GL23", "kernel_genus", DELETE, 2,
+                                 "malformed certificate: KeyError('kernel_genus')"),
     }
 
     @pytest.mark.parametrize("variant", sorted(HOSTILE_SKE))
@@ -636,7 +682,10 @@ class TestSkeVerify:
         for key in keys:
             doc = doc[key]
         assert doc["group"] == source
-        doc[field] = value(doc[field]) if callable(value) else value
+        if value is DELETE:
+            del doc[field]
+        else:
+            doc[field] = value(doc[field]) if callable(value) else value
         path = tmp_path / "cert.json"
         path.write_text(json.dumps(doc))
         code, out, err = run(capsys, "ske", "verify", str(path))
@@ -686,8 +735,9 @@ class TestSkeVerify:
         assert code == 2
         assert "genus must be an integer" in err
 
-    # genus, path to the tampered field, value, named defect; the parent
-    # read each of these loosely and printed "certificate ok"
+    # genus, path to the tampered field, value (DELETE deletes the key),
+    # named defect; an earlier reader read each route and ledger variant
+    # loosely and printed "certificate ok"
     HOSTILE_GENUS = {
         "route-int": (22, ("witnesses", 1, "route"), 1, "unknown witness route 1"),
         "route-empty": (22, ("witnesses", 1, "route"), "", "unknown witness route ''"),
@@ -701,6 +751,11 @@ class TestSkeVerify:
                                  "bounds_covered must be a list"),
         "covered-object": (24, ("discharge", "entries", 0, "bounds_covered"), {},
                            "bounds_covered must be a list"),
+        # derived keys the reader type-checks but does not decode
+        "bound-deleted": (24, ("bound",), DELETE, "KeyError('bound')"),
+        "attained-deleted": (24, ("attained",), DELETE, "KeyError('attained')"),
+        "entry-ok-deleted": (24, ("discharge", "entries", 0, "ok"), DELETE,
+                             "KeyError('discharge.entries[0].ok')"),
     }
 
     @pytest.mark.parametrize("variant", sorted(HOSTILE_GENUS))
@@ -710,7 +765,10 @@ class TestSkeVerify:
         doc = node = data["certificate"]
         for key in keys[:-1]:
             node = node[key]
-        node[keys[-1]] = value
+        if value is DELETE:
+            del node[keys[-1]]
+        else:
+            node[keys[-1]] = value
         path = tmp_path / "genus.json"
         path.write_text(json.dumps(doc))
         code, out, err = run(capsys, "ske", "verify", str(path))

@@ -6,6 +6,7 @@ import pytest
 
 from surfbound.bounds import certify_genus, small_genus_catalog
 from surfbound.covers import (
+    COVER,
     GENUS2_COVER_CASES,
     CoverCertificate,
     NotInvariant,
@@ -29,7 +30,8 @@ from surfbound.linalg import (
 )
 from surfbound import signatures
 from surfbound.signatures import Signature, is_prime, parse_signature
-from surfbound.ske import dihedral_witness_ske, search_ske, verify_certificate, verify_ske
+from surfbound.ske import (dihedral_witness_ske, read, replay, search_ske, verify_certificate,
+                           verify_ske)
 
 CASES = {case.label: case for case in GENUS2_COVER_CASES}
 
@@ -591,23 +593,25 @@ class TestBuildCover:
                         for c2 in range(11) for c3 in range(11) for c4 in range(11))
             if f not in good
         )
+        forged = build_cover(cert, 11)._replace(covector=bad)
         with pytest.raises(ValueError, match="certificate states covector"):
-            verify_cover_certificate(build_cover(cert, 11)._replace(covector=bad))
+            replay(verify_cover_certificate, forged, forged.to_dict())
 
     def test_round_trip_and_replay(self):
         cert = case_certificate(CASES["d"])
         cover = build_cover(cert, 5)
-        blob = json.dumps(cover.to_dict(), sort_keys=True)
-        back = CoverCertificate.from_dict(json.loads(blob))
-        assert back == cover
-        verify_cover_certificate(back)
+        data = json.loads(json.dumps(cover.to_dict(), sort_keys=True))
+        back = read(COVER, data)
+        assert back == CoverCertificate(cover.base._replace(group_order=None, kernel_genus=None),
+                                        cover.prime)
+        assert replay(verify_cover_certificate, back, data) == cover
 
     def test_tampered_genus_rejected(self):
         cover = build_cover(case_certificate(CASES["d"]), 5)
         data = cover.to_dict()
         data["cover_genus"] = 7
         with pytest.raises(ValueError, match="cover genus"):
-            verify_cover_certificate(CoverCertificate.from_dict(data))
+            replay(verify_cover_certificate, read(COVER, data), data)
 
 
 class TestQuotient:

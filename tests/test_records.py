@@ -5,18 +5,20 @@ import json
 
 import pytest
 
-from surfbound.bounds import GenusCertificate, bound_constants, certify_genus
+from surfbound.bounds import GENUS, bound_constants, certify_genus, verify_genus_certificate
 from surfbound.covers import (
-    CoverCertificate,
+    COVER,
     build_cover,
     case_by_label,
     case_certificate,
     homology_action,
     kernel_presentation,
+    verify_cover_certificate,
 )
 from surfbound.groups import construct
 from surfbound.signatures import Signature, measure_class
-from surfbound.ske import SkeCertificate, dihedral_witness_ske, search_ske, verify_ske
+from surfbound.ske import (SKE, Schema, SkeCertificate, dihedral_witness_ske, read, replay,
+                           search_ske, verify_certificate, verify_ske)
 
 
 def through_json(data):
@@ -89,20 +91,60 @@ class TestCertificateRoundTrips:
         sig = Signature(0, (3, 3, 4))
         for cert in (dihedral_witness_ske(24),
                      verify_ske(sig, group, search_ske(sig, group))):
-            back = SkeCertificate.from_dict(through_json(cert.to_dict()))
+            data = through_json(cert.to_dict())
+            back = replay(verify_certificate, SkeCertificate.from_dict(data), data)
             assert back == cert
             assert back.to_dict() == cert.to_dict()
 
     @pytest.mark.parametrize("label, p", [("a", 17), ("d", 5), ("g", 7)])
     def test_cover(self, label, p):
         cover = build_cover(case_certificate(case_by_label(label)), p)
-        back = CoverCertificate.from_dict(through_json(cover.to_dict()))
+        data = through_json(cover.to_dict())
+        back = replay(verify_cover_certificate, read(COVER, data), data)
         assert back == cover
         assert back.to_dict() == cover.to_dict()
 
     @pytest.mark.parametrize("genus", [16, 22, 24])
     def test_genus(self, genus):
         cert = certify_genus(genus)
-        back = GenusCertificate.from_dict(through_json(cert.to_dict()))
+        data = through_json(cert.to_dict())
+        back = replay(verify_genus_certificate, read(GENUS, data), data)
         assert back == cert
         assert back.to_dict() == cert.to_dict()
+
+
+def undeclared(kind, value, path="", seen=None):
+    """Where value, as to_dict() printed it, has other keys than its schema
+    kind declares, at every depth; seen collects the paths of the records."""
+    if type(kind) is tuple:
+        kind = None if value is None else kind[1]
+    if isinstance(kind, list):
+        return [d for i, v in enumerate(value) for d in undeclared(kind[0], v, f"{path}[{i}]", seen)]
+    if not isinstance(kind, Schema):
+        return []
+    seen.append(path)
+    assert not kind.inputs.keys() & kind.derived.keys()
+    declared = {*kind.inputs, *kind.derived, *(["type"] if kind.tag else [])}
+    found = [] if declared == set(value) else [(path, sorted(declared ^ set(value)))]
+    keys = {**kind.inputs, **kind.derived}
+    return found + [d for key in keys for d in undeclared(keys[key], value[key],
+                                                          f"{path}.{key}", seen)]
+
+
+class TestSchemas:
+    @staticmethod
+    def printed(name):
+        if name == "search":
+            sig, group = Signature(0, (2, 3, 8)), construct("GL23")
+            return SKE, verify_ske(sig, group, search_ske(sig, group))
+        if name == "cover":
+            return COVER, build_cover(case_certificate(case_by_label("g")), 7)
+        return GENUS, certify_genus(int(name))
+
+    @pytest.mark.parametrize("name", ["search", "cover", "22", "24"])
+    def test_schema_declares_every_key_printed(self, name):
+        schema, record = self.printed(name)
+        seen = []
+        assert undeclared(schema, record.to_dict(), seen=seen) == []
+        # genus 24 carries the ledger, so its entries are walked too
+        assert (".discharge.entries[0]" in seen) == (name == "24")

@@ -132,6 +132,7 @@ SEARCH_GL23 = ("ske", "search", "--signature", "2,3,8", "--group", "GL23", "--js
 SEARCH_G2_S3 = ("ske", "search", "--signature", "g2", "--group", "S3", "--mode", "first", "--json")
 COVER_G7 = ("cover", "--case", "g", "--prime", "7", "--json")
 CERTIFY_22 = ("certify", "--genus", "22", "--json")
+CERTIFY_24 = ("certify", "--genus", "24", "--json")
 WITNESS = ("witnesses", 1, "certificate")
 BIG = 10 ** 12 + 1
 # (0; BIG, BIG, BIG) -> cyclic:BIG replays alone, but a cover of it must
@@ -145,7 +146,9 @@ CYCLIC_BASE = Frozen(type="ske", verifier_version="1",
 # prints, and one has a base that hits a resource cap; two keep every image's
 # order and break only the long relation, one with periods (an image replaced
 # by its inverse) and one without (a genus-2 tuple whose first commutator is a
-# 3-cycle)
+# 3-cycle); the last three state a derived value of the right type but the
+# wrong value: a cover genus one too large (8 is right), and at an attained
+# genus a false attained flag and a false ledger entry
 TAMPERED = [
     Tamper(SEARCH_GL23, None, ("certificate", "kernel_genus"), 3),
     Tamper(SEARCH_GL23, None, ("certificate", "images", 0), tuple(range(8))),
@@ -161,6 +164,9 @@ TAMPERED = [
     Tamper(CERTIFY_22, "certificate", (*WITNESS, "kernel_genus"), 21),
     Tamper(CERTIFY_22, "certificate", (*WITNESS, "group"), "S3*D11"),
     Tamper(CERTIFY_22, "certificate", (*WITNESS, "hurwitz"), True),
+    Tamper(COVER_G7, "cover", ("cover_genus",), 9),
+    Tamper(CERTIFY_24, "certificate", ("attained",), False),
+    Tamper(CERTIFY_24, "certificate", ("discharge", "entries", 0, "ok"), False),
 ]
 
 
