@@ -36,7 +36,7 @@ from .groups import construct
 from .signatures import (Signature, _divisors, _factor, abelianization, bound_constants,
                          is_prime, signature_table)
 from .ske import (DIHEDRAL_SIGNATURE, SKE, Schema, SkeCertificate, dihedral_witness_ske,
-                  search_ske, verify_certificate, verify_ske)
+                  search_ske, verify_certificate, verify_ske, write)
 
 ATTAINED_RESIDUES = (23, 47, 59)
 
@@ -132,9 +132,6 @@ class DischargeEntry(NamedTuple):
     facts: dict
     ok: bool
 
-    def to_dict(self):
-        return dict(self._asdict(), bounds_covered=list(self.bounds_covered))
-
 
 class DischargeReport(NamedTuple):
     """The ledger of prime p, the whole record of the attained genus p + 1:
@@ -155,8 +152,7 @@ class DischargeReport(NamedTuple):
         return 4 * self.prime
 
     def to_dict(self):
-        return dict(self._asdict(), bounds=list(self.bounds),
-                    entries=[e.to_dict() for e in self.entries])
+        return write(_LEDGER, self)
 
 
 def discharge_prime(p):
@@ -223,9 +219,6 @@ class GenusWitness(NamedTuple):
     route: str
     certificate: SkeCertificate
 
-    def to_dict(self):
-        return dict(self._asdict(), certificate=self.certificate.to_dict())
-
 
 def _witness(route, certificate):
     if route not in ("dihedral-family", "ske-search", "homology-cover"):
@@ -234,24 +227,25 @@ def _witness(route, certificate):
 
 
 class GenusCertificate(NamedTuple):
-    """Best certified automorphism count for one genus, with all evidence;
-    it is attained exactly when it carries the discharge ledger.  Read from
-    JSON, bound and discharge are None until verify_genus_certificate
-    rebuilds it."""
+    """Best certified automorphism count for one genus, with all evidence:
+    the bound is the largest witness order, and it is attained exactly when
+    the certificate carries the discharge ledger.  Read from JSON, discharge
+    is None until verify_genus_certificate rebuilds it."""
 
     genus: int
     witnesses: tuple
-    bound: int = None
     discharge: object = None
+
+    @property
+    def bound(self):
+        return max(w.certificate.group_order for w in self.witnesses)
 
     @property
     def attained(self):
         return self.discharge is not None
 
     def to_dict(self):
-        return dict(self._asdict(), type="genus", attained=self.attained,
-                    witnesses=[w.to_dict() for w in self.witnesses],
-                    discharge=self.discharge.to_dict() if self.discharge else None)
+        return write(GENUS, self)
 
 
 # the ledger is typed, as a malformed one is refused before any replay, but
@@ -333,13 +327,13 @@ def _genus_certificate(genus, witnesses):
         raise ValueError("certificate has no witnesses")
     if "dihedral-family" not in [w.route for w in witnesses]:
         raise ValueError("certificate is missing the dihedral witness")
-    bound = max(w.certificate.group_order for w in witnesses)
     discharge = discharge_prime(genus - 1) if attained_prime(genus - 1) else None
-    if discharge and bound != discharge.bound:
+    cert = GenusCertificate(genus, tuple(witnesses), discharge)
+    if discharge and cert.bound != discharge.bound:
         raise ValueError("attained genus must have bound exactly 4(g-1)")
     if discharge and not discharge.complete:
         raise ValueError("attained genus lacks a complete discharge report")
-    return GenusCertificate(genus, tuple(witnesses), bound, discharge)
+    return cert
 
 
 def verify_genus_certificate(cert):
@@ -348,23 +342,20 @@ def verify_genus_certificate(cert):
     which makes the genus-level refusals, rebuilds the record from the
     replayed witnesses, bound and ledger included."""
     arithmetic = {row.signature for row in signature_table()}
-    replayed = []
     for w in cert.witnesses:
         sig = w.certificate.signature
         if sig not in arithmetic and (w.route, sig) != ("dihedral-family", DIHEDRAL_SIGNATURE):
             raise ValueError(f"witness {w.route} has signature {sig}, not an arithmetic one")
-        replayed.append(w._replace(certificate=verify_certificate(w.certificate)))
-        if replayed[-1].certificate.kernel_genus != cert.genus:
-            raise ValueError(
-                f"witness {w.route} has kernel genus {replayed[-1].certificate.kernel_genus}, "
-                f"certificate claims genus {cert.genus}"
-            )
+        # a witness holds its inputs alone, so its replay rebuilds it as it is
+        if (genus := verify_certificate(w.certificate).kernel_genus) != cert.genus:
+            raise ValueError(f"witness {w.route} has kernel genus {genus}, "
+                             f"certificate claims genus {cert.genus}")
     # rebuilt from the certificate's own witnesses, which need not be the
     # catalog's, but with the dihedral witness of this genus for each
     # dihedral-family one
     dihedral = GenusWitness("dihedral-family", dihedral_witness_ske(cert.genus))
     return _genus_certificate(cert.genus, [dihedral if w.route == dihedral.route else w
-                                           for w in replayed])
+                                           for w in cert.witnesses])
 
 
 def small_genus_catalog():

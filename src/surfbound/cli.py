@@ -49,6 +49,9 @@ SCHEMA_VERSION = "1"
 # the largest attained --max: the command holds every ledger up to it and
 # prints about 11 MB there
 MAX_ATTAINED = 10 ** 6
+# ske verify refuses JSON nested deeper than this: the commands print at
+# most 8 levels (catalog and attained --json), a certificate at most 7
+MAX_NESTING = 100
 
 
 class UsageError(Exception):
@@ -229,7 +232,7 @@ def _envelope(kind, cert, doc):
     # what prints cert, as doc, under "certificate": certify a genus
     # certificate, a first-mode search an epimorphism, and no command a cover
     payload = (_certify_payload(cert, doc) if kind == "genus" else
-               _search_payload(cert.signature, cert.group_descriptor, "first", False, doc)
+               _search_payload(cert.signature, cert.group.descriptor, "first", False, doc)
                if kind == "ske" else {"certificate": doc})
     return dict(payload, schema_version=SCHEMA_VERSION)
 
@@ -237,14 +240,23 @@ def _envelope(kind, cert, doc):
 def _load_json(path):
     try:
         if path == "-":
-            return json.load(sys.stdin)
-        with open(path) as fh:
-            return json.load(fh)
+            data = json.load(sys.stdin)
+        else:
+            with open(path) as fh:
+                data = json.load(fh)
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}")
     except (ValueError, RecursionError) as exc:
         # JSONDecodeError, UnicodeDecodeError and the int digit limit are ValueErrors
         raise UsageError(f"not valid JSON: {exc}")
+    # measured level by level, so no later reader recurses past the bound
+    depth, level = 0, [data]
+    while nested := [x for x in level if isinstance(x, (dict, list))]:
+        depth += 1
+        level = [v for x in nested for v in (x.values() if isinstance(x, dict) else x)]
+    if depth > MAX_NESTING:
+        raise UsageError(f"JSON nested {depth} levels deep, more than {MAX_NESTING}")
+    return data
 
 
 # each certificate type: the module that defines it, its schema there, its
@@ -252,10 +264,10 @@ def _load_json(path):
 # and the summary of a verified one
 CERTIFICATES = {
     "ske": ("ske", "SKE", "verify_certificate",
-            lambda c: f"ske {c.signature} -> {c.group_descriptor}"
+            lambda c: f"ske {c.signature} -> {c.group.descriptor}"
                       f" (order {c.group_order}, kernel genus {c.kernel_genus})"),
     "cover": ("covers", "COVER", "verify_cover_certificate",
-              lambda c: f"cover of {c.base.signature} -> {c.base.group_descriptor}"
+              lambda c: f"cover of {c.base.signature} -> {c.base.group.descriptor}"
                         f" mod {c.prime}: genus {c.cover_genus}, order {c.cover_group_order}"),
     "genus": ("bounds", "GENUS", "verify_genus_certificate",
               lambda c: f"genus {c.genus}: bound {c.bound}"),
@@ -294,8 +306,7 @@ def cmd_ske_verify(args):
     except TableCorrupt:
         # the verifier's own data failed, not the certificate: main reports it
         raise
-    except (ValueError, RecursionError) as exc:
-        # a RecursionError is a document nested too deep for the comparison;
+    except ValueError as exc:
         # a resource cap reaches main, as in every other command
         return ({"command": "ske-verify", "ok": False, "error": str(exc)},
                 [f"verification failed: {exc}"])
@@ -386,7 +397,7 @@ def cmd_certify(args):
     lines.append("witnesses:")
     for w in cert.witnesses:
         lines.append(f"  {w.route:<16} order {w.certificate.group_order:>6}"
-                     f"  {w.certificate.signature} -> {w.certificate.group_descriptor}")
+                     f"  {w.certificate.signature} -> {w.certificate.group.descriptor}")
     return _certify_payload(cert, cert.to_dict()), lines
 
 
@@ -416,7 +427,7 @@ def _catalog_row(g):
     cert = certify_genus(g)
     best = max(cert.witnesses, key=lambda w: w.certificate.group_order)
     return cert.to_dict(), (f"g={g:>3}  bound {cert.bound:>5}  via {best.route}"
-                            f" {best.certificate.signature} -> {best.certificate.group_descriptor}")
+                            f" {best.certificate.signature} -> {best.certificate.group.descriptor}")
 
 
 def cmd_catalog(args):

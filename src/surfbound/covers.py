@@ -34,7 +34,7 @@ from .groups import _check_order, construct, perm_group, perm_inv
 from .linalg import nullspace_mod, rref_mod
 from .signatures import Signature, is_prime, kernel_genus, relators
 from .ske import (SKE, Schema, SkeCertificate, check_recorded, evaluate, verify_certificate,
-                  verify_ske)
+                  verify_ske, write)
 
 
 class NotSurfaceKernel(ValueError):
@@ -220,19 +220,24 @@ def invariant_hyperplanes(action):
 
 
 class CoverCertificate(NamedTuple):
-    """A degree-p unramified cover on which the whole group action lifts.
-    Read from JSON, the fields after base and prime are None until
-    verify_cover_certificate rebuilds it."""
+    """A degree-p unramified cover on which the whole group action lifts;
+    read from JSON, its covector is None until verify_cover_certificate
+    rebuilds it, and its genus and group order p*|Q| are derived."""
 
     base: SkeCertificate
     prime: int
     covector: tuple = None
-    cover_genus: int = None
-    cover_group_order: int = None
+
+    @property
+    def cover_group_order(self):
+        return self.prime * self.base.group_order
+
+    @property
+    def cover_genus(self):
+        return kernel_genus(self.base.signature, self.cover_group_order)
 
     def to_dict(self):
-        return dict(self._asdict(), type="cover", base=self.base.to_dict(),
-                    covector=list(self.covector))
+        return write(COVER, self)
 
 
 COVER = Schema("cover", {"base": SKE, "prime": int},
@@ -245,14 +250,8 @@ def _hyperplane(cert, p, presentation=None):
     action = homology_action(pres, p)
     if (covector := invariant_hyperplanes(action)) is None:
         raise NotInvariant(f"no invariant hyperplane mod {p} for {cert.signature} -> "
-                           f"{cert.group_descriptor}")
+                           f"{cert.group.descriptor}")
     return action, covector
-
-
-def _cover_record(cert, p, covector):
-    order = p * cert.group_order
-    return CoverCertificate(base=cert, prime=p, covector=covector,
-                            cover_genus=kernel_genus(cert.signature, order), cover_group_order=order)
 
 
 def lift(cert, p):
@@ -263,14 +262,14 @@ def lift(cert, p):
     NotInvariant when no hyperplane is invariant mod p.
     """
     action, covector = _hyperplane(cert, p)
-    cover = _cover_record(cert, p, covector)
+    cover = CoverCertificate(cert, p, covector)
     return cover, _extension(action, covector, cover.cover_genus)
 
 
 def build_cover(cert, p, presentation=None):
     """The cover certificate of the least invariant hyperplane mod p, its
     covector derived like its genus; NotInvariant when there is none."""
-    return _cover_record(cert, p, _hyperplane(cert, p, presentation)[1])
+    return CoverCertificate(cert, p, _hyperplane(cert, p, presentation)[1])
 
 
 def verify_cover_certificate(cover):
@@ -307,7 +306,7 @@ def _extension(action, f, cover_genus):
     cert, p = pres.certificate, action.prime
     n, nslots = pres.group.order, pres.nslots
     # the extension has order n*p: refuse it before its point lists exist
-    _check_order(f"extension of {cert.group_descriptor} by F_{p}", (n, p))
+    _check_order(f"extension of {cert.group.descriptor} by F_{p}", (n, p))
     phi = [sum(fi * v[col] for fi, v in zip(f, action.cocycles)) % p
            for col in range(pres.ncols)]
     # point (c, x) is c*p + x.  Reading a word moves points by a right

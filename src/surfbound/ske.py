@@ -9,7 +9,7 @@ torsion-free (surface) kernel exactly when
   * the images generate G.
 
 verify_ske checks these three conditions exactly and packages the result as
-a certificate carrying the kernel genus 1 + |G| * q.  search_ske enumerates
+a certificate, whose kernel genus is 1 + |G| * q.  search_ske enumerates
 image tuples by backtracking over conjugacy-class and centralizer-orbit
 representatives, solving the last elliptic generator from the long relation
 instead of searching it.  The backtracking is one stream of weighted
@@ -21,9 +21,9 @@ hyperbolic generators first (a_1, b_1, ..., a_g, b_g), then elliptic ones in
 signature order; evaluate reads a relator under such a tuple.
 
 A certificate is its inputs.  Each certificate type has one Schema (SKE
-here, COVER in covers, GENUS in bounds), and read type-checks a JSON
-document against it and decodes the inputs alone; a verifier rebuilds the
-record from them, and replay compares the document with the rebuild, once.
+here, COVER in covers, GENUS in bounds): read decodes a document's inputs
+by it, a verifier rebuilds the record from them, and write prints the
+rebuild by it for replay to compare with the document, once.
 """
 
 import json
@@ -52,32 +52,25 @@ class SearchSpaceTooLarge(RuntimeError):
 
 
 class SkeCertificate(NamedTuple):
-    """A surface-kernel epimorphism, replayable from its own data, with the
-    group verify_ske checked it in or read decoded it in (not serialized).
-    Read from JSON, group_order and kernel_genus are None until
-    verify_certificate rebuilds it."""
+    """A surface-kernel epimorphism, replayable from its signature, its
+    images and the group verify_ske checked it in or read decoded it in,
+    written as its descriptor; group_order and kernel_genus are derived."""
 
     signature: Signature
-    group_descriptor: str
     images: tuple
-    group_order: int
-    kernel_genus: int
     group: object
     verifier_version: str = VERIFIER_VERSION
 
+    @property
+    def group_order(self):
+        return self.group.order
+
+    @property
+    def kernel_genus(self):
+        return kernel_genus(self.signature, self.group.order)
+
     def to_dict(self):
-        return {
-            "type": "ske",
-            "verifier_version": self.verifier_version,
-            "signature": {
-                "genus": self.signature.genus,
-                "periods": list(self.signature.periods),
-            },
-            "group": self.group_descriptor,
-            "group_order": self.group_order,
-            "images": [element_data(x) for x in self.images],
-            "kernel_genus": self.kernel_genus,
-        }
+        return write(SKE, self)
 
     @staticmethod
     def from_dict(data):
@@ -87,10 +80,10 @@ class SkeCertificate(NamedTuple):
 
 class Schema(NamedTuple):
     """How a record is written as a JSON object: the value of its "type" key
-    (None if it has none), the type of each input key and of each derived
-    key, and build, which makes the record from the decoded inputs alone.
-    A type is int, str, list or object (any JSON value), [t] a list of t's,
-    (None, t) null or a t, or a schema."""
+    (None if it has none), the type of each input and derived key, which is
+    the record's attribute of that name, and build, which makes the record
+    from the decoded inputs alone.  A type is int, str, list (of elements),
+    object (any JSON value), [t] a list of t's, (None, t) null or a t, or a schema."""
 
     tag: object
     inputs: dict
@@ -135,6 +128,27 @@ def _typed(kind, value, path):
     return value
 
 
+def write(schema, record):
+    """The JSON object of record by schema, read's inverse: each key the
+    schema names is written from record's attribute of that name."""
+    data = {key: _written(kind, getattr(record, key))
+            for key, kind in {**schema.inputs, **schema.derived}.items()}
+    return data if schema.tag is None else dict(data, type=schema.tag)
+
+
+def _written(kind, value):
+    if isinstance(kind, Schema):
+        return write(kind, value)
+    if type(kind) is tuple:
+        return None if value is None else _written(kind[1], value)
+    if isinstance(kind, list):
+        return [_written(kind[0], v) for v in value]
+    if kind is list:
+        return [element_data(v) for v in value]
+    # a group is written as its descriptor, which construct reads
+    return getattr(value, "descriptor", value) if kind is str else value
+
+
 def _signature(genus, periods):
     sig = Signature(genus, periods)
     if sig.periods != periods:
@@ -144,8 +158,8 @@ def _signature(genus, periods):
 
 def _ske_inputs(signature, group, images, verifier_version):
     built = construct(group)
-    return SkeCertificate(signature, group, tuple(element_from_data(built, x) for x in images),
-                          None, None, built, verifier_version)
+    return SkeCertificate(signature, tuple(element_from_data(built, x) for x in images), built,
+                          verifier_version)
 
 
 SKE = Schema("ske",
@@ -189,15 +203,9 @@ def verify_ske(sig, group, images):
         raise LongRelationFails(f"long relation image is not the identity for {sig}")
     if not group.generates(images):
         raise NotSurjective(f"images generate a proper subgroup of {group.descriptor!r}")
-    kg = kernel_genus(sig, group.order)
-    return SkeCertificate(
-        signature=sig,
-        group_descriptor=group.descriptor,
-        images=images,
-        group_order=group.order,
-        kernel_genus=kg,
-        group=group,
-    )
+    # NonIntegralGenus here, not when the certificate's kernel_genus is read
+    kernel_genus(sig, group.order)
+    return SkeCertificate(sig, images, group)
 
 
 def verify_certificate(cert):

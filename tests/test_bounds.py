@@ -24,7 +24,7 @@ from surfbound.bounds import (
 from surfbound.covers import check_cover_cases
 from surfbound.groups import DihedralGroup
 from surfbound.signatures import BeyondWitnessRange, Signature, signature_table
-from surfbound.ske import DIHEDRAL_SIGNATURE, read, replay, verify_certificate, verify_ske
+from surfbound.ske import DIHEDRAL_SIGNATURE, read, replay, verify_certificate, verify_ske, write
 
 
 def replayed(data):
@@ -404,7 +404,7 @@ class TestCatalog:
     def test_genus_two_uses_gl23(self):
         cert = certify_genus(2)
         best = max(cert.witnesses, key=lambda w: w.certificate.group_order)
-        assert best.certificate.group_descriptor == "GL23"
+        assert best.certificate.group.descriptor == "GL23"
         assert best.certificate.group_order == 48
 
 
@@ -473,10 +473,11 @@ class TestGenusCertificateSerialization:
 
 class TestGenusCertificateTampering:
     def test_inflated_bound_rejected(self):
-        cert = certify_genus(5)
-        bad = cert._replace(bound=cert.bound + 4)
+        # the bound is derived from the witnesses, so only a document states it
+        data = certify_genus(5).to_dict()
+        data["bound"] += 4
         with pytest.raises(ValueError, match="states bound"):
-            replayed(bad.to_dict())
+            replayed(data)
 
     def test_wrong_genus_rejected(self):
         cert = certify_genus(5)
@@ -588,15 +589,16 @@ class TestGenusCertificateTampering:
                                   " 3, recomputed 1")
 
     def test_empty_witnesses_rejected(self):
-        cert = certify_genus(5)
-        bad = cert._replace(witnesses=())
+        data = certify_genus(5).to_dict()
+        data["witnesses"] = []
         with pytest.raises(ValueError, match="no witnesses"):
-            replayed(bad.to_dict())
+            replayed(data)
 
     def test_refusal_stated_bound(self):
-        bad = certify_genus(2)._replace(bound=49)
+        data = certify_genus(2).to_dict()
+        data["bound"] = 49
         with pytest.raises(ValueError) as err:
-            replayed(bad.to_dict())
+            replayed(data)
         assert str(err.value) == "certificate states bound 49, recomputed 48"
 
     def test_refusal_incomplete_ledger(self, monkeypatch):
@@ -615,7 +617,8 @@ class TestWitnessSerialization:
     def test_witness_round_trip(self):
         cert = certify_genus(2)
         w = cert.witnesses[1]
-        back = read(GENUS.inputs["witnesses"][0], json.loads(json.dumps(w.to_dict())))
+        schema = GENUS.inputs["witnesses"][0]
+        back = read(schema, json.loads(json.dumps(write(schema, w))))
         assert back.route == w.route
         assert verify_certificate(back.certificate) == w.certificate
 

@@ -12,7 +12,7 @@ import pytest
 
 import surfbound
 from surfbound import bounds, covers, signatures
-from surfbound.cli import build_parser, main
+from surfbound.cli import MAX_NESTING, build_parser, main
 
 
 # a HOSTILE_* value that deletes the key instead of setting it
@@ -361,24 +361,26 @@ class TestSkeVerify:
 
     def test_every_nesting_depth_is_one_line(self, capsys, tmp_path):
         # a genus certificate's attained flag nested ever deeper: the
-        # comparison refuses it (exit 1), also where its encoder, which runs
-        # deeper in the stack than the reader, passes the recursion limit,
-        # until the reader refuses the document (exit 2)
+        # comparison refuses it (exit 1) up to the nesting bound, the reader
+        # past it (exit 2), and the decoder at the recursion limit (exit 2)
         _, data, _ = run_json(capsys, "certify", "--genus", "2", "--json")
         head, tail = json.dumps(dict(data["certificate"], attained="@")).split('"@"')
         path = tmp_path / "deep.json"
-        refusals = []
-        for depth in range(1, sys.getrecursionlimit() + 1):
-            path.write_text(head + "[" * depth + "]" * depth + tail)
+        limit = sys.getrecursionlimit()
+        for lists in range(1, limit + 1):
+            path.write_text(head + "[" * lists + "]" * lists + tail)
             code, out, err = run(capsys, "ske", "verify", str(path))
-            assert code in (1, 2) and (out + err).count("\n") == 1, (depth, out, err)
-            assert "Traceback" not in err
-            if code == 2:
-                break
-            refusals.append(out)
-        assert (code, out) == (2, "") and err.startswith("error: not valid JSON: ")
-        assert refusals[0].startswith("verification failed: certificate states attained")
-        assert "maximum recursion depth" in refusals[-1]
+            assert (out + err).count("\n") == 1 and "Traceback" not in err, (lists, out, err)
+            # the certificate object is one level, each list another
+            depth = 1 + lists
+            if depth <= MAX_NESTING:
+                assert code == 1 and out.startswith(
+                    "verification failed: certificate states attained"), (lists, out)
+            else:
+                assert (code, out) == (2, "") and err.startswith("error: "), (lists, err)
+            if depth == MAX_NESTING + 1:
+                assert err == f"error: JSON nested {depth} levels deep, more than {MAX_NESTING}\n"
+        assert err.startswith("error: not valid JSON: ") and "maximum recursion depth" in err
 
     def test_envelope_accepted(self, capsys, tmp_path):
         _, data, _ = run_json(capsys, "ske", "search", "--signature", "2,3,8",

@@ -6,6 +6,7 @@ code that no test runs is still caught.
 
 import ast
 import os
+import re
 import sys
 from collections import Counter
 
@@ -219,3 +220,23 @@ def test_every_definition_has_a_caller():
                 if named[fn.name] == inside:
                     uncalled.append(f"{name[:-3]}.{fn.name}")
     assert uncalled == []
+
+
+def test_the_schema_writes_every_record():
+    # a certificate's format is stated once, in its schema: no record is
+    # written field by field, and each to_dict is the schema's writer
+    package = os.path.dirname(os.path.abspath(surfbound.__file__))
+    written, other = [], []
+    for name in sorted(n for n in os.listdir(package) if n.endswith(".py")):
+        with open(os.path.join(package, name), encoding="utf-8") as fh:
+            source = fh.read()
+        other += [f"{name}: _asdict("] * source.count("_asdict(")
+        for fn in ast.walk(ast.parse(source, filename=name)):
+            if isinstance(fn, ast.FunctionDef) and fn.name == "to_dict":
+                body = "\n".join(map(ast.unparse, fn.body))
+                if schema := re.fullmatch(r"return write\((\w+), self\)", body):
+                    written.append(f"{name[:-3]}.{schema[1]}")
+                else:
+                    other.append(f"{name}:{fn.lineno}: {body}")
+    assert sorted(written) == ["bounds.GENUS", "bounds._LEDGER", "covers.COVER", "ske.SKE"]
+    assert other == []

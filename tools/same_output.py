@@ -146,9 +146,11 @@ CYCLIC_BASE = Frozen(type="ske", verifier_version="1",
 # prints, and one has a base that hits a resource cap; two keep every image's
 # order and break only the long relation, one with periods (an image replaced
 # by its inverse) and one without (a genus-2 tuple whose first commutator is a
-# 3-cycle); the last three state a derived value of the right type but the
-# wrong value: a cover genus one too large (8 is right), and at an attained
-# genus a false attained flag and a false ledger entry
+# 3-cycle); the last seven state a derived value of the right type but the
+# wrong value: a cover genus one too large (8 is right), at an attained genus
+# a false attained flag and a false ledger entry, and one more than the
+# right value in a group order (48), a cover group order (84), a genus bound
+# (252) and the order of that genus certificate's cover witness (252)
 TAMPERED = [
     Tamper(SEARCH_GL23, None, ("certificate", "kernel_genus"), 3),
     Tamper(SEARCH_GL23, None, ("certificate", "images", 0), tuple(range(8))),
@@ -167,6 +169,10 @@ TAMPERED = [
     Tamper(COVER_G7, "cover", ("cover_genus",), 9),
     Tamper(CERTIFY_24, "certificate", ("attained",), False),
     Tamper(CERTIFY_24, "certificate", ("discharge", "entries", 0, "ok"), False),
+    Tamper(SEARCH_GL23, None, ("certificate", "group_order"), 49),
+    Tamper(COVER_G7, "cover", ("cover_group_order",), 85),
+    Tamper(CERTIFY_22, "certificate", ("bound",), 253),
+    Tamper(CERTIFY_22, "certificate", (*WITNESS, "group_order"), 253),
 ]
 
 
