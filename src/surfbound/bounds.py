@@ -12,9 +12,11 @@ Two layers:
   (2,2,2,4) and S3 on (2,2,3,3) contain none of the seven groups and go
   unchecked, so the ledger also assumes no omitted action lifts at p.
 * certify_genus / small_genus_catalog: per-genus certificates bundling the
-  dihedral witness with the strongest known explicit action (direct searches
-  and homology covers), all replayable; certify_genus and the verifier's
-  rebuild share one builder, the one place of the genus-level rules.
+  dihedral witness with the strongest known explicit action (found by a
+  direct search or through homology covers), each witness its replayable
+  ske certificate and the dihedral one the witness on DIHEDRAL_SIGNATURE;
+  certify_genus and the verifier's rebuild share one builder, the one place
+  of the genus-level rules.
 
 Two inputs are taken as given: the table's rows are the arithmetic
 signatures of measure below pi, and the dihedral family's (2,2,2,2,2), of
@@ -35,8 +37,8 @@ from .groups import construct
 # crosscheck and tracer import it from this module
 from .signatures import (Signature, _divisors, _factor, abelianization, bound_constants,
                          is_prime, signature_table)
-from .ske import (DIHEDRAL_SIGNATURE, SKE, Schema, SkeCertificate, dihedral_witness_ske,
-                  search_ske, verify_certificate, verify_ske, write)
+from .ske import (DIHEDRAL_SIGNATURE, SKE, Schema, dihedral_witness_ske, search_ske,
+                  verify_certificate, verify_ske, write)
 
 ATTAINED_RESIDUES = (23, 47, 59)
 
@@ -208,29 +210,12 @@ def attained_genera(limit):
     return [discharge_prime(p) for p in range(1, limit) if attained_prime(p)]
 
 
-class GenusWitness(NamedTuple):
-    """A route name and its certificate, which is the whole evidence.
-
-    The "detail" key that older versions wrote was never verified, and
-    `ske verify` refuses a document that still carries it, since no rebuild
-    prints it.
-    """
-
-    route: str
-    certificate: SkeCertificate
-
-
-def _witness(route, certificate):
-    if route not in ("dihedral-family", "ske-search", "homology-cover"):
-        raise ValueError(f"unknown witness route {route!r:.60}")
-    return GenusWitness(route, certificate)
-
-
 class GenusCertificate(NamedTuple):
     """Best certified automorphism count for one genus, with all evidence:
-    the bound is the largest witness order, and it is attained exactly when
-    the certificate carries the discharge ledger.  Read from JSON, discharge
-    is None until verify_genus_certificate rebuilds it."""
+    the witnesses are ske certificates, the dihedral one the witness on
+    DIHEDRAL_SIGNATURE; the bound is the largest witness order, and it is
+    attained exactly when the certificate carries the discharge ledger.  Read
+    from JSON, discharge is None until verify_genus_certificate rebuilds it."""
 
     genus: int
     witnesses: tuple
@@ -238,7 +223,7 @@ class GenusCertificate(NamedTuple):
 
     @property
     def bound(self):
-        return max(w.certificate.group_order for w in self.witnesses)
+        return max(w.group_order for w in self.witnesses)
 
     @property
     def attained(self):
@@ -255,8 +240,7 @@ _ENTRY = Schema(None, {}, {"prime": object, "method": object, "bounds_covered": 
 _LEDGER = Schema(None, {}, {"prime": object, "bounds": list, "entries": [_ENTRY],
                             "complete": object})
 GENUS = Schema("genus",
-               {"genus": int,
-                "witnesses": [Schema(None, {"route": object, "certificate": SKE}, {}, _witness)]},
+               {"genus": int, "witnesses": [SKE]},
                {"bound": int, "attained": object, "discharge": (None, _LEDGER)}, GenusCertificate)
 
 
@@ -265,8 +249,7 @@ def _search_witness(sig, descriptor):
     images = search_ske(sig, group, mode="first")
     if images is None:
         raise WitnessSearchFailed(f"no epimorphism {sig} -> {descriptor}")
-    cert = verify_ske(sig, group, images)
-    return GenusWitness(route="ske-search", certificate=cert)
+    return verify_ske(sig, group, images)
 
 
 def _cover_witness(label, primes):
@@ -275,7 +258,7 @@ def _cover_witness(label, primes):
     cert = case_certificate(case_by_label(label))
     for p in primes:
         cert = lift(cert, p)[1]
-    return GenusWitness(route="homology-cover", certificate=cert)
+    return cert
 
 
 # catalogued strongest witnesses for small genera, each entry its builder
@@ -313,7 +296,7 @@ def certify_genus(g):
     refuses g < 2; catalogued genera add the stronger explicit action.  For
     attained genera the discharge report documents exactness of 4(g-1).
     """
-    witnesses = [GenusWitness(route="dihedral-family", certificate=dihedral_witness_ske(g))]
+    witnesses = [dihedral_witness_ske(g)]
     witnesses += [build(*args) for build, *args in CATALOG_ROUTES.get(g, ())]
     return _genus_certificate(g, witnesses)
 
@@ -325,7 +308,7 @@ def _genus_certificate(genus, witnesses):
     bound is exactly the ledger's and the ledger complete."""
     if not witnesses:
         raise ValueError("certificate has no witnesses")
-    if "dihedral-family" not in [w.route for w in witnesses]:
+    if DIHEDRAL_SIGNATURE not in [w.signature for w in witnesses]:
         raise ValueError("certificate is missing the dihedral witness")
     discharge = discharge_prime(genus - 1) if attained_prime(genus - 1) else None
     cert = GenusCertificate(genus, tuple(witnesses), discharge)
@@ -341,20 +324,19 @@ def verify_genus_certificate(cert):
     is checked (arithmetic signature, replay, kernel genus), and the builder,
     which makes the genus-level refusals, rebuilds the record from the
     replayed witnesses, bound and ledger included."""
-    arithmetic = {row.signature for row in signature_table()}
-    for w in cert.witnesses:
-        sig = w.certificate.signature
-        if sig not in arithmetic and (w.route, sig) != ("dihedral-family", DIHEDRAL_SIGNATURE):
-            raise ValueError(f"witness {w.route} has signature {sig}, not an arithmetic one")
+    arithmetic = {row.signature for row in signature_table()} | {DIHEDRAL_SIGNATURE}
+    for i, w in enumerate(cert.witnesses):
+        if w.signature not in arithmetic:
+            raise ValueError(f"witnesses[{i}] has signature {w.signature}, not an arithmetic one")
         # a witness holds its inputs alone, so its replay rebuilds it as it is
-        if (genus := verify_certificate(w.certificate).kernel_genus) != cert.genus:
-            raise ValueError(f"witness {w.route} has kernel genus {genus}, "
+        if (genus := verify_certificate(w).kernel_genus) != cert.genus:
+            raise ValueError(f"witnesses[{i}] has kernel genus {genus}, "
                              f"certificate claims genus {cert.genus}")
     # rebuilt from the certificate's own witnesses, which need not be the
-    # catalog's, but with the dihedral witness of this genus for each
-    # dihedral-family one
-    dihedral = GenusWitness("dihedral-family", dihedral_witness_ske(cert.genus))
-    return _genus_certificate(cert.genus, [dihedral if w.route == dihedral.route else w
+    # catalog's, but with the dihedral witness of this genus for each witness
+    # on its signature
+    dihedral = dihedral_witness_ske(cert.genus)
+    return _genus_certificate(cert.genus, [dihedral if w.signature == DIHEDRAL_SIGNATURE else w
                                            for w in cert.witnesses])
 
 

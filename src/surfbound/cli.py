@@ -396,8 +396,7 @@ def cmd_certify(args):
                  if cert.attained else "lower bound only: no exactness ledger at this genus")
     lines.append("witnesses:")
     for w in cert.witnesses:
-        lines.append(f"  {w.route:<16} order {w.certificate.group_order:>6}"
-                     f"  {w.certificate.signature} -> {w.certificate.group.descriptor}")
+        lines.append(f"  order {w.group_order:>6}  {w.signature} -> {w.group.descriptor}")
     return _certify_payload(cert, cert.to_dict()), lines
 
 
@@ -425,9 +424,9 @@ def _catalog_row(g):
     from .bounds import certify_genus
 
     cert = certify_genus(g)
-    best = max(cert.witnesses, key=lambda w: w.certificate.group_order)
-    return cert.to_dict(), (f"g={g:>3}  bound {cert.bound:>5}  via {best.route}"
-                            f" {best.certificate.signature} -> {best.certificate.group.descriptor}")
+    best = max(cert.witnesses, key=lambda w: w.group_order)
+    return cert.to_dict(), (f"g={g:>3}  bound {cert.bound:>5}"
+                            f"  via {best.signature} -> {best.group.descriptor}")
 
 
 def cmd_catalog(args):

@@ -48,15 +48,14 @@ class NotInvariant(ValueError):
 class KernelPresentation(NamedTuple):
     """Cells of the cover X whose fundamental group is the kernel.
 
-    Vertex c is group.elements[c]; edge column c*nslots + s runs from c to
-    act[s][c].  relation_rows holds each distinct face once, tree columns 0.
-    tree lists a BFS spanning tree of forward edges as (vertex, parent,
-    column), the edge running from parent to vertex.  homology_dim is
+    Vertex c is certificate.group.elements[c]; edge column c*nslots + s runs
+    from c to act[s][c].  relation_rows holds each distinct face once, tree
+    columns 0.  tree lists a BFS spanning tree of forward edges as (vertex,
+    parent, column), the edge running from parent to vertex.  homology_dim is
     2*kernel_genus, the dimension H_1(K; F_p) must have at every prime p.
     """
 
     certificate: SkeCertificate
-    group: object
     nslots: int
     act: list
     act_inv: list
@@ -109,7 +108,7 @@ def kernel_presentation(cert):
 
     ncols = n * nslots
     pres = KernelPresentation(
-        certificate=cert, group=group, nslots=nslots, act=act, act_inv=act_inv,
+        certificate=cert, nslots=nslots, act=act, act_inv=act_inv,
         tree=tuple(tree), relation_rows=[], ncols=ncols,
         homology_dim=2 * cert.kernel_genus,
     )
@@ -142,7 +141,7 @@ class HomologyAction(NamedTuple):
 def homology_action(pres, p):
     if not is_prime(p):
         raise ValueError(f"modulus must be prime, got {p}")
-    group = pres.group
+    group = pres.certificate.group
     elements, index = group.elements, group.index
     nslots, act = pres.nslots, pres.act
 
@@ -199,7 +198,7 @@ def invariant_hyperplanes(action):
     reduced echelon basis, and the least over the eigenspaces is returned.
     """
     p, dim = action.prime, action.dim
-    group = action.presentation.group
+    group = action.presentation.certificate.group
     mats = action.matrices
     leaves = []
 
@@ -304,7 +303,7 @@ def _extension(action, f, cover_genus):
     kernel genus must be the stated cover_genus."""
     pres = action.presentation
     cert, p = pres.certificate, action.prime
-    n, nslots = pres.group.order, pres.nslots
+    n, nslots = cert.group.order, pres.nslots
     # the extension has order n*p: refuse it before its point lists exist
     _check_order(f"extension of {cert.group.descriptor} by F_{p}", (n, p))
     phi = [sum(fi * v[col] for fi, v in zip(f, action.cocycles)) % p

@@ -9,7 +9,6 @@ from surfbound.bounds import (
     ATTAINED_RESIDUES,
     CATALOG_ROUTES,
     GENUS,
-    GenusWitness,
     WitnessSearchFailed,
     attained_genera,
     attained_prime,
@@ -24,7 +23,8 @@ from surfbound.bounds import (
 from surfbound.covers import check_cover_cases
 from surfbound.groups import DihedralGroup
 from surfbound.signatures import BeyondWitnessRange, Signature, signature_table
-from surfbound.ske import DIHEDRAL_SIGNATURE, read, replay, verify_certificate, verify_ske, write
+from surfbound.ske import (DIHEDRAL_SIGNATURE, SKE, read, replay, verify_certificate, verify_ske,
+                           write)
 
 
 def replayed(data):
@@ -388,24 +388,24 @@ class TestCatalog:
         verify_genus_certificate(cert)
         assert cert.bound == EXPECTED_CATALOG_BOUNDS[g]
         assert cert.bound >= 4 * (g - 1)
-        routes = [w.route for w in cert.witnesses]
-        assert routes[0] == "dihedral-family"
-        assert len(routes) >= 2
+        signatures = [w.signature for w in cert.witnesses]
+        assert signatures[0] == DIHEDRAL_SIGNATURE
+        assert len(signatures) >= 2
         for w in cert.witnesses:
-            assert w.certificate.kernel_genus == g
+            assert w.kernel_genus == g
 
     def test_odd_genus_product_family(self):
         # the searched action at odd genus has order 6(g-1)
         for g in (3, 5, 7, 9, 11, 13, 15, 17, 19, 21, 23):
             cert = certify_genus(g)
-            searched = [w for w in cert.witnesses if w.route == "ske-search"]
-            assert any(w.certificate.group_order == 6 * (g - 1) for w in searched)
+            searched = [w for w in cert.witnesses if w.signature == Signature(0, (2, 2, 2, 6))]
+            assert any(w.group_order == 6 * (g - 1) for w in searched)
 
     def test_genus_two_uses_gl23(self):
         cert = certify_genus(2)
-        best = max(cert.witnesses, key=lambda w: w.certificate.group_order)
-        assert best.certificate.group.descriptor == "GL23"
-        assert best.certificate.group_order == 48
+        best = max(cert.witnesses, key=lambda w: w.group_order)
+        assert best.group.descriptor == "GL23"
+        assert best.group_order == 48
 
 
 class TestCertifyGenus:
@@ -484,12 +484,12 @@ class TestGenusCertificateTampering:
         bad = cert._replace(genus=6)
         with pytest.raises(ValueError) as err:
             replayed(bad.to_dict())
-        assert str(err.value) == ("witness dihedral-family has kernel genus 5, "
+        assert str(err.value) == ("witnesses[0] has kernel genus 5, "
                                   "certificate claims genus 6")
 
     def test_missing_dihedral_witness_rejected(self):
         cert = certify_genus(5)
-        others = tuple(w for w in cert.witnesses if w.route != "dihedral-family")
+        others = tuple(w for w in cert.witnesses if w.signature != DIHEDRAL_SIGNATURE)
         bad = cert._replace(witnesses=others)
         with pytest.raises(ValueError) as err:
             replayed(bad.to_dict())
@@ -506,7 +506,7 @@ class TestGenusCertificateTampering:
         cert = certify_genus(5)
         data = cert.to_dict()
         # claim a bigger group by doctoring the stored order
-        data["witnesses"][1]["certificate"]["group_order"] *= 2
+        data["witnesses"][1]["group_order"] *= 2
         data["bound"] *= 2
         with pytest.raises(ValueError):
             replayed(data)
@@ -580,12 +580,12 @@ class TestGenusCertificateTampering:
         group = DihedralGroup(8)
         r = (1, 0)
         images = tuple(group.mul(group.mul(r, x), group.inv(r))
-                       for x in cert.witnesses[0].certificate.images)
-        other = GenusWitness("dihedral-family", verify_ske(DIHEDRAL_SIGNATURE, group, images))
+                       for x in cert.witnesses[0].images)
+        other = verify_ske(DIHEDRAL_SIGNATURE, group, images)
         bad = cert._replace(witnesses=(other,) + cert.witnesses[1:])
         with pytest.raises(ValueError) as err:
             replayed(bad.to_dict())
-        assert str(err.value) == ("certificate states witnesses[0].certificate.images[0][0]"
+        assert str(err.value) == ("certificate states witnesses[0].images[0][0]"
                                   " 3, recomputed 1")
 
     def test_empty_witnesses_rejected(self):
@@ -614,13 +614,15 @@ class TestGenusCertificateTampering:
 
 
 class TestWitnessSerialization:
+    def test_a_witness_is_its_ske_certificate(self):
+        assert GENUS.inputs == {"genus": int, "witnesses": [SKE]}
+
     def test_witness_round_trip(self):
         cert = certify_genus(2)
         w = cert.witnesses[1]
         schema = GENUS.inputs["witnesses"][0]
         back = read(schema, json.loads(json.dumps(write(schema, w))))
-        assert back.route == w.route
-        assert verify_certificate(back.certificate) == w.certificate
+        assert verify_certificate(back) == w
 
     def test_pasted_detail_is_dropped(self):
         # older certificates carry an unverified "detail"; the reader drops

@@ -420,6 +420,7 @@ class TestSkeVerify:
         assert "cover" in out and "genus 4" in out
 
     CERTIFY_14 = ("certify", "--genus", "14")
+    CERTIFY_22 = ("certify", "--genus", "22")
     COVER_G7 = ("cover", "--case", "g", "--prime", "7")
     SEARCH_GL23 = ("ske", "search", "--signature", "2,3,8", "--group", "GL23")
 
@@ -442,9 +443,8 @@ class TestSkeVerify:
     NOT_REBUILT = {
         "top-level": (CERTIFY_14, ("certificate",), ("bound_upper",), 1092,
                       "bound_upper 1092, recomputed absent"),
-        "witness-certificate": (CERTIFY_14, ("certificate",),
-                                ("witnesses", 1, "certificate", "hurwitz"), True,
-                                "witnesses[1].certificate.hurwitz true, recomputed absent"),
+        "witness-certificate": (CERTIFY_14, ("certificate",), ("witnesses", 1, "hurwitz"), True,
+                                "witnesses[1].hurwitz true, recomputed absent"),
         "witness-detail": (CERTIFY_14, ("certificate",), ("witnesses", 1, "detail"),
                            {"case": "g", "primes": [13]},
                            'witnesses[1].detail {"case": "g", "primes": [13]}, recomputed absent'),
@@ -455,6 +455,16 @@ class TestSkeVerify:
                                       "lower bound only False, recomputed True"),
         "search-group": (SEARCH_GL23, (), ("group",), "S4", "group 'S4', recomputed 'GL23'"),
         "search-dedup": (SEARCH_GL23, (), ("dedup",), True, "dedup True, recomputed False"),
+        # a witness is its ske certificate: a route label, which witnesses
+        # once carried unchecked, is a key no rebuild prints
+        "route-int": (CERTIFY_22, ("certificate",), ("witnesses", 1, "route"), 1,
+                      "witnesses[1].route 1, recomputed absent"),
+        "route-empty": (CERTIFY_22, ("certificate",), ("witnesses", 1, "route"), "",
+                        'witnesses[1].route "", recomputed absent'),
+        "route-search": (CERTIFY_22, ("certificate",), ("witnesses", 1, "route"), "search",
+                         'witnesses[1].route "search", recomputed absent'),
+        "route-object": (CERTIFY_22, ("certificate",), ("witnesses", 1, "route"), {},
+                         "witnesses[1].route {}, recomputed absent"),
     }
 
     @pytest.mark.parametrize("variant", sorted(NOT_REBUILT))
@@ -470,6 +480,20 @@ class TestSkeVerify:
         monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
         assert run(capsys, "ske", "verify", "-") == (
             1, f"verification failed: certificate states {refusal}\n", "")
+
+    def test_route_wrapped_witnesses_exit_2(self, capsys, monkeypatch):
+        # certificates once wrapped each witness as {"route", "certificate"}
+        # and left the route unchecked; such a document is now malformed
+        _, doc, _ = run_json(capsys, "certify", "--genus", "3", "--json")
+        witnesses = doc["certificate"]["witnesses"]
+        routes = ("dihedral-family", "ske-search", "homology-cover")
+        assert len(witnesses) == len(routes)
+        doc["certificate"]["witnesses"] = [{"route": r, "certificate": w}
+                                           for r, w in zip(routes, witnesses)]
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+        assert run(capsys, "ske", "verify", "-") == (
+            2, "", "error: malformed certificate:"
+                   " ValueError(\"witnesses[0].type must be 'ske', got None\")\n")
 
     def test_envelope_of_both_repros_names_the_added_key(self, capsys, monkeypatch):
         _, doc, _ = run_json(capsys, *self.CERTIFY_14, "--json")
@@ -637,8 +661,7 @@ class TestSkeVerify:
     SKE_SOURCES = {
         "GL23": (("ske", "search", "--signature", "2,3,8", "--group", "GL23"),
                  ("certificate",)),
-        "dihedral:6": (("certify", "--genus", "4"),
-                       ("certificate", "witnesses", 0, "certificate")),
+        "dihedral:6": (("certify", "--genus", "4"), ("certificate", "witnesses", 0)),
         "cyclic:8": (("cover", "--case", "a", "--prime", "2"), ("cover", "base")),
     }
 
@@ -700,7 +723,7 @@ class TestSkeVerify:
     @pytest.mark.parametrize("argv,keys", [
         (("ske", "search", "--signature", "2,3,8", "--group", "GL23"), ("certificate",)),
         (("cover", "--case", "a", "--prime", "2"), ("cover", "base")),
-        (("certify", "--genus", "2"), ("certificate", "witnesses", 1, "certificate")),
+        (("certify", "--genus", "2"), ("certificate", "witnesses", 1)),
     ], ids=["ske", "cover-base", "genus-witness"])
     def test_periods_out_of_order_exit_2(self, capsys, tmp_path, argv, keys):
         # the images follow the periods in their stated order, so periods
@@ -738,14 +761,9 @@ class TestSkeVerify:
         assert "genus must be an integer" in err
 
     # genus, path to the tampered field, value (DELETE deletes the key),
-    # named defect; an earlier reader read each route and ledger variant
-    # loosely and printed "certificate ok"
+    # named defect; an earlier reader read each ledger variant loosely and
+    # printed "certificate ok"
     HOSTILE_GENUS = {
-        "route-int": (22, ("witnesses", 1, "route"), 1, "unknown witness route 1"),
-        "route-empty": (22, ("witnesses", 1, "route"), "", "unknown witness route ''"),
-        "route-search": (22, ("witnesses", 1, "route"), "search",
-                         "unknown witness route 'search'"),
-        "route-object": (22, ("witnesses", 1, "route"), {}, "unknown witness route {}"),
         "discharge-zero": (22, ("discharge",), 0, "malformed certificate"),
         "discharge-false": (22, ("discharge",), False, "malformed certificate"),
         "discharge-object": (22, ("discharge",), {}, "malformed certificate"),
@@ -1047,7 +1065,7 @@ class TestCatalog:
         assert code == 0
         lines = out.splitlines()
         assert [line[:5] for line in lines] == [f"g={g:>3}" for g in range(2, 24)]
-        assert "bound   360" in lines[14] and "ske-search" in lines[14]
+        assert lines[14] == "g= 16  bound   360  via (3,3,4) -> A6"
 
     @pytest.mark.parametrize("argv", [("catalog",), ("certify", "--genus", "5")])
     def test_failed_witness_search_exits_1(self, capsys, monkeypatch, argv):

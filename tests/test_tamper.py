@@ -190,10 +190,10 @@ def test_non_arithmetic_witness_refused(tmp_path):
     assert code == 0
     cert = json.loads(out)["certificate"]
     assert cert["bound"] == 196
-    cert["witnesses"].append({"route": "ske-search", "certificate": witness})
+    cert["witnesses"].append(witness)
     cert["bound"] = 1092
     file = tmp_path / "forged.json"
     file.write_text(json.dumps(cert))
     assert run(("ske", "verify", str(file))) == (
-        1, "verification failed: witness ske-search has signature (2,3,13),"
+        1, "verification failed: witnesses[1] has signature (2,3,13),"
            " not an arithmetic one\n", "")

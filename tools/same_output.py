@@ -13,10 +13,11 @@ command line, so the CAPPED ones compare the cap refusals.  Each
 `certify --genus g --json` output, and each first-mode `ske search ... --json`
 output, is piped into `ske verify - --json` of the same tree, and the
 TAMPERED documents, each a printed certificate with one field set, into
-`ske verify -`, so refusals are compared as well as acceptances.  Prints every
-command whose exit code, stdout or stderr differs, with the first line of
-stdout, else stderr, where the two trees part, and exits 1 if any does,
-else 0.
+`ske verify -`, so refusals are compared as well as acceptances; a tree
+whose printed document lacks a TAMPERED path runs nothing for it, and the
+command differs, its stderr naming the path.  Prints every command whose exit
+code, stdout or stderr differs, with the first line of stdout, else stderr,
+where the two trees part, and exits 1 if any does, else 0.
 Commands run one at a time, each once per tree; the whole list takes about
 a minute on two CPUs.
 """
@@ -133,7 +134,7 @@ SEARCH_G2_S3 = ("ske", "search", "--signature", "g2", "--group", "S3", "--mode",
 COVER_G7 = ("cover", "--case", "g", "--prime", "7", "--json")
 CERTIFY_22 = ("certify", "--genus", "22", "--json")
 CERTIFY_24 = ("certify", "--genus", "24", "--json")
-WITNESS = ("witnesses", 1, "certificate")
+WITNESS = ("witnesses", 1)
 BIG = 10 ** 12 + 1
 # (0; BIG, BIG, BIG) -> cyclic:BIG replays alone, but a cover of it must
 # enumerate the group, past the order cap
@@ -249,11 +250,14 @@ class Tree:
     def run(self, argv, stdin=None):
         if isinstance(stdin, Tamper):
             doc = json.loads(self.run(stdin.source)[1])
-            doc = doc[stdin.fed] if stdin.fed else doc
-            node = doc
-            for key in stdin.path[:-1]:
-                node = node[key]
-            node[stdin.path[-1]] = stdin.value
+            try:
+                doc = node = doc[stdin.fed] if stdin.fed else doc
+                for key in stdin.path[:-1]:
+                    node = node[key]
+                node[stdin.path[-1]] = stdin.value
+            except (KeyError, IndexError, TypeError):
+                # no exit code: the outcome of a run, even a refusal, differs
+                return None, b"", f"no {_where(stdin)} in the printed document\n".encode()
             stdin = json.dumps(doc).encode()
         elif isinstance(stdin, tuple):
             stdin = self.run(stdin)[1]
@@ -271,12 +275,15 @@ class Tree:
         return self.seen[key]
 
 
+def _where(tamper):
+    fed = [tamper.fed] if tamper.fed else []
+    return "".join(f"[{key!r}]" for key in [*fed, *tamper.path])
+
+
 def shown(argv, stdin):
     text = " ".join(argv)
     if isinstance(stdin, Tamper):
-        fed = [stdin.fed] if stdin.fed else []
-        where = "".join(f"[{key!r}]" for key in [*fed, *stdin.path])
-        return f"{' '.join(stdin.source)} | set {where} = {stdin.value!r} | {text}"
+        return f"{' '.join(stdin.source)} | set {_where(stdin)} = {stdin.value!r} | {text}"
     if isinstance(stdin, tuple):
         return f"{' '.join(stdin)} | {text}"
     return text if stdin is None else f"{text} < ladder line {stdin}"
@@ -301,7 +308,7 @@ def main(args):
     differ = 0
     for argv, stdin in todo:
         mine, theirs = here.run(argv, stdin), there.run(argv, stdin)
-        if mine != theirs:
+        if mine != theirs or mine[0] is None:
             differ += 1
             print(f"DIFFERS: {shown(argv, stdin)} (exit {mine[0]} here, {theirs[0]} there)")
             if diff := first_difference(mine, theirs):
