@@ -11,12 +11,12 @@ Two layers:
   genus-2 cover cases lifts mod p.  They are not every genus-2 action: D4 on
   (2,2,2,4) and S3 on (2,2,3,3) contain none of the seven groups and go
   unchecked, so the ledger also assumes no omitted action lifts at p.
-* certify_genus / small_genus_catalog: per-genus certificates bundling the
-  dihedral witness with the strongest known explicit action (found by a
-  direct search or through homology covers), each witness its replayable
-  ske certificate and the dihedral one the witness on DIHEDRAL_SIGNATURE;
-  certify_genus and the verifier's rebuild share one builder, the one place
-  of the genus-level rules.
+* certify_genus / small_genus_catalog: per-genus certificates, each witness
+  its replayable ske certificate: the dihedral witness, on DIHEDRAL_SIGNATURE,
+  then the strongest known explicit actions (found by a direct search or
+  through homology covers) in strictly ascending order.  certify_genus and
+  the verifier's rebuild share one builder, which puts the dihedral witness
+  first, the one place of the genus-level rules.
 
 Two inputs are taken as given: the table's rows are the arithmetic
 signatures of measure below pi, and the dihedral family's (2,2,2,2,2), of
@@ -212,10 +212,10 @@ def attained_genera(limit):
 
 class GenusCertificate(NamedTuple):
     """Best certified automorphism count for one genus, with all evidence:
-    the witnesses are ske certificates, the dihedral one the witness on
-    DIHEDRAL_SIGNATURE; the bound is the largest witness order, and it is
-    attained exactly when the certificate carries the discharge ledger.  Read
-    from JSON, discharge is None until verify_genus_certificate rebuilds it."""
+    the witnesses are ske certificates, the dihedral one first, in strictly
+    ascending order, so the bound is the last one's; it is attained exactly
+    when the certificate carries the discharge ledger.  Read from JSON,
+    discharge is None until verify_genus_certificate rebuilds it."""
 
     genus: int
     witnesses: tuple
@@ -223,7 +223,7 @@ class GenusCertificate(NamedTuple):
 
     @property
     def bound(self):
-        return max(w.group_order for w in self.witnesses)
+        return self.witnesses[-1].group_order
 
     @property
     def attained(self):
@@ -296,22 +296,16 @@ def certify_genus(g):
     refuses g < 2; catalogued genera add the stronger explicit action.  For
     attained genera the discharge report documents exactness of 4(g-1).
     """
-    witnesses = [dihedral_witness_ske(g)]
-    witnesses += [build(*args) for build, *args in CATALOG_ROUTES.get(g, ())]
-    return _genus_certificate(g, witnesses)
+    return _genus_certificate(g, [build(*args) for build, *args in CATALOG_ROUTES.get(g, ())])
 
 
 def _genus_certificate(genus, witnesses):
-    """What these witnesses certify at this genus: the bound is their largest
-    order, and an attained genus carries its discharge ledger.  ValueError
-    unless the dihedral witness is among them and, at an attained genus, the
-    bound is exactly the ledger's and the ledger complete."""
-    if not witnesses:
-        raise ValueError("certificate has no witnesses")
-    if DIHEDRAL_SIGNATURE not in [w.signature for w in witnesses]:
-        raise ValueError("certificate is missing the dihedral witness")
+    """The certificate of the dihedral witness of this genus, put first, and
+    these ascending table-row witnesses.  ValueError unless, at an attained
+    genus, the bound is exactly its ledger's and the ledger complete."""
+    witnesses = (dihedral_witness_ske(genus), *witnesses)
     discharge = discharge_prime(genus - 1) if attained_prime(genus - 1) else None
-    cert = GenusCertificate(genus, tuple(witnesses), discharge)
+    cert = GenusCertificate(genus, witnesses, discharge)
     if discharge and cert.bound != discharge.bound:
         raise ValueError("attained genus must have bound exactly 4(g-1)")
     if discharge and not discharge.complete:
@@ -320,24 +314,24 @@ def _genus_certificate(genus, witnesses):
 
 
 def verify_genus_certificate(cert):
-    """Rebuild a genus certificate from its genus and witnesses: each witness
-    is checked (arithmetic signature, replay, kernel genus), and the builder,
-    which makes the genus-level refusals, rebuilds the record from the
-    replayed witnesses, bound and ledger included."""
-    arithmetic = {row.signature for row in signature_table()} | {DIHEDRAL_SIGNATURE}
-    for i, w in enumerate(cert.witnesses):
+    """Rebuild a genus certificate: witnesses[0] must be on DIHEDRAL_SIGNATURE,
+    and each later one, before its replay, on a table row and of order above
+    the one before it.  The builder puts the dihedral witness first, so the
+    stated witnesses[0] is compared with it, never replayed."""
+    if not cert.witnesses or cert.witnesses[0].signature != DIHEDRAL_SIGNATURE:
+        raise ValueError(f"witnesses[0] must be the dihedral witness, on {DIHEDRAL_SIGNATURE}")
+    arithmetic = {row.signature for row in signature_table()}
+    for i, (before, w) in enumerate(zip(cert.witnesses, cert.witnesses[1:]), 1):
         if w.signature not in arithmetic:
             raise ValueError(f"witnesses[{i}] has signature {w.signature}, not an arithmetic one")
+        if w.group_order <= before.group_order:
+            raise ValueError(f"witnesses[{i}] has order {w.group_order}, "
+                             f"not above witnesses[{i - 1}]'s {before.group_order}")
         # a witness holds its inputs alone, so its replay rebuilds it as it is
         if (genus := verify_certificate(w).kernel_genus) != cert.genus:
             raise ValueError(f"witnesses[{i}] has kernel genus {genus}, "
                              f"certificate claims genus {cert.genus}")
-    # rebuilt from the certificate's own witnesses, which need not be the
-    # catalog's, but with the dihedral witness of this genus for each witness
-    # on its signature
-    dihedral = dihedral_witness_ske(cert.genus)
-    return _genus_certificate(cert.genus, [dihedral if w.signature == DIHEDRAL_SIGNATURE else w
-                                           for w in cert.witnesses])
+    return _genus_certificate(cert.genus, cert.witnesses[1:])
 
 
 def small_genus_catalog():

@@ -424,7 +424,7 @@ def _catalog_row(g):
     from .bounds import certify_genus
 
     cert = certify_genus(g)
-    best = max(cert.witnesses, key=lambda w: w.group_order)
+    best = cert.witnesses[-1]
     return cert.to_dict(), (f"g={g:>3}  bound {cert.bound:>5}"
                             f"  via {best.signature} -> {best.group.descriptor}")
 

@@ -8,9 +8,10 @@ the faces (c, r), each relator r that signatures.relators states read from c.
 Following Fox's free differential calculus (Ann. of Math. 57, 1953),
 H^1(K; F_p) is the space of 1-cocycles of X that vanish on a spanning tree:
 the nullspace of the distinct face rows with the tree columns zeroed, less
-those columns' unit vectors.
-Its basis is dual to 2*genus(K) non-tree ("free") edges, which also fixes the
-coordinates of H_1(K; F_p); Q acts on both by the deck maps c -> q*c of X.
+those columns' unit vectors.  Its basis is dual to 2*genus(K) non-tree
+("free") edges, which also fixes the coordinates of H_1(K; F_p); Q acts on
+both by the deck maps c -> q*c of X.  kernel_presentation holds X's edge
+action, tree and faces, and nothing its certificate already gives.
 
 A Q-invariant hyperplane W = ker(f) < H_1(K; F_p) yields an index-p subgroup
 M < K that is normal in Gamma, i.e. a degree-p unramified cover of the
@@ -49,33 +50,16 @@ class KernelPresentation(NamedTuple):
     """Cells of the cover X whose fundamental group is the kernel.
 
     Vertex c is certificate.group.elements[c]; edge column c*nslots + s runs
-    from c to act[s][c].  relation_rows holds each distinct face once, tree
-    columns 0.  tree lists a BFS spanning tree of forward edges as (vertex,
-    parent, column), the edge running from parent to vertex.  homology_dim is
-    2*kernel_genus, the dimension H_1(K; F_p) must have at every prime p.
+    from c to act[s][c], nslots = len(certificate.images).  relation_rows
+    holds each distinct face once, tree columns 0.  tree lists a BFS spanning
+    tree of forward edges as (vertex, parent, column), the edge running from
+    parent to vertex.  Everything else is read from the certificate.
     """
 
     certificate: SkeCertificate
-    nslots: int
     act: list
-    act_inv: list
     tree: tuple
     relation_rows: list
-    ncols: int
-    homology_dim: int
-
-    def rewrite(self, word, start=0):
-        """Edge chain of the path reading word from vertex start, plus its end."""
-        vec = [0] * self.ncols
-        c = start
-        for s, sign in word:
-            if sign == 1:
-                vec[c * self.nslots + s] += 1
-                c = self.act[s][c]
-            else:
-                c = self.act_inv[s][c]
-                vec[c * self.nslots + s] -= 1
-        return vec, c
 
 
 def kernel_presentation(cert):
@@ -106,18 +90,24 @@ def kernel_presentation(cert):
                 tree.append((nxt, c, c * nslots + s))
                 queue.append(nxt)
 
-    ncols = n * nslots
-    pres = KernelPresentation(
-        certificate=cert, nslots=nslots, act=act, act_inv=act_inv,
-        tree=tuple(tree), relation_rows=[], ncols=ncols,
-        homology_dim=2 * cert.kernel_genus,
-    )
+    def face(word, c):
+        # the edge chain of the path reading word from vertex c
+        vec = [0] * (n * nslots)
+        for s, sign in word:
+            if sign == 1:
+                vec[c * nslots + s] += 1
+                c = act[s][c]
+            else:
+                c = act_inv[s][c]
+                vec[c * nslots + s] -= 1
+        return tuple(vec)
+
     # reading c_j^m from each vertex of one cycle gives the same face m times
-    faces = dict.fromkeys(tuple(pres.rewrite(rel, start)[0])
+    faces = dict.fromkeys(face(rel, start)
                           for rel in relators(cert.signature) for start in range(n))
     tree_cols = {col for _, _, col in tree}
-    rows = [[0 if col in tree_cols else v for col, v in enumerate(face)] for face in faces]
-    return pres._replace(relation_rows=rows)
+    rows = [[0 if col in tree_cols else v for col, v in enumerate(row)] for row in faces]
+    return KernelPresentation(cert, act, tuple(tree), rows)
 
 
 class HomologyAction(NamedTuple):
@@ -141,17 +131,17 @@ class HomologyAction(NamedTuple):
 def homology_action(pres, p):
     if not is_prime(p):
         raise ValueError(f"modulus must be prime, got {p}")
-    group = pres.certificate.group
+    cert, act = pres.certificate, pres.act
+    group, nslots = cert.group, len(cert.images)
     elements, index = group.elements, group.index
-    nslots, act = pres.nslots, pres.act
 
     # the rows are zero on the tree columns: drop their unit vectors
-    cocycles = [phi for phi in nullspace_mod(pres.relation_rows, pres.ncols, p)
+    cocycles = [phi for phi in nullspace_mod(pres.relation_rows, group.order * nslots, p)
                 if not any(phi[col] for _, _, col in pres.tree)]
     dim = len(cocycles)
-    if dim != pres.homology_dim:
+    if dim != 2 * cert.kernel_genus:
         raise NotSurfaceKernel(
-            f"first homology mod {p} has dimension {dim}, expected {pres.homology_dim}"
+            f"first homology mod {p} has dimension {dim}, expected {2 * cert.kernel_genus}"
         )
     # nullspace_mod puts the 1 of each vector's own free column last and 0
     # in the others' free columns, so the basis is dual to these edges
@@ -303,11 +293,11 @@ def _extension(action, f, cover_genus):
     kernel genus must be the stated cover_genus."""
     pres = action.presentation
     cert, p = pres.certificate, action.prime
-    n, nslots = cert.group.order, pres.nslots
+    n, nslots = cert.group.order, len(cert.images)
     # the extension has order n*p: refuse it before its point lists exist
     _check_order(f"extension of {cert.group.descriptor} by F_{p}", (n, p))
     phi = [sum(fi * v[col] for fi, v in zip(f, action.cocycles)) % p
-           for col in range(pres.ncols)]
+           for col in range(n * nslots)]
     # point (c, x) is c*p + x.  Reading a word moves points by a right
     # action, so under (x*y)[i] = x[y[i]] the inverse permutations compose
     # as a homomorphism; images[s] sends the end of edge s back to its start.

@@ -484,7 +484,7 @@ class TestGenusCertificateTampering:
         bad = cert._replace(genus=6)
         with pytest.raises(ValueError) as err:
             replayed(bad.to_dict())
-        assert str(err.value) == ("witnesses[0] has kernel genus 5, "
+        assert str(err.value) == ("witnesses[1] has kernel genus 5, "
                                   "certificate claims genus 6")
 
     def test_missing_dihedral_witness_rejected(self):
@@ -493,7 +493,7 @@ class TestGenusCertificateTampering:
         bad = cert._replace(witnesses=others)
         with pytest.raises(ValueError) as err:
             replayed(bad.to_dict())
-        assert str(err.value) == "certificate is missing the dihedral witness"
+        assert str(err.value) == "witnesses[0] must be the dihedral witness, on (2,2,2,2,2)"
 
     def test_attained_flag_tamper_rejected(self):
         # attained is derived from the ledger, so only a document states it
@@ -591,8 +591,42 @@ class TestGenusCertificateTampering:
     def test_empty_witnesses_rejected(self):
         data = certify_genus(5).to_dict()
         data["witnesses"] = []
-        with pytest.raises(ValueError, match="no witnesses"):
+        with pytest.raises(ValueError) as err:
             replayed(data)
+        assert str(err.value) == "witnesses[0] must be the dihedral witness, on (2,2,2,2,2)"
+
+    # genus 3 states the orders 8, 12 and 32; each list below holds only
+    # witnesses certify printed, so only its order is at fault
+    REORDERED = [
+        (lambda ws: ws[::-1], "witnesses[0] must be the dihedral witness, on (2,2,2,2,2)"),
+        (lambda ws: ws + ws[1:2], "witnesses[3] has order 12, not above witnesses[2]'s 32"),
+        (lambda ws: ws[:2] + ws[1:], "witnesses[2] has order 12, not above witnesses[1]'s 12"),
+        (lambda ws: ws[1:2] + ws[:1] + ws[2:],
+         "witnesses[0] must be the dihedral witness, on (2,2,2,2,2)"),
+        (lambda ws: ws[:1] + ws[:1] + ws[1:],
+         "witnesses[1] has signature (2,2,2,2,2), not an arithmetic one"),
+    ]
+
+    @pytest.mark.parametrize("reorder,message", REORDERED,
+                             ids=["reversed", "appended", "repeated", "swapped", "dihedral-twice"])
+    def test_one_encoding_of_the_witness_list(self, reorder, message):
+        data = certify_genus(3).to_dict()
+        data["witnesses"] = reorder(data["witnesses"])
+        with pytest.raises(ValueError) as err:
+            replayed(data)
+        assert str(err.value) == message
+
+    def test_repeated_witness_refused_after_one_replay(self, monkeypatch):
+        import surfbound.bounds as bounds
+
+        data = certify_genus(3).to_dict()
+        data["witnesses"] = data["witnesses"][:1] + data["witnesses"][1:2] * 20
+        replays = []
+        verify = bounds.verify_certificate
+        monkeypatch.setattr(bounds, "verify_certificate", lambda w: replays.append(w) or verify(w))
+        with pytest.raises(ValueError, match=r"witnesses\[2\] has order 12"):
+            replayed(data)
+        assert len(replays) <= 1
 
     def test_refusal_stated_bound(self):
         data = certify_genus(2).to_dict()

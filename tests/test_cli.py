@@ -495,6 +495,18 @@ class TestSkeVerify:
             2, "", "error: malformed certificate:"
                    " ValueError(\"witnesses[0].type must be 'ske', got None\")\n")
 
+    @pytest.mark.parametrize("reorder, refusal", [
+        (lambda ws: ws[::-1], "witnesses[0] must be the dihedral witness, on (2,2,2,2,2)"),
+        (lambda ws: ws + ws[1:2], "witnesses[3] has order 12, not above witnesses[2]'s 32"),
+    ], ids=["reversed", "duplicated"])
+    def test_reordered_witnesses_exit_1(self, capsys, monkeypatch, reorder, refusal):
+        # certify prints each witness once, the dihedral one first and the
+        # orders ascending: no other list of the same witnesses verifies
+        _, doc, _ = run_json(capsys, "certify", "--genus", "3", "--json")
+        doc["certificate"]["witnesses"] = reorder(doc["certificate"]["witnesses"])
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+        assert run(capsys, "ske", "verify", "-") == (1, f"verification failed: {refusal}\n", "")
+
     def test_envelope_of_both_repros_names_the_added_key(self, capsys, monkeypatch):
         _, doc, _ = run_json(capsys, *self.CERTIFY_14, "--json")
         doc.update(lower_bound_only=False, exact=True)

@@ -9,6 +9,7 @@ from surfbound.covers import (
     COVER,
     GENUS2_COVER_CASES,
     CoverCertificate,
+    KernelPresentation,
     NotInvariant,
     NotSurfaceKernel,
     _extension,
@@ -83,6 +84,27 @@ def tree_columns(pres):
     return {col for _, _, col in pres.tree}
 
 
+def ncols(pres):
+    # one edge column per vertex and generator slot
+    return pres.certificate.group.order * len(pres.certificate.images)
+
+
+def rewrite(pres, word, start):
+    """Oracle: the edge chain of the path reading word from vertex start,
+    plus its end.  An inverse letter steps back along an edge of act, found
+    by search, so no inverse table of the runtime is read."""
+    nslots = len(pres.certificate.images)
+    vec, c = [0] * ncols(pres), start
+    for s, sign in word:
+        if sign == 1:
+            vec[c * nslots + s] += 1
+            c = pres.act[s][c]
+        else:
+            c = pres.act[s].index(c)
+            vec[c * nslots + s] -= 1
+    return vec, c
+
+
 def distinct_faces(pres):
     """Oracle: each face once, tree columns zeroed.  c_j^m read from any
     vertex of one cycle of a_j is one face, kept at the cycle's least vertex;
@@ -99,7 +121,7 @@ def distinct_faces(pres):
                     c = pres.act[2 * sig.genus + j][c]
                 if start != min(cycle):
                     continue
-            vec = pres.rewrite(word, start)[0]
+            vec = rewrite(pres, word, start)[0]
             faces.append([0 if col in tree else v for col, v in enumerate(vec)])
     return faces
 
@@ -107,9 +129,9 @@ def distinct_faces(pres):
 def unit_row_system(pres):
     """The system kernel_presentation once built: every relator read from
     every vertex, then one unit row per tree edge."""
-    rows = [pres.rewrite(word, start)[0] for word in relators(pres.certificate.signature)
+    rows = [rewrite(pres, word, start)[0] for word in relators(pres.certificate.signature)
             for start in range(pres.certificate.group.order)]
-    units = [[int(col == t) for col in range(pres.ncols)] for t in sorted(tree_columns(pres))]
+    units = [[int(col == t) for col in range(ncols(pres))] for t in sorted(tree_columns(pres))]
     return rows + units
 
 
@@ -120,7 +142,7 @@ def full_action(action):
     that M_{q*g} = M_q*M_g for every q and generator g.
     """
     pres, p = action.presentation, action.prime
-    group, nslots, act = pres.certificate.group, pres.nslots, pres.act
+    group, nslots, act = pres.certificate.group, len(pres.certificate.images), pres.act
     free = [max(j for j, v in enumerate(phi) if v) for phi in action.cocycles]
 
     def row(phi, left):
@@ -201,9 +223,9 @@ def assert_integer_homology_is_free(pres):
     # integer oracle: contracting the tree leaves one vertex, so the faces on
     # the non-tree columns present H_1(K; Z) itself
     tree = tree_columns(pres)
-    keep = [col for col in range(pres.ncols) if col not in tree]
+    keep = [col for col in range(ncols(pres)) if col not in tree]
     rows = [[row[col] for col in keep] for row in pres.relation_rows]
-    assert cokernel_invariants(rows, len(keep)) == (pres.homology_dim, ())
+    assert cokernel_invariants(rows, len(keep)) == (2 * pres.certificate.kernel_genus, ())
 
 
 # the seven cases, the six bases of the benchmark's cover ladder (a case
@@ -215,10 +237,15 @@ ACT_BASES = ([(label, lambda label=label: case_certificate(CASES[label])) for la
 
 
 class TestKernelPresentation:
+    def test_holds_only_what_costs_a_rebuild(self):
+        # the slot and column counts and the expected dimension are read
+        # from the certificate, and the inverse letters are a local step
+        assert KernelPresentation._fields == ("certificate", "act", "tree", "relation_rows")
+
     def test_v4_quintuple_shape(self):
         pres = v4_presentation()
-        assert pres.ncols == 4 * 5
-        assert pres.homology_dim == 4
+        assert ncols(pres) == 4 * 5
+        assert 2 * pres.certificate.kernel_genus == 4
         assert_integer_homology_is_free(pres)
 
     def test_schreier_count_invariant(self):
@@ -227,7 +254,7 @@ class TestKernelPresentation:
             cert = case_certificate(CASES[label])
             pres = kernel_presentation(cert)
             n = pres.certificate.group.order
-            assert pres.ncols - len(pres.tree) == 1 + n * (pres.nslots - 1)
+            assert ncols(pres) - len(pres.tree) == 1 + n * (len(cert.images) - 1)
 
     def test_tree_spans_every_vertex(self):
         for name in CERTIFICATES:
@@ -236,7 +263,7 @@ class TestKernelPresentation:
             assert len(pres.tree) == n - 1, name
             assert {v for v, _, _ in pres.tree} == set(range(1, n)), name
             for v, u, col in pres.tree:
-                c, s = divmod(col, pres.nslots)
+                c, s = divmod(col, len(pres.certificate.images))
                 assert (c, pres.act[s][c]) == (u, v)
 
     @pytest.mark.parametrize("name", CERTIFICATES)
@@ -246,34 +273,42 @@ class TestKernelPresentation:
         pres = kernel_presentation(certificate(name))
         for word in relators(pres.certificate.signature):
             for start in range(pres.certificate.group.order):
-                assert pres.rewrite(word, start)[1] == start, (word, start)
+                assert rewrite(pres, word, start)[1] == start, (word, start)
         assert pres.relation_rows == distinct_faces(pres)
 
     def test_all_cases_have_genus_two_homology(self):
         for case in GENUS2_COVER_CASES:
             pres = kernel_presentation(case_certificate(case))
-            assert pres.homology_dim == 4
+            assert 2 * pres.certificate.kernel_genus == 4
             assert_integer_homology_is_free(pres)
 
     def test_rewrite_round_trip(self):
         pres = v4_presentation()
         # a relator rewritten from any start coset comes back to it
-        vec, end = pres.rewrite(((0, 1), (0, 1)), start=2)
+        vec, end = rewrite(pres, ((0, 1), (0, 1)), start=2)
         assert end == 2
 
     def test_torsion_rejected(self):
-        # 3-torsion in the integer homology shows up as extra dimension mod 3
+        # 3-torsion in the integer homology shows up as extra dimension mod
+        # 3, against the 2*kernel_genus the certificate gives
         pres = v4_presentation()
         torsion = pres._replace(relation_rows=[[3 * v for v in row]
                                                for row in pres.relation_rows])
         assert homology_action(torsion, 5).dim == 4
-        with pytest.raises(NotSurfaceKernel, match="dimension"):
+        with pytest.raises(NotSurfaceKernel) as err:
             homology_action(torsion, 3)
+        assert str(err.value) == "first homology mod 3 has dimension 17, expected 4"
 
     def test_wrong_rank_rejected(self):
-        altered = v4_presentation()._replace(homology_dim=6)
-        with pytest.raises(NotSurfaceKernel, match="expected 6"):
+        # a unit row on one cocycle's free edge kills that cocycle: rank 3
+        # against the 2*kernel_genus = 4 the certificate gives
+        pres = v4_presentation()
+        free = max(j for j, v in enumerate(homology_action(pres, 7).cocycles[0]) if v)
+        unit = [int(col == free) for col in range(ncols(pres))]
+        altered = pres._replace(relation_rows=pres.relation_rows + [unit])
+        with pytest.raises(NotSurfaceKernel) as err:
             homology_action(altered, 7)
+        assert str(err.value) == "first homology mod 7 has dimension 3, expected 4"
 
     @pytest.mark.parametrize("build", [b for _, b in ACT_BASES], ids=[n for n, _ in ACT_BASES])
     def test_builds_no_group_and_replays_nothing(self, monkeypatch, build):
@@ -304,14 +339,17 @@ class TestKernelPresentation:
 
     @pytest.mark.parametrize("build", [b for _, b in ACT_BASES], ids=[n for n, _ in ACT_BASES])
     def test_act_inv_inverts_act(self, build):
-        # act_inv[s] is the inverse permutation of act[s]: c -> c * a_s^-1
+        # act[s] is c -> c * a_s, and the oracle's inverse step along it is
+        # c -> c * a_s^-1; the runtime's inverse letters are checked by
+        # TestUnitRowOracle on the HIGHER_GENUS bases
         pres = kernel_presentation(build())
         group = pres.certificate.group
         elements = group.elements
-        assert len(pres.act_inv) == len(pres.act) == pres.nslots
-        for x, forward, back in zip(pres.certificate.images, pres.act, pres.act_inv):
-            assert [back[c] for c in forward] == list(range(group.order))
-            assert list(back) == [group.index[group.mul(e, group.inv(x))] for e in elements]
+        assert len(pres.act) == len(pres.certificate.images)
+        for s, (x, forward) in enumerate(zip(pres.certificate.images, pres.act)):
+            assert list(forward) == [group.index[group.mul(e, x)] for e in elements]
+            back = [rewrite(pres, ((s, -1),), c)[1] for c in range(group.order)]
+            assert back == [group.index[group.mul(e, group.inv(x))] for e in elements]
 
 
 class TestUnitRowOracle:
@@ -331,7 +369,7 @@ class TestUnitRowOracle:
         for p in filter(is_prime, range(50)):
             new_action, old_action = homology_action(pres, p), homology_action(old, p)
             assert new_action.cocycles == old_action.cocycles == nullspace_mod(
-                old.relation_rows, pres.ncols, p), (name, p)
+                old.relation_rows, ncols(pres), p), (name, p)
             assert new_action.matrices == old_action.matrices, (name, p)
             assert invariant_hyperplanes(new_action) == invariant_hyperplanes(old_action)
 
@@ -683,7 +721,6 @@ class TestQuotient:
         assert quotient.group_order == 36
         assert quotient.kernel_genus == 4
         pres = kernel_presentation(quotient)
-        assert pres.homology_dim == 8
         assert homology_action(pres, 3).dim == 8
         assert_integer_homology_is_free(pres)
 

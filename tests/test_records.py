@@ -68,7 +68,7 @@ class TestOtherRecords:
         records = [
             (measure_class(Signature(0, (2, 3, 7))), "q"),
             (ske, "kernel_genus"),
-            (pres, "homology_dim"),
+            (pres, "relation_rows"),
             (homology_action(pres, 3), "dim"),
             (build_cover(case_certificate(case_by_label("d")), 5), "prime"),
             (bound_constants(), "s_max"),

@@ -240,3 +240,13 @@ def test_the_schema_writes_every_record():
                     other.append(f"{name}:{fn.lineno}: {body}")
     assert sorted(written) == ["bounds.GENUS", "bounds._LEDGER", "covers.COVER", "ske.SKE"]
     assert other == []
+
+
+def test_every_record_is_built_complete():
+    # a record is built once, with every field: no module builds one
+    # half-empty and copies it with fields replaced
+    package = os.path.dirname(os.path.abspath(surfbound.__file__))
+    replaced = [f"{name}:{node.lineno}" for name in sorted(os.listdir(package))
+                if name.endswith(".py") for node in ast.walk(_parse(name))
+                if isinstance(node, ast.Call) and _word(node.func) == "_replace"]
+    assert replaced == []

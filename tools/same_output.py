@@ -12,12 +12,13 @@ NAME=value words set a variable for that command alone, as on a shell's
 command line, so the CAPPED ones compare the cap refusals.  Each
 `certify --genus g --json` output, and each first-mode `ske search ... --json`
 output, is piped into `ske verify - --json` of the same tree, and the
-TAMPERED documents, each a printed certificate with one field set, into
-`ske verify -`, so refusals are compared as well as acceptances; a tree
-whose printed document lacks a TAMPERED path runs nothing for it, and the
-command differs, its stderr naming the path.  Prints every command whose exit
-code, stdout or stderr differs, with the first line of stdout, else stderr,
-where the two trees part, and exits 1 if any does, else 0.
+TAMPERED documents, each a printed certificate with one field set or
+rearranged, into `ske verify -`, so refusals are compared as well as
+acceptances; a tree whose printed document lacks a TAMPERED path runs
+nothing for it, and the command differs, its stderr naming the path.
+Prints every command whose exit code, stdout or stderr differs, with the
+first line of stdout, else stderr, where the two trees part, and exits 1 if
+any does, else 0.
 Commands run one at a time, each once per tree; the whole list takes about
 a minute on two CPUs.
 """
@@ -114,7 +115,8 @@ CAPPED = [(f"{name}={value}", *argv) for name in CAPS for value in ("abc", "0", 
 
 class Tamper(NamedTuple):
     """The --json output of source, or its fed key, with the value at path
-    set to value: a document `ske verify` must refuse."""
+    set to value, or to value(printed) when value is a function of the
+    printed value there: a document `ske verify` must refuse."""
 
     source: tuple
     fed: str | None
@@ -141,6 +143,16 @@ BIG = 10 ** 12 + 1
 CYCLIC_BASE = Frozen(type="ske", verifier_version="1",
                      signature={"genus": 0, "periods": [BIG] * 3}, group=f"cyclic:{BIG}",
                      group_order=BIG, images=[1, 1, BIG - 2], kernel_genus=(BIG - 1) // 2)
+
+
+def reversed_list(items):
+    return items[::-1]
+
+
+def with_witness_1_again(witnesses):
+    return witnesses + witnesses[1:2]
+
+
 # one changed field each, in an epimorphism, in a cover and its base, and in
 # the cover witness of a genus certificate, which also gains a key the rebuild
 # lacks; one cover states its other invariant hyperplane, which no command
@@ -151,7 +163,9 @@ CYCLIC_BASE = Frozen(type="ske", verifier_version="1",
 # wrong value: a cover genus one too large (8 is right), at an attained genus
 # a false attained flag and a false ledger entry, and one more than the
 # right value in a group order (48), a cover group order (84), a genus bound
-# (252) and the order of that genus certificate's cover witness (252)
+# (252) and the order of that genus certificate's cover witness (252); the
+# last two list the printed witnesses of that certificate once more, reversed
+# and with witness 1 appended again, which only one order encodes
 TAMPERED = [
     Tamper(SEARCH_GL23, None, ("certificate", "kernel_genus"), 3),
     Tamper(SEARCH_GL23, None, ("certificate", "images", 0), tuple(range(8))),
@@ -174,6 +188,8 @@ TAMPERED = [
     Tamper(COVER_G7, "cover", ("cover_group_order",), 85),
     Tamper(CERTIFY_22, "certificate", ("bound",), 253),
     Tamper(CERTIFY_22, "certificate", (*WITNESS, "group_order"), 253),
+    Tamper(CERTIFY_22, "certificate", ("witnesses",), reversed_list),
+    Tamper(CERTIFY_22, "certificate", ("witnesses",), with_witness_1_again),
 ]
 
 
@@ -254,7 +270,8 @@ class Tree:
                 doc = node = doc[stdin.fed] if stdin.fed else doc
                 for key in stdin.path[:-1]:
                     node = node[key]
-                node[stdin.path[-1]] = stdin.value
+                value = stdin.value
+                node[stdin.path[-1]] = value(node[stdin.path[-1]]) if callable(value) else value
             except (KeyError, IndexError, TypeError):
                 # no exit code: the outcome of a run, even a refusal, differs
                 return None, b"", f"no {_where(stdin)} in the printed document\n".encode()
@@ -283,7 +300,8 @@ def _where(tamper):
 def shown(argv, stdin):
     text = " ".join(argv)
     if isinstance(stdin, Tamper):
-        return f"{' '.join(stdin.source)} | set {_where(stdin)} = {stdin.value!r} | {text}"
+        value = f"{stdin.value.__name__}(...)" if callable(stdin.value) else repr(stdin.value)
+        return f"{' '.join(stdin.source)} | set {_where(stdin)} = {value} | {text}"
     if isinstance(stdin, tuple):
         return f"{' '.join(stdin)} | {text}"
     return text if stdin is None else f"{text} < ladder line {stdin}"
