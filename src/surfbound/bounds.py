@@ -7,10 +7,10 @@ Two layers:
   bound value, why nothing larger can act: Sylow counting, Frobenius
   complements against abelianizations, or the degree-24 orbit embedding.
   That report is the whole record of its genus, as attained_genera returns it.
-  The cover-congruence shield checks that none of the seven catalogued
-  genus-2 cover cases lifts mod p.  They are not every genus-2 action: D4 on
-  (2,2,2,4) and S3 on (2,2,3,3) contain none of the seven groups and go
-  unchecked, so the ledger also assumes no omitted action lifts at p.
+  The Sylow-normal step's check is the cover-congruence shield: none of the
+  seven catalogued genus-2 cover cases lifts mod p.  They are not every
+  genus-2 action: D4 on (2,2,2,4) and S3 on (2,2,3,3) contain none of the
+  seven groups and go unchecked, so the ledger assumes no omitted one lifts.
 * certify_genus / small_genus_catalog: per-genus certificates, each witness
   its replayable ske certificate: the dihedral witness, on DIHEDRAL_SIGNATURE,
   then the strongest known explicit actions (found by a direct search or
@@ -104,31 +104,27 @@ def degree24_obstruction(p, s):
     group containing such a cycle contains one of the known overgroups, every
     one of which is larger than p*s.
     """
-    order = p * s
     exceptions = sylow_count_options(p, s)
     facts = {
         "sylow_count_options": exceptions,
-        "sylow_count": p + 1,
-        "group_order": order,
         "degree_is_p_plus_1": exceptions == [p + 1],
         "degree_not_prime_power": len(_factor(p + 1)) > 1,
-        "p_cycle_fixed_points": 1,
         "fixed_point_margin_ok": 2 < (p + 1 - 2) // 2,
         "overgroup_orders": dict(DEGREE24_OVERGROUPS),
-        "psl_order_formula": DEGREE24_OVERGROUPS["PSL(2,23)"] == p * (p + 1) * (p - 1) // 2,
-        "order_below_every_overgroup": all(v > order for v in DEGREE24_OVERGROUPS.values()),
+        "order_below_every_overgroup": all(v > p * s for v in DEGREE24_OVERGROUPS.values()),
     }
     ok = (p == 23
           and facts["degree_is_p_plus_1"]
           and facts["degree_not_prime_power"]
           and facts["fixed_point_margin_ok"]
-          and facts["psl_order_formula"]
           and facts["order_below_every_overgroup"])
     return facts, ok
 
 
 class DischargeEntry(NamedTuple):
-    prime: int
+    """A ledger step: facts are the inputs and steps of its check, each
+    stated once, ok is that check, and the prime is the report's."""
+
     method: str
     bounds_covered: tuple
     facts: dict
@@ -162,9 +158,8 @@ def discharge_prime(p):
 
     Candidate orders are p times an integer bound value s > 4 from the table
     (fractional multipliers are excluded because their denominators are below
-    p).  Every s is discharged by one of: forced normal Sylow subgroup plus
-    the cover-congruence shield, the Frobenius complement argument, or the
-    degree-24 orbit embedding.
+    p).  Every s falls to a forced normal Sylow subgroup, a Frobenius
+    complement or the degree-24 orbit embedding.
     """
     from .covers import GENUS2_COVER_CASES
 
@@ -174,30 +169,26 @@ def discharge_prime(p):
     entries = []
 
     r_values = sorted({e.sr_pair[1] for e in table})
-    denom_facts = {"denominators": r_values, "max_denominator": max(r_values),
-                   "all_below_p": max(r_values) < p}
-    entries.append(DischargeEntry(p, "denominator-exclusion", (),
-                                  denom_facts, denom_facts["all_below_p"]))
-
-    shield = {f"case_{case.label}_lifts": case.condition_holds(p)
-              for case in GENUS2_COVER_CASES}
-    entries.append(DischargeEntry(p, "cover-congruence-shield", (), shield,
-                                  not any(shield.values())))
+    entries.append(DischargeEntry("denominator-exclusion", (), {"denominators": r_values},
+                                  max(r_values) < p))
 
     svals = sorted({s for s, r in (e.sr_pair for e in table) if r == 1 and s > 4},
                    reverse=True)
     forced = tuple(s for s in svals if sylow_forces_normal(p, s))
-    entries.append(DischargeEntry(p, "sylow-normal", forced,
-                                  {"bound_values": list(forced)}, True))
+    # a normal Sylow p-subgroup P would leave Q = G/P acting on genus 2 with
+    # a Q-invariant hyperplane mod p: the forced values fall when no case lifts
+    shield = {f"case_{case.label}_lifts": case.condition_holds(p)
+              for case in GENUS2_COVER_CASES}
+    entries.append(DischargeEntry("sylow-normal", forced, shield, not any(shield.values())))
     for s in svals:
         if s in forced:
             continue
         if p == 23:
             facts, ok = degree24_obstruction(p, s)
-            entries.append(DischargeEntry(p, "sylow-orbit-embedding", (s,), facts, ok))
+            entries.append(DischargeEntry("sylow-orbit-embedding", (s,), facts, ok))
         else:
             facts, ok = frobenius_obstruction(p, s)
-            entries.append(DischargeEntry(p, "frobenius-quotient", (s,), facts, ok))
+            entries.append(DischargeEntry("frobenius-quotient", (s,), facts, ok))
 
     complete = (all(e.ok for e in entries)
                 and {s for e in entries for s in e.bounds_covered} == set(svals))
@@ -235,8 +226,8 @@ class GenusCertificate(NamedTuple):
 
 # the ledger is typed, as a malformed one is refused before any replay, but
 # never decoded: it is only rebuilt and compared
-_ENTRY = Schema(None, {}, {"prime": object, "method": object, "bounds_covered": list,
-                           "facts": object, "ok": object})
+_ENTRY = Schema(None, {}, {"method": object, "bounds_covered": list, "facts": object,
+                           "ok": object})
 _LEDGER = Schema(None, {}, {"prime": object, "bounds": list, "entries": [_ENTRY],
                             "complete": object})
 GENUS = Schema("genus",

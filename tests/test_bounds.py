@@ -9,6 +9,7 @@ from surfbound.bounds import (
     ATTAINED_RESIDUES,
     CATALOG_ROUTES,
     GENUS,
+    DischargeEntry,
     WitnessSearchFailed,
     attained_genera,
     attained_prime,
@@ -182,7 +183,7 @@ class TestDegree24Obstruction:
         for s in (24, 48):
             facts, ok = degree24_obstruction(23, s)
             assert ok
-            assert facts["group_order"] == 23 * s
+            assert facts["order_below_every_overgroup"]
             assert facts["sylow_count_options"] == [24]
 
     def test_rejects_other_primes(self):
@@ -207,8 +208,7 @@ class TestDischarge:
         rep = discharge_prime(59)
         assert rep.complete
         methods = {e.method for e in rep.entries}
-        assert methods == {"denominator-exclusion", "cover-congruence-shield",
-                           "sylow-normal"}
+        assert methods == {"denominator-exclusion", "sylow-normal"}
         sylow = next(e for e in rep.entries if e.method == "sylow-normal")
         assert set(sylow.bounds_covered) == set(rep.bounds)
 
@@ -239,9 +239,42 @@ class TestDischarge:
 
     def test_congruence_shield_lists_every_case(self):
         rep = discharge_prime(23)
-        shield = next(e for e in rep.entries if e.method == "cover-congruence-shield")
+        shield = next(e for e in rep.entries if e.method == "sylow-normal")
         assert set(shield.facts) == {f"case_{c}_lifts" for c in "abcdefg"}
         assert not any(shield.facts.values())
+
+    def test_an_entry_is_its_check(self):
+        assert DischargeEntry._fields == ("method", "bounds_covered", "facts", "ok")
+
+    @pytest.mark.parametrize("p, keys", [
+        (23, {"sylow-orbit-embedding": {
+            "sylow_count_options", "degree_is_p_plus_1", "degree_not_prime_power",
+            "fixed_point_margin_ok", "overgroup_orders", "order_below_every_overgroup"}}),
+        (47, {"frobenius-quotient": {
+            "sylow_count_options", "self_normalizing_only", "signatures",
+            "cyclic_quotient_counts"}}),
+    ])
+    def test_facts_state_each_step_once(self, p, keys):
+        expected = {"denominator-exclusion": {"denominators"},
+                    "sylow-normal": {f"case_{c}_lifts" for c in "abcdefg"}, **keys}
+        entries = discharge_prime(p).entries
+        assert {e.method for e in entries} == set(expected)
+        for e in entries:
+            assert set(e.facts) == expected[e.method], e.method
+
+    def test_sylow_normal_fails_when_a_case_lifts(self, monkeypatch):
+        # p = 59 = 1 (mod 29): with case a's modulus 29 it lifts, so a normal
+        # Sylow 59-subgroup is no longer ruled out and every forced value stands
+        import surfbound.covers as covers
+
+        cases = covers.GENUS2_COVER_CASES
+        monkeypatch.setattr(covers, "GENUS2_COVER_CASES",
+                            (cases[0]._replace(modulus=29), *cases[1:]))
+        rep = discharge_prime(59)
+        sylow = next(e for e in rep.entries if e.method == "sylow-normal")
+        assert sylow.facts["case_a_lifts"]
+        assert not sylow.ok
+        assert not rep.complete
 
     def test_deep_recomputes_cover_cases(self):
         # the shield's facts come from each case's two integers; the homology
@@ -426,8 +459,7 @@ class TestCertifyGenus:
         assert cert.bound == 188
         assert cert.attained
         # the shield agrees with the homology recomputed at p = 47
-        shield = next(e for e in cert.discharge.entries
-                      if e.method == "cover-congruence-shield")
+        shield = next(e for e in cert.discharge.entries if e.method == "sylow-normal")
         assert shield.ok and not any(shield.facts.values())
         assert all(r["with_hyperplane"] == [] for r in check_cover_cases(primes=(47,)))
 

@@ -421,6 +421,7 @@ class TestSkeVerify:
 
     CERTIFY_14 = ("certify", "--genus", "14")
     CERTIFY_22 = ("certify", "--genus", "22")
+    CERTIFY_24 = ("certify", "--genus", "24")
     COVER_G7 = ("cover", "--case", "g", "--prime", "7")
     SEARCH_GL23 = ("ske", "search", "--signature", "2,3,8", "--group", "GL23")
 
@@ -465,6 +466,9 @@ class TestSkeVerify:
                          'witnesses[1].route "search", recomputed absent'),
         "route-object": (CERTIFY_22, ("certificate",), ("witnesses", 1, "route"), {},
                          "witnesses[1].route {}, recomputed absent"),
+        # a ledger entry's prime is its report's, stated once
+        "entry-prime": (CERTIFY_24, ("certificate",), ("discharge", "entries", 0, "prime"), 23,
+                        "discharge.entries[0].prime 23, recomputed absent"),
     }
 
     @pytest.mark.parametrize("variant", sorted(NOT_REBUILT))

@@ -5,7 +5,8 @@ import json
 
 import pytest
 
-from surfbound.bounds import GENUS, bound_constants, certify_genus, verify_genus_certificate
+from surfbound.bounds import (GENUS, bound_constants, certify_genus, discharge_prime,
+                              verify_genus_certificate)
 from surfbound.covers import (
     COVER,
     build_cover,
@@ -73,8 +74,13 @@ class TestOtherRecords:
             (build_cover(case_certificate(case_by_label("d")), 5), "prime"),
             (bound_constants(), "s_max"),
             (certify_genus(24), "bound"),
+            (discharge_prime(23).entries[0], "method"),
         ]
         for record, name in records:
+            # setattr on a named tuple fails for any name, so a name the
+            # record lacks would pass below without this check
+            assert (name in record._fields
+                    or isinstance(getattr(type(record), name, None), property)), name
             with pytest.raises(AttributeError):
                 setattr(record, name, 0)
 

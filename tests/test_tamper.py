@@ -43,7 +43,8 @@ MULTI_SAMPLES = 120
 # 10**30 = 1 (mod 7), a discharge ledger 0 or {} read as null, witness
 # routes that are not route names, and {} or "" for an empty list
 ACCEPTED_BEFORE = {
-    "fact-one-for-true": ("genus24", ("discharge", "entries", 0, "facts", "all_below_p"), 1),
+    "fact-one-for-true": ("genus24", ("discharge", "entries", 2, "facts", "degree_is_p_plus_1"),
+                          1),
     "fact-zero-for-false": ("genus24", ("discharge", "entries", 1, "facts", "case_a_lifts"), 0),
     "fact-true-for-one": ("genus24", ("discharge", "entries", 0, "facts", "denominators", 0),
                           True),
