@@ -6,11 +6,12 @@ Two layers:
   dihedral witness meets 4(g-1) and a discharge report shows, bound value by
   bound value, why nothing larger can act: Sylow counting, Frobenius
   complements against abelianizations, or the degree-24 orbit embedding.
-  That report is the whole record of its genus, as attained_genera returns it.
-  The Sylow-normal step's check is the cover-congruence shield: none of the
-  seven catalogued genus-2 cover cases lifts mod p.  They are not every
-  genus-2 action: D4 on (2,2,2,4) and S3 on (2,2,3,3) contain none of the
-  seven groups and go unchecked, so the ledger assumes no omitted one lifts.
+  That report is the whole record of its genus, as attained_genera returns
+  it, and derived from the genus alone.  The Sylow-normal step's check is the
+  cover-congruence shield: none of the seven catalogued genus-2 cover cases
+  lifts mod p.  They are not every genus-2 action: D4 on (2,2,2,4) and S3 on
+  (2,2,3,3) contain none of the seven groups and go unchecked, so the ledger
+  assumes no omitted one lifts.
 * certify_genus / small_genus_catalog: per-genus certificates, each witness
   its replayable ske certificate: the dihedral witness, on DIHEDRAL_SIGNATURE,
   then the strongest known explicit actions (found by a direct search or
@@ -134,12 +135,17 @@ class DischargeEntry(NamedTuple):
 class DischargeReport(NamedTuple):
     """The ledger of prime p, the whole record of the attained genus p + 1:
     bound is the order 4p the dihedral witness attains there, and the bounds
-    field holds the table values s whose orders p*s the entries discharge."""
+    field holds the table values s whose orders p*s the entries discharge;
+    it is complete when every entry holds and together they cover exactly those."""
 
     prime: int
     bounds: tuple
     entries: tuple
-    complete: bool
+
+    @property
+    def complete(self):
+        return (all(e.ok for e in self.entries)
+                and {s for e in self.entries for s in e.bounds_covered} == set(self.bounds))
 
     @property
     def genus(self):
@@ -190,10 +196,7 @@ def discharge_prime(p):
             facts, ok = frobenius_obstruction(p, s)
             entries.append(DischargeEntry("frobenius-quotient", (s,), facts, ok))
 
-    complete = (all(e.ok for e in entries)
-                and {s for e in entries for s in e.bounds_covered} == set(svals))
-    return DischargeReport(prime=p, bounds=tuple(svals), entries=tuple(entries),
-                           complete=complete)
+    return DischargeReport(prime=p, bounds=tuple(svals), entries=tuple(entries))
 
 
 def attained_genera(limit):
@@ -204,13 +207,12 @@ def attained_genera(limit):
 class GenusCertificate(NamedTuple):
     """Best certified automorphism count for one genus, with all evidence:
     the witnesses are ske certificates, the dihedral one first, in strictly
-    ascending order, so the bound is the last one's; it is attained exactly
-    when the certificate carries the discharge ledger.  Read from JSON,
-    discharge is None until verify_genus_certificate rebuilds it."""
+    ascending order, so the bound is the last one's.  Whether 4(g-1) is
+    attained, and the discharge ledger that shows it (None where it is not),
+    are derived from the genus, so a certificate read from JSON has them too."""
 
     genus: int
     witnesses: tuple
-    discharge: object = None
 
     @property
     def bound(self):
@@ -218,7 +220,11 @@ class GenusCertificate(NamedTuple):
 
     @property
     def attained(self):
-        return self.discharge is not None
+        return attained_prime(self.genus - 1)
+
+    @property
+    def discharge(self):
+        return discharge_prime(self.genus - 1) if self.attained else None
 
     def to_dict(self):
         return write(GENUS, self)
@@ -294,10 +300,8 @@ def _genus_certificate(genus, witnesses):
     """The certificate of the dihedral witness of this genus, put first, and
     these ascending table-row witnesses.  ValueError unless, at an attained
     genus, the bound is exactly its ledger's and the ledger complete."""
-    witnesses = (dihedral_witness_ske(genus), *witnesses)
-    discharge = discharge_prime(genus - 1) if attained_prime(genus - 1) else None
-    cert = GenusCertificate(genus, witnesses, discharge)
-    if discharge and cert.bound != discharge.bound:
+    cert = GenusCertificate(genus, (dihedral_witness_ske(genus), *witnesses))
+    if (discharge := cert.discharge) and cert.bound != discharge.bound:
         raise ValueError("attained genus must have bound exactly 4(g-1)")
     if discharge and not discharge.complete:
         raise ValueError("attained genus lacks a complete discharge report")

@@ -118,14 +118,17 @@ class HomologyAction(NamedTuple):
     coordinates are the cocycle values, and coords(g_* z) = matrices[i] *
     coords(z) for the generator g = group.generators[i].  The generators
     determine the whole action, so a line fixed by every matrices[i] is fixed
-    by Q.
+    by Q; dim, the dimension of H_1, is the number of cocycles.
     """
 
     presentation: KernelPresentation
     prime: int
-    dim: int
     matrices: list
     cocycles: list
+
+    @property
+    def dim(self):
+        return len(self.cocycles)
 
 
 def homology_action(pres, p):
@@ -163,8 +166,7 @@ def homology_action(pres, p):
     for g in group.generators:
         left = [index[group.mul(g, e)] for e in elements]
         matrices.append([row(phi, left) for phi in cocycles])
-    return HomologyAction(presentation=pres, prime=p, dim=dim, matrices=matrices,
-                          cocycles=cocycles)
+    return HomologyAction(presentation=pres, prime=p, matrices=matrices, cocycles=cocycles)
 
 
 def _roots_of_unity(n, p):

@@ -10,8 +10,8 @@ measure in units of pi, is a (numerator, denominator) pair of integers,
 genus bookkeeping is integer arithmetic, the abelianization is in closed
 form.  No floating point is used anywhere.  This leaf layer imports no
 other surfbound module, and fractions only in measure_class, the one place
-a Fraction is built, so kernel_genus, and with it an epimorphism search,
-does not load it.  Small integers are factored here, is_prime lives here
+a Fraction is built from integers, so kernel_genus, and with it an epimorphism
+search, does not load it.  Small integers are factored here, is_prime lives here
 too, and so does decimal, the one reader of an integer given as text, and
 resource_cap, the one reader of the resource caps CAPS states, for the
 library and the CLI alike.
@@ -155,22 +155,27 @@ def _admissible_terms(sig):
 
 
 class MeasureClass(NamedTuple):
-    """measure/pi, q = measure/(4*pi) and s/r = 1/q, as reduced Fractions.
+    """measure/pi as a reduced Fraction, and q = measure/(4*pi) and s/r = 1/q derived from it.
 
     For a surface kernel of index n the kernel genus is 1 + n*q, so the
     automorphism bound carried by the signature is (genus' - 1)/q = s/r.
     """
     mu_over_pi: "Fraction"
-    q: "Fraction"
-    s_over_r: "Fraction"
+
+    @property
+    def q(self):
+        return self.mu_over_pi / 4
+
+    @property
+    def s_over_r(self):
+        return 4 / self.mu_over_pi
 
 
 def measure_class(sig):
-    # the one place the module builds a Fraction
+    # the one place the module builds a Fraction from integers
     from fractions import Fraction
 
-    mu = Fraction(*_admissible_terms(sig))
-    return MeasureClass(mu_over_pi=mu, q=mu / 4, s_over_r=4 / mu)
+    return MeasureClass(Fraction(*_admissible_terms(sig)))
 
 
 def kernel_genus(sig, index):
@@ -288,10 +293,9 @@ def abelianization(sig):
 
 
 class SignatureTableEntry(NamedTuple):
-    """One verified table row; the two rational columns, measure/pi and
-    s/r, are kept as reduced (numerator, denominator) pairs of integers."""
+    """One verified table row, s/r as a reduced (numerator, denominator) pair of
+    integers; its measure column is checked on load, and measure_class gives it."""
     signature: Signature
-    mu_pair: tuple
     sr_pair: tuple
     arithmeticity_flag: str
 
@@ -352,8 +356,7 @@ def _parse_table(text, origin):
                 f"{where}: row {sig} states s/r = {_ratio_text(sr_num, sr_den)},"
                 f" recomputed {_ratio_text(4 * den, num)}"
             )
-        entries.append(SignatureTableEntry(sig, _reduced(num, den), _reduced(4 * den, num),
-                                           m.group("flag")))
+        entries.append(SignatureTableEntry(sig, _reduced(4 * den, num), m.group("flag")))
     if not entries:
         raise TableCorrupt(f"{origin}: no rows")
     return tuple(entries)
@@ -379,26 +382,26 @@ def signature_table():
 
 
 class BoundConstants(NamedTuple):
-    """Invariants of the signature table driving every bound argument."""
+    """Invariants of the signature table driving every bound argument: each
+    field is a read of the table, s_max and the primes of r_lcm derived."""
 
-    s_max: int
     r_lcm: int
-    primes: tuple
     s_ranking: tuple
     table_size: int
+
+    @property
+    def s_max(self):
+        return self.s_ranking[0]
+
+    @property
+    def primes(self):
+        return tuple(_factor(self.r_lcm))
 
 
 def bound_constants():
     table = signature_table()
-    integer_bounds = [s for s, r in (e.sr_pair for e in table) if r == 1]
-    r_lcm = lcm(*(e.sr_pair[1] for e in table))
-    return BoundConstants(
-        s_max=max(integer_bounds),
-        r_lcm=r_lcm,
-        primes=tuple(_factor(r_lcm)),
-        s_ranking=tuple(sorted(integer_bounds, reverse=True)),
-        table_size=len(table),
-    )
+    ranking = sorted((s for s, r in (e.sr_pair for e in table) if r == 1), reverse=True)
+    return BoundConstants(lcm(*(e.sr_pair[1] for e in table)), tuple(ranking), len(table))
 
 
 def render_pi(frac):

@@ -10,6 +10,7 @@ from surfbound.bounds import (
     CATALOG_ROUTES,
     GENUS,
     DischargeEntry,
+    DischargeReport,
     WitnessSearchFailed,
     attained_genera,
     attained_prime,
@@ -245,6 +246,17 @@ class TestDischarge:
 
     def test_an_entry_is_its_check(self):
         assert DischargeEntry._fields == ("method", "bounds_covered", "facts", "ok")
+
+    def test_completeness_is_derived_from_the_entries(self):
+        rep = discharge_prime(23)
+        with pytest.raises(TypeError):
+            DischargeReport(rep.prime, rep.bounds, rep.entries, complete=True)
+        for i, entry in enumerate(rep.entries):
+            failing = (*rep.entries[:i], entry._replace(ok=False), *rep.entries[i + 1:])
+            assert not rep._replace(entries=failing).complete, entry.method
+        # entries that leave a bound value uncovered do not complete the ledger
+        assert not rep._replace(entries=rep.entries[:-1]).complete
+        assert rep.complete
 
     @pytest.mark.parametrize("p, keys", [
         (23, {"sylow-orbit-embedding": {
@@ -493,6 +505,19 @@ class TestGenusCertificateSerialization:
         assert len(back.witnesses) == len(cert.witnesses)
         assert back.discharge.complete
 
+    def test_read_certificate_knows_whether_attained(self):
+        # attainment and the ledger are derived from the genus, so a
+        # certificate read from JSON has them before any verifier runs
+        genera = [p + 1 for p in range(1000) if attained_prime(p)]
+        assert len(genera) == 32
+        for g in genera:
+            back = read(GENUS, json.loads(json.dumps(certify_genus(g).to_dict())))
+            assert back.attained is True, g
+            assert back.discharge == discharge_prime(g - 1), g
+        back = read(GENUS, json.loads(json.dumps(certify_genus(25).to_dict())))
+        assert back.attained is False
+        assert back.discharge is None
+
     def test_round_trip_with_cover_witness(self):
         cert = certify_genus(4)
         back = replayed(json.loads(json.dumps(cert.to_dict())))
@@ -672,8 +697,12 @@ class TestGenusCertificateTampering:
 
         cert = certify_genus(24)
         honest = bounds.discharge_prime
-        monkeypatch.setattr(bounds, "discharge_prime",
-                            lambda p: honest(p)._replace(complete=False))
+
+        def one_entry_fails(p):
+            rep = honest(p)
+            return rep._replace(entries=(rep.entries[0]._replace(ok=False), *rep.entries[1:]))
+
+        monkeypatch.setattr(bounds, "discharge_prime", one_entry_fails)
         with pytest.raises(ValueError) as err:
             verify_genus_certificate(cert)
         assert str(err.value) == "attained genus lacks a complete discharge report"

@@ -5,10 +5,11 @@ import json
 
 import pytest
 
-from surfbound.bounds import (GENUS, bound_constants, certify_genus, discharge_prime,
-                              verify_genus_certificate)
+from surfbound.bounds import (GENUS, DischargeReport, GenusCertificate, bound_constants,
+                              certify_genus, discharge_prime, verify_genus_certificate)
 from surfbound.covers import (
     COVER,
+    HomologyAction,
     build_cover,
     case_by_label,
     case_certificate,
@@ -17,7 +18,8 @@ from surfbound.covers import (
     verify_cover_certificate,
 )
 from surfbound.groups import construct
-from surfbound.signatures import Signature, measure_class
+from surfbound.signatures import (BoundConstants, MeasureClass, Signature, SignatureTableEntry,
+                                  measure_class)
 from surfbound.ske import (SKE, Schema, SkeCertificate, dihedral_witness_ske, read, replay,
                            search_ske, verify_certificate, verify_ske)
 
@@ -68,12 +70,17 @@ class TestOtherRecords:
         pres = kernel_presentation(ske)
         records = [
             (measure_class(Signature(0, (2, 3, 7))), "q"),
+            (measure_class(Signature(0, (2, 3, 7))), "s_over_r"),
             (ske, "kernel_genus"),
             (pres, "relation_rows"),
             (homology_action(pres, 3), "dim"),
             (build_cover(case_certificate(case_by_label("d")), 5), "prime"),
             (bound_constants(), "s_max"),
+            (bound_constants(), "primes"),
             (certify_genus(24), "bound"),
+            (certify_genus(24), "discharge"),
+            (certify_genus(24), "attained"),
+            (discharge_prime(23), "complete"),
             (discharge_prime(23).entries[0], "method"),
         ]
         for record, name in records:
@@ -83,6 +90,21 @@ class TestOtherRecords:
                     or isinstance(getattr(type(record), name, None), property)), name
             with pytest.raises(AttributeError):
                 setattr(record, name, 0)
+
+    def test_records_store_their_inputs_and_what_costs_a_rebuild(self):
+        # every other value a record shows is a property of these fields,
+        # each listed in test_fields_are_read_only
+        fields = {
+            GenusCertificate: ("genus", "witnesses"),
+            DischargeReport: ("prime", "bounds", "entries"),
+            HomologyAction: ("presentation", "prime", "matrices", "cocycles"),
+            SignatureTableEntry: ("signature", "sr_pair", "arithmeticity_flag"),
+            MeasureClass: ("mu_over_pi",),
+            BoundConstants: ("r_lcm", "s_ranking", "table_size"),
+        }
+        for record, names in fields.items():
+            assert record._fields == names, record.__name__
+        assert sum(len(names) for names in fields.values()) == 16
 
     def test_default_verifier_version(self):
         cert = dihedral_witness_ske(3)

@@ -118,7 +118,7 @@ class TestMeasure:
         assert len(table) == 74
         for entry in table:
             assert measure(entry.signature) == fraction_sum_measure(entry.signature)
-            assert measure(entry.signature) == Fraction(*entry.mu_pair)
+            assert measure(entry.signature) == measure_class(entry.signature).mu_over_pi
 
     def test_matches_fraction_sum_at_positive_genus(self):
         # admissible or not, with and without periods, including (2;)
@@ -319,7 +319,7 @@ class TestSignatureTable:
     def test_known_rows(self):
         table = {e.signature: e for e in signature_table()}
         e = table[Signature(0, (2, 3, 7))]
-        assert Fraction(*e.mu_pair) == Fraction(1, 21)
+        assert measure_class(e.signature).mu_over_pi == Fraction(1, 21)
         assert Fraction(*e.sr_pair) == 84
         e = table[Signature(0, (2, 3, 11))]
         assert Fraction(*e.sr_pair) == Fraction(132, 5)
@@ -335,7 +335,7 @@ class TestSignatureTable:
 
     def test_all_measures_below_pi(self):
         for e in signature_table():
-            assert 0 < Fraction(*e.mu_pair) < 1
+            assert 0 < measure_class(e.signature).mu_over_pi < 1
 
     def test_packaged_table_loaded_once(self):
         table = signature_table()
@@ -373,7 +373,9 @@ class TestSignatureTable:
 
 def fraction_parse_table(text, origin):
     # the former Fraction-based row check, kept as the oracle for the
-    # integer one in _parse_table
+    # integer one in _parse_table: its measure is this file's
+    # fraction_sum_measure and its s/r is 4 over that, so it shares no
+    # arithmetic with the loader it checks
     entries = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -386,12 +388,12 @@ def fraction_parse_table(text, origin):
         mu = Fraction(m.group("mu"))
         sr = Fraction(m.group("sr"))
         sig = Signature(0, periods)
-        actual_mu = measure(sig)
+        actual_mu = fraction_sum_measure(sig)
         if actual_mu != mu:
             raise TableCorrupt(
                 f"{origin}:{lineno}: row {sig} states measure {mu}*pi, recomputed {actual_mu}*pi"
             )
-        actual_sr = measure_class(sig).s_over_r
+        actual_sr = 4 / actual_mu
         if actual_sr != sr:
             raise TableCorrupt(
                 f"{origin}:{lineno}: row {sig} states s/r = {sr}, recomputed {actual_sr}"
@@ -403,8 +405,8 @@ def fraction_parse_table(text, origin):
 
 
 def integer_parse_table(text, origin):
-    return tuple((e.signature, Fraction(*e.mu_pair), Fraction(*e.sr_pair), e.arithmeticity_flag)
-                 for e in _parse_table(text, origin))
+    return tuple((e.signature, measure_class(e.signature).mu_over_pi, Fraction(*e.sr_pair),
+                  e.arithmeticity_flag) for e in _parse_table(text, origin))
 
 
 def outcome(parse, text):
@@ -461,12 +463,12 @@ class TestIntegerTableCheck:
 
     def test_columns_stored_as_reduced_pairs(self):
         (entry,) = _parse_table("2 3 11 | 10/66 | 264/10 | verified-by-literature", "t.txt")
-        assert entry == SignatureTableEntry(Signature(0, (2, 3, 11)), (5, 33), (132, 5),
+        assert entry == SignatureTableEntry(Signature(0, (2, 3, 11)), (132, 5),
                                             "verified-by-literature")
+        assert measure_class(entry.signature).mu_over_pi == Fraction(5, 33)
         for e in signature_table():
-            assert gcd(*e.mu_pair) == gcd(*e.sr_pair) == 1
-            mc = measure_class(e.signature)
-            assert (mc.mu_over_pi, mc.s_over_r) == (Fraction(*e.mu_pair), Fraction(*e.sr_pair))
+            assert gcd(*e.sr_pair) == 1
+            assert measure_class(e.signature).s_over_r == Fraction(*e.sr_pair)
 
     # the rows the Fraction check ends in a traceback or an unnamed defect on
     @pytest.mark.parametrize("row, defect", [
